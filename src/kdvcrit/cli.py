@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import kernel, numbertheory, pde, spectral, synthesis, unreachable
-from .errors import KdvCritError, NoPositiveFrequency
+from .errors import DomainError, KdvCritError
 
 _FMT = "%.17g"
 
@@ -52,8 +52,11 @@ def _emit_json(obj, path):
 
 
 def _load_config(args):
-    """Merge a JSON config under the parsed args: flags win over the file."""
-    if getattr(args, "config", None):
+    """Merge a JSON config under the parsed args: flags win over the file.
+
+    Only verify-all takes such an overlay; simulate's --config is its run file.
+    """
+    if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         for key, val in cfg.items():
@@ -472,6 +475,7 @@ def verify_all(only=None, include_timing=True):
 
 
 def cmd_verify_all(args) -> int:
+    _load_config(args)
     only = None
     if args.only:
         only = {s.strip() for s in args.only.split(",")}
@@ -572,13 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    _load_config(args)
     try:
         return args.func(args)
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except KdvCritError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoPositiveFrequency as exc:  # pragma: no cover - subclass above
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import cholesky, solve_triangular
 
-from .errors import FixedPointDiverged, LinearSolveFailure, NotReachable
+from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable
 from .numbertheory import LengthClass
 from .unreachable import eta_triple, phi, phi_x
 
@@ -57,9 +57,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.nx < 8:
-            raise ValueError("need nx >= 8 interior nodes")
+            raise DomainError(f"need nx >= 8 interior nodes, got nx = {self.nx}")
         if self.nt < 1 or self.T <= 0 or self.L <= 0:
-            raise ValueError("need T, L > 0 and nt >= 1")
+            raise DomainError(
+                f"need T, L > 0 and nt >= 1, got T = {self.T}, L = {self.L}, nt = {self.nt}"
+            )
 
     @property
     def dx(self) -> float:
@@ -119,9 +121,9 @@ def _shape_funcs(s: np.ndarray, h: float):
     return n, n1, n2
 
 
-def _element_mats(h: float):
-    s, w = _gauss01()
-    n, n1, n2 = _shape_funcs(s, h)
+def _element_mats(h: float, w: np.ndarray, n: np.ndarray, n1: np.ndarray, n2: np.ndarray):
+    """Element mass, generator and H^1-stiffness matrices from Gauss weights w
+    and the shape values n, n1, n2 at the Gauss points."""
     mass = h * (n * w) @ n.T
     conv = (n * w) @ n1.T  # <v, y_x>
     disp = -((n1 * w) @ n2.T) / h**2  # -<y_xx, v_x>
@@ -139,18 +141,23 @@ class _System:
         self.h = grid.dx
         ndof = 2 * (n_el + 1)
         self.ndof = ndof
-        mass_e, k_e, stiff_e = _element_mats(self.h)
-        m = sparse.lil_matrix((ndof, ndof))
-        k = sparse.lil_matrix((ndof, ndof))
-        s1 = sparse.lil_matrix((ndof, ndof))
-        for e in range(n_el):
-            idx = slice(2 * e, 2 * e + 4)
-            m[idx, idx] += mass_e
-            k[idx, idx] += k_e
-            s1[idx, idx] += stiff_e
-        self.M = m.tocsc()
-        self.K = k.tocsc()
-        self.S1 = s1.tocsc()
+        # element e couples DOFs 2e .. 2e+3: (value, derivative) at its two nodes
+        self.el_dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
+        s, self.quad_w = _gauss01()
+        self.shape, self.shape_x, shape_xx = _shape_funcs(s, self.h)
+        mass_e, k_e, stiff_e = _element_mats(
+            self.h, self.quad_w, self.shape, self.shape_x, shape_xx
+        )
+        rows = np.repeat(self.el_dofs, 4, axis=1).ravel()
+        cols = np.tile(self.el_dofs, 4).ravel()
+
+        def assemble(local: np.ndarray):
+            data = np.tile(local.ravel(), n_el)
+            return sparse.coo_matrix((data, (rows, cols)), shape=(ndof, ndof)).tocsc()
+
+        self.M = assemble(mass_e)
+        self.K = assemble(k_e)
+        self.S1 = assemble(stiff_e)
         self.i_v0 = 0
         self.i_vN = 2 * n_el
         self.i_dN = 2 * n_el + 1
@@ -170,14 +177,12 @@ class _System:
         through five neighbouring values (keeps the interpolant at the order
         of the element).
         """
-        x = self.grid.x_nodes
         values = np.asarray(values, dtype=float)
         if derivs is None:
             derivs = _fd_derivatives(values, self.h)
         dofs = np.empty(self.ndof)
         dofs[0::2] = values
         dofs[1::2] = derivs
-        del x
         return dofs
 
     def l2_norm(self, dofs: np.ndarray) -> float:
@@ -191,15 +196,10 @@ class _System:
 
     def nonlinear_weak(self, dofs: np.ndarray) -> np.ndarray:
         """<w w_x, v> = -(1/2) <w^2, v_x> on the free test functions."""
-        s, w = _gauss01()
-        n, n1, _ = _shape_funcs(s, self.h)
+        wvals = dofs[self.el_dofs] @ self.shape  # w at the Gauss points, (n_el, n_gauss)
+        contrib = -0.5 * (self.quad_w * wvals**2) @ self.shape_x.T
         out = np.zeros(self.ndof)
-        loc = dofs.reshape(-1, 2)
-        for e in range(self.n_el):
-            d = np.concatenate([loc[e], loc[e + 1]])
-            wvals = d @ n  # w at the Gauss points of this element
-            contrib = -0.5 * (n1 * (w * wvals**2)) .sum(axis=1)
-            out[2 * e : 2 * e + 4] += contrib
+        np.add.at(out, self.el_dofs, contrib)
         return out[self.free]
 
 
@@ -258,7 +258,7 @@ def _as_control(u, nt: int, t_nodes: np.ndarray) -> np.ndarray:
         return np.array([float(u(t)) for t in t_nodes])
     u = np.asarray(u, dtype=float)
     if u.shape != (nt + 1,):
-        raise ValueError(f"control must have nt+1 = {nt + 1} samples, got {u.shape}")
+        raise DomainError(f"control must have nt+1 = {nt + 1} samples, got {u.shape}")
     return u
 
 
@@ -508,21 +508,32 @@ class GramianReport:
 def _control_map(sys_: _System) -> np.ndarray:
     """Columns = final free states reached by unit impulses at each time node.
 
-    All nt+1 columns are propagated simultaneously (identical to resolving
-    each impulse with solve_linear; verified in the tests)."""
+    One Crank-Nicolson step is y_{n+1} = A y_n + a u_n + b u_{n+1} with
+    A = LU^{-1} B, a = LU^{-1}(Mc - dt/2 Kc) and b = LU^{-1}(-Mc - dt/2 Kc).
+    The system is time-invariant, so the final state is
+    sum_n A^{nt-1-n} (a u_n + b u_{n+1}), and column j of the map is
+
+        A^{nt-1-j} a + A^{nt-j} b,
+
+    dropping the a term at j = nt and the b term at j = 0.  Only the two
+    columns [a, b] are stepped, nt - 1 times, keeping every power (identical
+    to resolving each impulse with solve_linear; verified in the tests).
+    """
     grid = sys_.grid
     dt = grid.dt
     lu = _step_factor(sys_, dt)
     b_mat = (sys_.Mf - (dt / 2.0) * sys_.Kf).tocsc()
-    ncols = grid.nt + 1
-    y = np.zeros((len(sys_.free), ncols))
-    eye = np.eye(ncols)
-    for n in range(grid.nt):
-        rhs = b_mat @ y
-        rhs -= np.outer(sys_.Mc, eye[n + 1] - eye[n])
-        rhs -= np.outer(sys_.Kc, (dt / 2.0) * (eye[n] + eye[n + 1]))
-        y = lu.solve(rhs)
-    return y
+    # powers[k] = [A^k a, A^k b], k = 0 .. nt-1
+    powers = np.empty((grid.nt, len(sys_.free), 2))
+    powers[0] = lu.solve(
+        np.column_stack([sys_.Mc - (dt / 2.0) * sys_.Kc, -sys_.Mc - (dt / 2.0) * sys_.Kc])
+    )
+    for k in range(1, grid.nt):
+        powers[k] = lu.solve(b_mat @ powers[k - 1])
+    phi_map = np.zeros((len(sys_.free), grid.nt + 1))
+    phi_map[:, :-1] += powers[::-1, :, 0].T
+    phi_map[:, 1:] += powers[::-1, :, 1].T
+    return phi_map
 
 
 def _mass_cholesky(sys_: _System) -> np.ndarray:

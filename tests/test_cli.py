@@ -1,0 +1,47 @@
+import json
+
+import pytest
+
+from kdvcrit import numbertheory as nt
+from kdvcrit import pde
+from kdvcrit.cli import dispatch
+
+
+@pytest.mark.parametrize("system", ["linear", "second-order", "nonlinear"])
+def test_simulate_config_file(tmp_path, system):
+    cfg = tmp_path / "sim.json"
+    control = {"type": "sine-bump", "amplitude": 0.1}
+    cfg.write_text(json.dumps({"k": 2, "l": 1, "nx": 8, "nt": 6, "T": 0.2, "control": control}))
+    out = tmp_path / "traj.csv"
+    assert dispatch(["simulate", "--system", system, "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[0] == "t" and len(header) == 1 + 8 + 2
+    assert float(header[-1]) == pytest.approx(nt.CriticalPair(2, 1).L)
+    assert len(lines) == 1 + 6 + 1
+
+
+def test_gramian_json_schema(tmp_path):
+    out = tmp_path / "gramian.json"
+    argv = ["gramian", "--k", "1", "--l", "1", "--T", "0.5", "--nx", "8", "--nt", "10"]
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    grid = pde.Grid(L=nt.CriticalPair(1, 1).L, nx=8, T=0.5, nt=10)
+    rep = pde.gramian(grid, nt.representations(3))
+    assert set(payload) == set(rep.as_dict())
+    assert payload["nt"] == 10 and payload["dim_mn"] == 1
+
+
+def test_gramian_bad_grid_is_usage_error(tmp_path, capsys):
+    argv = ["gramian", "--k", "1", "--l", "1", "--T", "0.5", "--nx", "4", "--nt", "10"]
+    assert dispatch(argv + ["--out", str(tmp_path / "g.json")]) == 2
+    assert "nx >= 8" in capsys.readouterr().err
+
+
+def test_verify_all_config_overlay(tmp_path):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"only": "numbertheory"}))
+    out = tmp_path / "report.json"
+    assert dispatch(["verify-all", "--config", str(cfg), "--no-timing", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["name"] for c in report["checks"]] == ["representations vs brute force (N <= 1e4)"]

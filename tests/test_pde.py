@@ -6,7 +6,7 @@ import pytest
 from kdvcrit import numbertheory as nt
 from kdvcrit import pde
 from kdvcrit import unreachable as ur
-from kdvcrit.errors import NotReachable
+from kdvcrit.errors import DomainError, NotReachable
 
 PAIR = nt.CriticalPair(2, 1)
 ETA = ur.eta_triple(PAIR)
@@ -175,15 +175,74 @@ def test_projection_identity_quick():
 
 
 def test_gramian_columns_match_solve_linear():
-    g = pde.Grid(L=1.0, nx=24, T=0.5, nt=30)
+    # every column, on a generic grid, a single-step grid and the critical length
+    for g in (
+        pde.Grid(L=1.0, nx=24, T=0.5, nt=30),
+        pde.Grid(L=1.0, nx=8, T=0.1, nt=1),
+        pde.Grid(L=2 * math.pi, nx=16, T=1.0, nt=20),
+    ):
+        sys_ = pde._System(g)
+        phi_map = pde._control_map(sys_)
+        assert phi_map.shape == (len(sys_.free), g.nt + 1)
+        for i in range(g.nt + 1):
+            u = np.zeros(g.nt + 1)
+            u[i] = 1.0
+            traj = pde.solve_linear(g, u=u, system=sys_)
+            col = traj.final()[sys_.free]
+            assert np.allclose(col, phi_map[:, i], rtol=1e-12, atol=1e-13)
+
+
+def _reference_assembly(g):
+    """Per-element accumulation of the global matrices (the loop COO replaced)."""
     sys_ = pde._System(g)
-    phi_map = pde._control_map(sys_)
-    for i in (0, 7, 30):
-        u = np.zeros(g.nt + 1)
-        u[i] = 1.0
-        traj = pde.solve_linear(g, u=u, system=sys_)
-        col = traj.final()[sys_.free]
-        assert np.allclose(col, phi_map[:, i], rtol=1e-12, atol=1e-13)
+    s, w = pde._gauss01()
+    mats = pde._element_mats(g.dx, w, *pde._shape_funcs(s, g.dx))
+    out = []
+    for local in mats:
+        glob = np.zeros((sys_.ndof, sys_.ndof))
+        for e in range(g.nx + 1):
+            glob[2 * e : 2 * e + 4, 2 * e : 2 * e + 4] += local
+        out.append(glob)
+    return sys_, out
+
+
+def test_assembly_matches_per_element_reference():
+    for g in (pde.Grid(L=PAIR.L, nx=8, T=1.0, nt=1), pde.Grid(L=1.0, nx=37, T=1.0, nt=1)):
+        sys_, (m, k, s1) = _reference_assembly(g)
+        assert np.array_equal(sys_.M.toarray(), m)
+        assert np.array_equal(sys_.K.toarray(), k)
+        assert np.array_equal(sys_.S1.toarray(), s1)
+        free = sys_.free
+        assert np.array_equal(sys_.Mf.toarray(), m[np.ix_(free, free)])
+        assert np.array_equal(sys_.Kf.toarray(), k[np.ix_(free, free)])
+        assert np.array_equal(sys_.Mc, m[free, sys_.i_dN])
+        assert np.array_equal(sys_.Kc, k[free, sys_.i_dN])
+
+
+def test_nonlinear_weak_matches_per_element_reference():
+    g = pde.Grid(L=PAIR.L, nx=40, T=1.0, nt=1)
+    sys_ = pde._System(g)
+    s, w = pde._gauss01()
+    n, n1, _ = pde._shape_funcs(s, g.dx)
+    rng = np.random.default_rng(3)
+    for dofs in (rng.standard_normal(sys_.ndof), sys_.interpolate(exact_state(0.3, g.x_nodes))):
+        ref = np.zeros(sys_.ndof)
+        for e in range(sys_.n_el):
+            wvals = dofs[2 * e : 2 * e + 4] @ n
+            ref[2 * e : 2 * e + 4] += -0.5 * (n1 * (w * wvals**2)).sum(axis=1)
+        ref = ref[sys_.free]
+        got = sys_.nonlinear_weak(dofs)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_bad_grid_and_control_raise_domain_error():
+    with pytest.raises(DomainError):
+        pde.Grid(L=1.0, nx=4, T=1.0, nt=10)
+    with pytest.raises(DomainError):
+        pde.Grid(L=1.0, nx=8, T=0.0, nt=10)
+    g = pde.Grid(L=1.0, nx=8, T=1.0, nt=10)
+    with pytest.raises(DomainError):
+        pde.solve_linear(g, u=np.zeros(g.nt))
 
 
 @pytest.mark.slow
