@@ -17,7 +17,7 @@ class NoPositiveFrequency(KdvCritError):
     """Length class has no pair with p > 0, so the rotation time is undefined."""
 
 
-class DomainError(KdvCritError):
+class DomainError(KdvCritError, ValueError):
     """Argument outside the mathematical domain of the operation."""
 
 

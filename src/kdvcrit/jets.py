@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RootDerivativeSingular
-from .spectral import roots, xi
+from .spectral import roots
 
 __all__ = [
     "JET_ORDER",
@@ -123,16 +123,3 @@ def h_jets_scaled(z0, L: float):
     l1, l2, l3 = lam[..., 0, :], lam[..., 1, :], lam[..., 2, :]
     xi_jet = -jet_mul(jet_mul(l2 - l1, l3 - l2), l1 - l3)
     return jet_div(detq, xi_jet), s0
-
-
-def h_derivatives(z0, L: float, max_order: int = 3):
-    """Raw H, H', ..., H^(d) at z0 (overflows only if H itself does)."""
-    jet, s0 = h_jets_scaled(z0, L)
-    fact = 1.0
-    out = []
-    with np.errstate(over="ignore"):
-        scale = np.exp(s0)
-        for d in range(max_order + 1):
-            out.append(jet[..., d] * fact * scale)
-            fact *= d + 1
-    return out

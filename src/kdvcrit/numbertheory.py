@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NoPositiveFrequency, NotCritical
+from .errors import DomainError, NoPositiveFrequency, NotCritical
 
 __all__ = [
     "CriticalPair",
@@ -51,7 +51,7 @@ class CriticalPair:
 
     def __post_init__(self) -> None:
         if self.l < 1 or self.k < self.l:
-            raise ValueError(f"need k >= l >= 1, got (k, l) = ({self.k}, {self.l})")
+            raise DomainError(f"need k >= l >= 1, got (k, l) = ({self.k}, {self.l})")
         n = self.k**2 + self.k * self.l + self.l**2
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "L", _length(n))
@@ -86,7 +86,7 @@ class LengthClass:
 def enumerate_pairs(k_max: int) -> list[CriticalPair]:
     """All pairs with 1 <= l <= k <= k_max, ordered by N then k."""
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
     pairs = [CriticalPair(k, l) for k in range(1, k_max + 1) for l in range(1, k + 1)]
     pairs.sort(key=lambda q: (q.N, q.k))
     return pairs

@@ -17,18 +17,19 @@ energy at O(dx^2), far above what the Gramian-collapse and conservation
 checks require.
 
 Each node carries (value, derivative) degrees of freedom; all matrices are
-banded with bandwidth 3 and the step matrix is LU-factored once per run.
+banded with bandwidth 3 and the step matrix is LU-factored once per `_System`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky
 
 from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable
 from .numbertheory import LengthClass
@@ -161,7 +162,6 @@ class _System:
         self.i_v0 = 0
         self.i_vN = 2 * n_el
         self.i_dN = 2 * n_el + 1
-        self.i_d0 = 1
         mask = np.ones(ndof, dtype=bool)
         mask[[self.i_v0, self.i_vN, self.i_dN]] = False
         self.free = np.flatnonzero(mask)
@@ -169,6 +169,20 @@ class _System:
         self.Kf = self.K[np.ix_(self.free, self.free)].tocsc()
         self.Mc = np.asarray(self.M[self.free, self.i_dN].todense()).ravel()
         self.Kc = np.asarray(self.K[self.free, self.i_dN].todense()).ravel()
+
+    @cached_property
+    def step_lu(self):
+        """LU factor of the Crank-Nicolson step matrix M + dt/2 K (free DOFs)."""
+        a = (self.Mf + (self.grid.dt / 2.0) * self.Kf).tocsc()
+        try:
+            return sparse_linalg.splu(a)
+        except RuntimeError as exc:  # pragma: no cover - should not happen for dt > 0
+            raise LinearSolveFailure(str(exc)) from exc
+
+    @cached_property
+    def step_rhs(self):
+        """Right-hand-side matrix M - dt/2 K of the Crank-Nicolson step."""
+        return (self.Mf - (self.grid.dt / 2.0) * self.Kf).tocsc()
 
     def interpolate(self, values, derivs=None) -> np.ndarray:
         """Full DOF vector of the Hermite interpolant of nodal data.
@@ -190,9 +204,6 @@ class _System:
 
     def h1_semi(self, dofs: np.ndarray) -> float:
         return math.sqrt(max(float(dofs @ (self.S1 @ dofs)), 0.0))
-
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(a @ (self.M @ b))
 
     def nonlinear_weak(self, dofs: np.ndarray) -> np.ndarray:
         """<w w_x, v> = -(1/2) <w^2, v_x> on the free test functions."""
@@ -276,21 +287,33 @@ def _initial_dofs(sys_: _System, y0) -> np.ndarray:
     return dofs
 
 
-def _forcing_column(sys_: _System, f, t: float) -> np.ndarray:
-    """Weak forcing vector <f(t), v> via the Hermite interpolant of f."""
-    if f is None:
-        return np.zeros(len(sys_.free))
-    vals = np.asarray(f(t, sys_.grid.x_nodes), dtype=float)
-    dofs = sys_.interpolate(vals)
-    return (sys_.M @ dofs)[sys_.free]
+def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.ndarray:
+    """Free states y_0 .. y_nt of Crank-Nicolson stepping from y_0 = y.
 
+    Each step solves
 
-def _step_factor(sys_: _System, dt: float):
-    a = (sys_.Mf + (dt / 2.0) * sys_.Kf).tocsc()
-    try:
-        return sparse_linalg.splu(a)
-    except RuntimeError as exc:  # pragma: no cover - should not happen for dt > 0
-        raise LinearSolveFailure(str(exc)) from exc
+        (M + dt/2 K) y_{n+1} = (M - dt/2 K) y_n - Mc (u_{n+1} - u_n) - dt/2 Kc (u_n + u_{n+1})
+
+    on the free DOFs, Mc and Kc being the y_x(L) columns through which the
+    control enters.  y and u may carry a trailing column axis, one run per
+    column.  ``step(n, y_n, rhs, solve)``, when given, returns y_{n+1} in place
+    of ``solve(rhs)``; the solvers use it to add a source or iterate the step.
+    """
+    lu = sys_.step_lu
+    b_mat = sys_.step_rhs
+    runs = (1,) * (y.ndim - 1)  # Mc, Kc broadcast over the run columns
+    mc = sys_.Mc.reshape(-1, *runs)
+    kc = (sys_.Kc * (sys_.grid.dt / 2.0)).reshape(-1, *runs)
+    du = u[1:] - u[:-1]
+    su = u[:-1] + u[1:]
+    states = np.empty((sys_.grid.nt + 1,) + y.shape)
+    states[0] = y
+    for n in range(sys_.grid.nt):
+        rhs = b_mat @ states[n]
+        rhs -= mc * du[n]
+        rhs -= kc * su[n]
+        states[n + 1] = lu.solve(rhs) if step is None else step(n, states[n], rhs, lu.solve)
+    return states
 
 
 def _assemble_trajectory(sys_: _System, hist, u) -> Trajectory:
@@ -304,68 +327,16 @@ def _assemble_trajectory(sys_: _System, hist, u) -> Trajectory:
     return Trajectory(grid=grid, dofs=dofs, control=u, xnorm=xnorm, system=sys_)
 
 
-def solve_linear(
-    grid: Grid,
-    y0=None,
-    u=None,
-    f=None,
-    *,
-    system: _System | None = None,
-    keep_history: bool = True,
-):
-    """Crank-Nicolson trajectory of y_t + y_x + y_xxx = f with y_x(., L) = u.
+def solve_linear(grid: Grid, y0=None, u=None, *, system: _System | None = None) -> Trajectory:
+    """Crank-Nicolson trajectory of y_t + y_x + y_xxx = 0 with y_x(., L) = u.
 
     y0 may be None, nodal values, a (values, derivatives) pair, or a callable;
-    u may be None, an array at the nt+1 time nodes, or a callable of t; f is
-    None or a callable f(t, x_nodes) -> values.
-
-    With keep_history=False (long runs), returns a LightTrajectory carrying
-    only the per-step L2 norms and the final DOF vector.
+    u may be None, an array at the nt+1 time nodes, or a callable of t.
     """
     sys_ = system if system is not None else _System(grid)
-    dt = grid.dt
     u_arr = _as_control(u, grid.nt, grid.t_nodes)
     y = _initial_dofs(sys_, y0)[sys_.free]
-    lu = _step_factor(sys_, dt)
-    b_mat = (sys_.Mf - (dt / 2.0) * sys_.Kf).tocsc()
-    if keep_history:
-        hist = np.empty((grid.nt + 1, len(sys_.free)))
-        hist[0] = y
-    else:
-        norms = np.empty(grid.nt + 1)
-        full = np.zeros(sys_.ndof)
-        full[sys_.free] = y
-        full[sys_.i_dN] = u_arr[0]
-        norms[0] = sys_.l2_norm(full)
-    for n in range(grid.nt):
-        rhs = b_mat @ y
-        rhs -= sys_.Mc * (u_arr[n + 1] - u_arr[n])
-        rhs -= sys_.Kc * (dt / 2.0) * (u_arr[n] + u_arr[n + 1])
-        if f is not None:
-            rhs += dt * _forcing_column(sys_, f, grid.t_nodes[n] + dt / 2.0)
-        y = lu.solve(rhs)
-        if keep_history:
-            hist[n + 1] = y
-        else:
-            full[sys_.free] = y
-            full[sys_.i_dN] = u_arr[n + 1]
-            norms[n + 1] = sys_.l2_norm(full)
-    if keep_history:
-        return _assemble_trajectory(sys_, hist, u_arr)
-    final = np.zeros(sys_.ndof)
-    final[sys_.free] = y
-    final[sys_.i_dN] = u_arr[-1]
-    return LightTrajectory(grid=grid, norms=norms, final_dofs=final, system=sys_)
-
-
-@dataclass
-class LightTrajectory:
-    """Norm history and final state of a long run (no full history kept)."""
-
-    grid: Grid
-    norms: np.ndarray
-    final_dofs: np.ndarray
-    system: _System = field(repr=False)
+    return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr), u_arr)
 
 
 def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
@@ -379,19 +350,14 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     """
     sys_ = _System(grid)
     y1 = solve_linear(grid, u=u1, system=sys_)
-    dt = grid.dt
-    lu = _step_factor(sys_, dt)
-    b_mat = (sys_.Mf - (dt / 2.0) * sys_.Kf).tocsc()
-    y = np.zeros(len(sys_.free))
-    hist = np.empty((grid.nt + 1, len(sys_.free)))
-    hist[0] = y
-    for n in range(grid.nt):
+
+    def source(n, y, rhs, solve):
         mid = 0.5 * (y1.dofs[n] + y1.dofs[n + 1])
-        rhs = b_mat @ y - dt * sys_.nonlinear_weak(mid)
-        y = lu.solve(rhs)
-        hist[n + 1] = y
-    y2 = _assemble_trajectory(sys_, hist, np.zeros(grid.nt + 1))
-    return y1, y2
+        return solve(rhs - grid.dt * sys_.nonlinear_weak(mid))
+
+    zero = np.zeros(grid.nt + 1)
+    hist = _cn_states(sys_, np.zeros(len(sys_.free)), zero, step=source)
+    return y1, _assemble_trajectory(sys_, hist, zero)
 
 
 def solve_nonlinear(
@@ -407,42 +373,29 @@ def solve_nonlinear(
     Raises FixedPointDiverged outside the small-data regime.
     """
     sys_ = _System(grid)
-    dt = grid.dt
     u_arr = _as_control(u, grid.nt, grid.t_nodes)
     y = _initial_dofs(sys_, y0)[sys_.free]
-    lu = _step_factor(sys_, dt)
-    b_mat = (sys_.Mf - (dt / 2.0) * sys_.Kf).tocsc()
-    hist = np.empty((grid.nt + 1, len(sys_.free)))
-    hist[0] = y
     full_prev = np.zeros(sys_.ndof)
-    for n in range(grid.nt):
+    full_next = np.zeros(sys_.ndof)
+
+    def picard(n, y, base, solve):
         full_prev[sys_.free] = y
         full_prev[sys_.i_dN] = u_arr[n]
-        base = b_mat @ y
-        base -= sys_.Mc * (u_arr[n + 1] - u_arr[n])
-        base -= sys_.Kc * (dt / 2.0) * (u_arr[n] + u_arr[n + 1])
-        y_next = y.copy()
-        full_next = np.zeros(sys_.ndof)
-        converged = False
+        full_next[sys_.i_dN] = u_arr[n + 1]
+        y_next = y
         for _ in range(max_picard):
             full_next[sys_.free] = y_next
-            full_next[sys_.i_dN] = u_arr[n + 1]
             mid = 0.5 * (full_prev + full_next)
-            cand = lu.solve(base - dt * sys_.nonlinear_weak(mid))
+            cand = solve(base - grid.dt * sys_.nonlinear_weak(mid))
             delta = np.linalg.norm(cand - y_next)
             y_next = cand
             if not np.all(np.isfinite(y_next)):
                 raise FixedPointDiverged(f"Picard blow-up at step {n}")
             if delta <= tol * max(1.0, np.linalg.norm(y_next)):
-                converged = True
-                break
-        if not converged:
-            raise FixedPointDiverged(
-                f"Picard stalled at step {n} (delta = {delta:.3e})"
-            )
-        y = y_next
-        hist[n + 1] = y
-    return _assemble_trajectory(sys_, hist, u_arr)
+                return y_next
+        raise FixedPointDiverged(f"Picard stalled at step {n} (delta = {delta:.3e})")
+
+    return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr, step=picard), u_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -508,32 +461,18 @@ class GramianReport:
 def _control_map(sys_: _System) -> np.ndarray:
     """Columns = final free states reached by unit impulses at each time node.
 
-    One Crank-Nicolson step is y_{n+1} = A y_n + a u_n + b u_{n+1} with
-    A = LU^{-1} B, a = LU^{-1}(Mc - dt/2 Kc) and b = LU^{-1}(-Mc - dt/2 Kc).
-    The system is time-invariant, so the final state is
-    sum_n A^{nt-1-n} (a u_n + b u_{n+1}), and column j of the map is
-
-        A^{nt-1-j} a + A^{nt-j} b,
-
-    dropping the a term at j = nt and the b term at j = 0.  Only the two
-    columns [a, b] are stepped, nt - 1 times, keeping every power (identical
-    to resolving each impulse with solve_linear; verified in the tests).
+    The stepping is linear and time-invariant, so the response to an impulse
+    at node j >= 1 is the response to the impulse at node 1 delayed by j - 1
+    steps: column j is state nt + 1 - j of the u = delta_1 run, and column 0
+    is the final state of the u = delta_0 run.  Both runs go through the
+    stepper together as two columns (identical to resolving each impulse with
+    solve_linear; verified in the tests).
     """
-    grid = sys_.grid
-    dt = grid.dt
-    lu = _step_factor(sys_, dt)
-    b_mat = (sys_.Mf - (dt / 2.0) * sys_.Kf).tocsc()
-    # powers[k] = [A^k a, A^k b], k = 0 .. nt-1
-    powers = np.empty((grid.nt, len(sys_.free), 2))
-    powers[0] = lu.solve(
-        np.column_stack([sys_.Mc - (dt / 2.0) * sys_.Kc, -sys_.Mc - (dt / 2.0) * sys_.Kc])
-    )
-    for k in range(1, grid.nt):
-        powers[k] = lu.solve(b_mat @ powers[k - 1])
-    phi_map = np.zeros((len(sys_.free), grid.nt + 1))
-    phi_map[:, :-1] += powers[::-1, :, 0].T
-    phi_map[:, 1:] += powers[::-1, :, 1].T
-    return phi_map
+    nt = sys_.grid.nt
+    u = np.zeros((nt + 1, 2))
+    u[0, 0] = u[1, 1] = 1.0
+    states = _cn_states(sys_, np.zeros((len(sys_.free), 2)), u)
+    return np.column_stack([states[-1, :, 0], states[:0:-1, :, 1].T])
 
 
 def _mass_cholesky(sys_: _System) -> np.ndarray:

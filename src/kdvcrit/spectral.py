@@ -30,7 +30,6 @@ __all__ = [
     "MU_TILDE",
     "COLLISION_Z",
     "SpectralFrame",
-    "ShiftedFrame",
     "roots",
     "shifted_roots",
     "asymptotic_roots",
@@ -250,15 +249,6 @@ class SpectralFrame:
     H: complex
 
 
-@dataclass(frozen=True)
-class ShiftedFrame:
-    """Conjugate-root triple at z - p (roots of mu^3 + mu - i(z-p) = 0)."""
-
-    z: complex
-    p: float
-    tilde_lam: np.ndarray
-
-
 _XI_FALLBACK = 1e-6
 
 
@@ -310,10 +300,6 @@ def frame(z, L: float) -> SpectralFrame:
         g = complex(gm * np.exp(gs))
         h = complex(hm * np.exp(hs))
     return SpectralFrame(z=zc, L=L, lam=lam, detQ=detq, P=pval, Xi=x, G=g, H=h)
-
-
-def shifted_frame(z, p: float) -> ShiftedFrame:
-    return ShiftedFrame(z=complex(z), p=p, tilde_lam=shifted_roots(z, p))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import CaseError, DomainError, SupportLeak
 from .jets import h_jets_scaled
 from .kernel import interaction_numerator
 from .numbertheory import CriticalPair
-from .spectral import MU, gh_scaled, roots, xi
+from .spectral import COLLISION_Z, MU, gh_scaled, roots, xi
 from .unreachable import constants
 
 __all__ = [
@@ -65,8 +65,9 @@ __all__ = [
 ]
 
 _GAMMA_CANDIDATES = (0.5, 1.0, 1.5, 2.0)
-_COLLISION_Z = 2.0 / (3.0 * math.sqrt(3.0))
 _BRIDGE_R = 1e-2  # half-width of the bridged interval around Xi zeros
+# log of the largest spectral hump a double-precision reconstruction can cancel
+_HUMP_LOG_LIMIT = 36.0 * math.log(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +402,8 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray):
     return pref * z * phase * v1m * dm, v1s + ds
 
 
-def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> float:
-    """Z beyond which log|u-hat| sits ``drop`` below its maximum (1e-14)."""
+def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
+    """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     z_probe = np.geomspace(1.0, 1e9, 400)
     m, s = _uhat_scaled(spec, z_probe)
     logmag = np.log(np.abs(m) + 1e-300) + s
@@ -410,7 +411,15 @@ def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> float:
     beyond = np.flatnonzero((logmag < peak - drop) & (z_probe > z_probe[np.argmax(logmag)]))
     if beyond.size == 0:
         raise SupportLeak("spectrum cutoff not reached by z = 1e9; raise the probe range")
-    return float(z_probe[beyond[0]])
+    return float(z_probe[beyond[0]]), float(peak)
+
+
+def _check_hump(s_peak: float) -> None:
+    if s_peak > _HUMP_LOG_LIMIT:
+        raise SupportLeak(
+            f"spectral hump exp({s_peak:.1f}) exceeds double range; "
+            "the time reconstruction is not representable at this T"
+        )
 
 
 def steering_spectrum(
@@ -429,7 +438,8 @@ def steering_spectrum(
     quadrature can reconstruct the cancellation and the caller should move to
     a larger T.
     """
-    z_max = _spectrum_cutoff(spec)
+    z_max, probe_peak = _spectrum_cutoff(spec)
+    _check_hump(probe_peak)  # a lower bound on the true peak: fail before the full grid
     t0 = -window * spec.T / 4.0
     t_span = window * spec.T
     dz_needed = 2.0 * math.pi / t_span
@@ -440,12 +450,7 @@ def steering_spectrum(
     um, us = _uhat_scaled(spec, z)
     wm, ws = _what_scaled(spec, z)
     vm, vs = vhat1_scaled(spec.nu, spec.beta, z)
-    s_peak = float((np.log(np.abs(um) + 1e-300) + us).max())
-    if s_peak > 36.0 * math.log(10.0):
-        raise SupportLeak(
-            f"spectral hump exp({s_peak:.1f}) exceeds double range; "
-            "the time reconstruction is not representable at this T"
-        )
+    _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
     with np.errstate(under="ignore"):
         uhat = um * np.exp(us)
         what = wm * np.exp(ws)
@@ -541,7 +546,7 @@ class SignReport:
 
 def _band_grid(spec: ControlSpec, n_side: int):
     """Signed grid uniform in |z|^{1/3}, covering the support of the hump."""
-    z_cut = _spectrum_cutoff(spec, drop=46.0)  # 1e-20 relative envelope
+    z_cut, _ = _spectrum_cutoff(spec, drop=46.0)  # 1e-20 relative envelope
     s_max = z_cut ** (1.0 / 3.0)
     s = np.linspace(0.0, s_max, n_side)
     z_pos = s**3
@@ -551,7 +556,7 @@ def _band_grid(spec: ControlSpec, n_side: int):
 
 def _bridge_mask(z: np.ndarray, p: float) -> np.ndarray:
     mask = np.zeros(z.shape, dtype=bool)
-    for c in (_COLLISION_Z, -_COLLISION_Z):
+    for c in (COLLISION_Z, -COLLISION_Z):
         mask |= np.abs(z - c) < _BRIDGE_R
         mask |= np.abs((z - p) - c) < _BRIDGE_R
     return mask

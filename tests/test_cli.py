@@ -21,6 +21,15 @@ def test_simulate_config_file(tmp_path, system):
     assert len(lines) == 1 + 6 + 1
 
 
+def test_bad_pairs_are_usage_errors(tmp_path, capsys):
+    assert dispatch(["lengths", "--nmax", "0"]) == 2
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"k": 1, "l": 2, "nx": 8, "nt": 6, "T": 0.2}))
+    argv = ["simulate", "--system", "linear", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]
+    assert dispatch(argv) == 2
+    assert "k >= l >= 1" in capsys.readouterr().err
+
+
 def test_gramian_json_schema(tmp_path):
     out = tmp_path / "gramian.json"
     argv = ["gramian", "--k", "1", "--l", "1", "--T", "0.5", "--nx", "8", "--nt", "10"]

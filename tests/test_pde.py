@@ -119,13 +119,21 @@ def test_xnorm_positive():
     assert traj.xnorm > 0
 
 
-def test_light_trajectory_matches_full():
-    g = pde.Grid(L=PAIR.L, nx=48, T=1.0, nt=80)
-    u = np.cos(g.t_nodes)
-    full = pde.solve_linear(g, u=u)
-    light = pde.solve_linear(g, u=u, keep_history=False)
-    assert np.allclose(light.norms, full.l2_norms(), rtol=1e-12, atol=1e-14)
-    assert np.allclose(light.final_dofs, full.final(), rtol=1e-12, atol=1e-14)
+def test_step_matrix_factored_once_per_system(monkeypatch):
+    real = pde.sparse_linalg
+    factored = []
+
+    class CountingLinalg:
+        def splu(self, a):
+            factored.append(a.shape)
+            return real.splu(a)
+
+    monkeypatch.setattr(pde, "sparse_linalg", CountingLinalg())
+    g = pde.Grid(L=PAIR.L, nx=16, T=0.2, nt=10)
+    pde.solve_second_order(g, np.sin(g.t_nodes))
+    assert len(factored) == 1
+    pde.gramian(g, nt.representations(PAIR.N))
+    assert len(factored) == 2
 
 
 def test_nonlinear_small_data_scaling():
