@@ -2,10 +2,14 @@
 
 A jet is an ndarray whose last axis holds Taylor coefficients
 [f, f', f''/2!, f'''/3!] of an analytic function at a base point.  The root
-lambda(z) of lambda^3 + lambda + i z = 0 is differentiated implicitly
-(lambda' = -i / (3 lambda^2 + 1)) by running Newton's iteration in jet
-arithmetic from the exact base root; every downstream quantity (det Q, Xi, H)
-then inherits exact chain rules.  Order 3 is all the synthesis layer needs
+lambda(z) of lambda^3 + lambda + i z = 0 is differentiated implicitly: with
+D = 3 lambda^2 + 1 its Taylor coefficients have the closed form
+
+    lambda' = -i / D,   lambda''/2 = -3 lambda lambda'^2 / D,
+    lambda'''/6 = -(lambda'^3 + 6 lambda lambda' lambda''/2) / D,
+
+and every downstream quantity (det Q, Xi, H) inherits exact chain rules
+through jet arithmetic.  Order 3 is all the synthesis layer needs
 (H' and H''' on a shifted line).
 
 All operations broadcast over leading axes, so a whole z-grid is one call.
@@ -20,8 +24,6 @@ from .spectral import roots
 
 __all__ = [
     "JET_ORDER",
-    "jet_const",
-    "jet_var",
     "jet_mul",
     "jet_div",
     "jet_exp",
@@ -31,21 +33,7 @@ __all__ = [
 
 JET_ORDER = 3  # highest derivative carried
 _K = JET_ORDER + 1
-
-
-def jet_const(c, shape=()) -> np.ndarray:
-    out = np.zeros(shape + (_K,), dtype=complex)
-    out[..., 0] = c
-    return out
-
-
-def jet_var(z0) -> np.ndarray:
-    """Jet of the identity map z -> z at base point z0."""
-    z0 = np.asarray(z0, dtype=complex)
-    out = np.zeros(z0.shape + (_K,), dtype=complex)
-    out[..., 0] = z0
-    out[..., 1] = 1.0
-    return out
+_BLOCK = 1 << 15  # points per h_jets_scaled pass; bounds the jet temporaries
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,27 +70,21 @@ def jet_exp(a: np.ndarray) -> np.ndarray:
 def root_jets(z0, singular_tol: float = 1e-8) -> np.ndarray:
     """Jets of the three roots at base points z0; shape z0.shape + (3, 4).
 
-    Newton in jet arithmetic from the exact base roots; raises
+    Closed-form implicit derivatives at the exact base roots; raises
     RootDerivativeSingular if 3 lambda^2 + 1 nearly vanishes (root collision
     at the base point, where the root map is not differentiable).
     """
     z0 = np.asarray(z0, dtype=complex)
-    lam0 = roots(z0)  # (..., 3)
-    if np.any(np.abs(3.0 * lam0 * lam0 + 1.0) < singular_tol):
+    lam = roots(z0)  # (..., 3)
+    d = 3.0 * lam * lam + 1.0
+    if np.any(np.abs(d) < singular_tol):
         raise RootDerivativeSingular(
             "3*lambda^2 + 1 ~ 0: root collision on the evaluation set"
         )
-    zj = jet_var(z0)[..., None, :]  # broadcast over the three roots
-    lam = jet_const(0.0, lam0.shape)
-    lam[..., 0] = lam0
-    iz = jet_mul(jet_const(1j, zj.shape[:-1]), zj)
-    for _ in range(JET_ORDER + 1):
-        f = jet_mul(jet_mul(lam, lam), lam)
-        f = f + lam + iz
-        df = 3.0 * jet_mul(lam, lam)
-        df[..., 0] += 1.0
-        lam = lam - jet_div(f, df)
-    return lam
+    d1 = -1j / d
+    d2 = -3.0 * lam * d1 * d1 / d
+    d3 = -(d1 * d1 * d1 + 6.0 * lam * d1 * d2) / d
+    return np.stack([lam, d1, d2, d3], axis=-1)
 
 
 def h_jets_scaled(z0, L: float):
@@ -111,8 +93,20 @@ def h_jets_scaled(z0, L: float):
     H = det Q / Xi explodes like exp(c |z|^{1/3} L) along the real axis, so
     the jet is computed for the rescaled function: the true derivatives are
     H^{(d)}(z0) = d! * jet[..., d] * exp(s0).  s0 has shape z0.shape.
+    Evaluated in blocks of _BLOCK points.
     """
-    lam = root_jets(z0)  # (..., 3, 4)
+    z0 = np.asarray(z0, dtype=complex)
+    flat = z0.reshape(-1)
+    jet = np.empty(flat.shape + (_K,), dtype=complex)
+    s0 = np.empty(flat.shape)
+    for i in range(0, flat.size, _BLOCK):
+        sl = slice(i, i + _BLOCK)
+        jet[sl], s0[sl] = _h_jets_block(flat[sl], L)
+    return jet.reshape(z0.shape + (_K,)), s0.reshape(z0.shape)
+
+
+def _h_jets_block(z0: np.ndarray, L: float):
+    lam = root_jets(z0)  # (n, 3, 4)
     s0 = np.max(-lam[..., 0].real, axis=-1) * L  # dominant |e^{-lambda L}|
     lp1 = np.roll(lam, -1, axis=-2)
     lp2 = np.roll(lam, -2, axis=-2)

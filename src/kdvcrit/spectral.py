@@ -90,9 +90,11 @@ def roots(z) -> np.ndarray:
 
     Vectorized over z (any shape, real or complex).  Cardano with a two-step
     Newton polish; points too close to the double-root configuration fall
-    back to companion-matrix eigenvalues.
+    back to companion-matrix eigenvalues.  Non-finite z raise DomainError.
     """
     z_arr = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z_arr)):
+        raise DomainError("roots: z must be finite")
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
     lam = _newton_polish(_cardano(z_arr), z_arr)

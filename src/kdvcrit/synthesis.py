@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import CaseError, DomainError, SupportLeak
+from .errors import CaseError, DomainError, ResolutionError, SupportLeak
 from .jets import h_jets_scaled
 from .kernel import interaction_numerator
 from .numbertheory import CriticalPair
@@ -82,34 +82,45 @@ def _v1_direct(nu: float, w: float) -> float:
         om = 1.0 - t * t
         return math.exp(-nu / om) if om > 1e-12 else 0.0
 
-    val, _ = quad(
-        body, 0.0, 1.0, weight="cos", wvar=abs(w), limit=300, epsabs=1e-15, epsrel=1e-13
+    res = quad(
+        body, 0.0, 1.0, weight="cos", wvar=abs(w), limit=300, epsabs=1e-15, epsrel=1e-13,
+        full_output=1,
     )
-    return 2.0 * val
+    v1, err = 2.0 * res[0], 2.0 * res[1]
+    # a fourth result means quad missed its tolerance; keep v1 only if the
+    # error is below 1e-12 of |v1| or of the envelope e^{-sqrt(nu w)}
+    if len(res) > 3 and err > 1e-12 * max(abs(v1), math.exp(-math.sqrt(nu * abs(w)))):
+        raise ResolutionError(f"direct bump quadrature error {err:.2e} at w = {w:g}: {res[3]}")
+    return v1
 
 
-def _graded_panels(lo: complex, hi: complex, n: int, grow: float, from_lo: bool):
-    """Panel endpoints on [lo, hi] with geometrically growing sizes."""
+def _graded_panels(lo, hi, n: int, grow: float, from_lo: bool):
+    """Panel endpoints on [lo, hi] with geometrically growing sizes (on a new last axis)."""
     r = grow ** np.arange(n)
     r = r / r.sum()
     cuts = np.concatenate([[0.0], np.cumsum(r)])
     if not from_lo:
         cuts = 1.0 - cuts[::-1]
-    return lo + (hi - lo) * cuts
+    lo = np.asarray(lo)[..., None]
+    return lo + (np.asarray(hi)[..., None] - lo) * cuts
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_CONTOUR_CHUNK = 512  # half-contour nodes per array pass; bounds the temporaries
 
 
 def _leg_integral(panel_edges, phi_func):
-    """Integrate e^{phi} along straight panels; returns (value, max Re phi)."""
-    mid = 0.5 * (panel_edges[:-1] + panel_edges[1:])
-    half = 0.5 * (panel_edges[1:] - panel_edges[:-1])
-    t = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wq = (half[:, None] * _GL_W[None, :]).ravel()
+    """Integrate e^{phi} along the panels on the last axis; returns (value, max Re phi)."""
+    mid = 0.5 * (panel_edges[..., :-1] + panel_edges[..., 1:])
+    half = 0.5 * (panel_edges[..., 1:] - panel_edges[..., :-1])
+    lead = panel_edges.shape[:-1]
+    t = (mid[..., None] + half[..., None] * _GL_X).reshape(lead + (-1,))
+    wq = (half[..., None] * _GL_W).reshape(lead + (-1,))
     ph = phi_func(t)
-    smax = float(ph.real.max()) if ph.size else -math.inf
-    return (wq * np.exp(ph - smax)).sum(), smax
+    smax = ph.real.max(axis=-1)
+    # temporary first: numpy reuses a large temporary as the output and then
+    # puts it first, and the fused complex product rounds by operand order
+    return (np.exp(ph - smax[..., None]) * wq).sum(axis=-1), smax
 
 
 def _v1_contour(nu: float, w: float):
@@ -122,15 +133,7 @@ def _v1_contour(nu: float, w: float):
     |Re t| < 1 below the axis, so straight segments are legal and the only
     requirement is resolution, handled by graded panels.
     """
-    t_plus = 1.0 - cmath.exp(1j * math.pi / 4) * math.sqrt(nu / (2.0 * w))
-    for _ in range(60):
-        om = 1.0 - t_plus * t_plus
-        fval = -2.0 * nu * t_plus / om**2 - 1j * w
-        fder = -2.0 * nu * (1.0 / om**2 + 4.0 * t_plus**2 / om**3)
-        step = fval / fder
-        t_plus = t_plus - step
-        if abs(step) < 1e-15 * abs(t_plus):
-            break
+    t_plus = complex(_saddle(nu, np.array([w]))[0])
     t_minus = -t_plus.conjugate()
     depth = abs(t_plus.imag) + (40.0 + math.sqrt(nu * w)) / w
     depth = min(depth, 0.7)
@@ -153,39 +156,58 @@ def _v1_contour(nu: float, w: float):
     return total, s_ref
 
 
-def _half_contour(nu: float, w: float):
+def _half_contour(nu: float, w):
     """(mantissa, log-scale) of C = e^{iw} * int over the right half path.
 
     By the t -> -conj(t) symmetry of the integrand, v1 = 2 Re(e^{-iw} C); the
     e^{iw} factor strips the fast endpoint phase so that both log|C| and
     arg(C) are slowly varying (near-linear) in sqrt(w), which is what the
-    interpolation table exploits.
+    interpolation table exploits.  Vectorized over a 1-D w, in chunks of
+    _CONTOUR_CHUNK nodes; every node takes the same steps it would alone.
     """
-    t_plus = 1.0 - cmath.exp(1j * math.pi / 4) * math.sqrt(nu / (2.0 * w))
+    w = np.asarray(w, dtype=float)
+    total = np.empty(w.shape, dtype=complex)
+    s_ref = np.empty(w.shape)
+    for i in range(0, w.size, _CONTOUR_CHUNK):
+        sl = slice(i, i + _CONTOUR_CHUNK)
+        total[sl], s_ref[sl] = _half_contour_chunk(nu, w[sl])
+    return total, s_ref
+
+
+def _saddle(nu: float, w: np.ndarray) -> np.ndarray:
+    """Saddle t+ near 1 of -nu/(1-t^2) - iwt by Newton; a node stops once its step converged."""
+    t_plus = 1.0 - cmath.exp(1j * math.pi / 4) * np.sqrt(nu / (2.0 * w))
+    active = np.arange(w.size)
     for _ in range(60):
-        om = 1.0 - t_plus * t_plus
-        fval = -2.0 * nu * t_plus / om**2 - 1j * w
-        fder = -2.0 * nu * (1.0 / om**2 + 4.0 * t_plus**2 / om**3)
+        t, wa = t_plus[active], w[active]
+        om = 1.0 - t * t
+        fval = -2.0 * nu * t / om**2 - 1j * wa
+        fder = -2.0 * nu * (1.0 / om**2 + 4.0 * t**2 / om**3)
         step = fval / fder
-        t_plus = t_plus - step
-        if abs(step) < 1e-15 * abs(t_plus):
+        t = t - step
+        t_plus[active] = t
+        active = active[np.abs(step) >= 1e-15 * np.abs(t)]
+        if active.size == 0:
             break
-    depth = abs(t_plus.imag) + (40.0 + math.sqrt(nu * w)) / w
-    depth = min(depth, 0.7)
-    b_mid = complex(0.0, -depth)
-    b_hi = complex(t_plus.real, -depth)
+    return t_plus
+
+
+def _half_contour_chunk(nu: float, w: np.ndarray):
+    t_plus = _saddle(nu, w)
+    depth = np.minimum(np.abs(t_plus.imag) + (40.0 + np.sqrt(nu * w)) / w, 0.7)
+    b_hi = t_plus.real - 1j * depth
 
     def phi(t):
-        return -nu / (1.0 - t * t) - 1j * w * (t - 1.0)
+        return -nu / (1.0 - t * t) - 1j * w[:, None] * (t - 1.0)
 
     legs = [
-        np.linspace(b_mid, b_hi, 3),
+        np.linspace(-1j * depth, b_hi, 3, axis=-1),
         _graded_panels(b_hi, t_plus, 12, 1.5, from_lo=False),
         _graded_panels(t_plus, 1.0 + 0j, 14, 1.35, from_lo=True),
     ]
     vals, smaxs = zip(*(_leg_integral(edges, phi) for edges in legs))
-    s_ref = max(smaxs)
-    total = sum(v * math.exp(s - s_ref) for v, s in zip(vals, smaxs))
+    s_ref = np.maximum.reduce(smaxs)
+    total = sum(v * np.exp(s - s_ref) for v, s in zip(vals, smaxs))
     return total, s_ref
 
 
@@ -250,10 +272,7 @@ class BumpTable:
             phase_span = math.sqrt(nu) * (q1 - q0) + 10.0
             n_c = int(np.clip(phase_span / 0.2, 400, 60000))
             qc = np.linspace(q0, q1, n_c)
-            mant = np.empty(n_c, dtype=complex)
-            logs = np.empty(n_c)
-            for i, q in enumerate(qc):
-                mant[i], logs[i] = _half_contour(nu, q * q)
+            mant, logs = _half_contour(nu, qc * qc)
             logmag = np.log(np.abs(mant)) + logs
             phase = np.unwrap(np.angle(mant))
             if np.abs(np.diff(phase)).max() > 2.5:
@@ -269,10 +288,9 @@ class BumpTable:
         m = np.empty(w.shape)
         s = np.zeros(w.shape)
         direct = aw <= self.w_sw
-        md = m[direct]
-        for i, wi in enumerate(aw[direct]):
-            md[i] = _v1_direct(self.nu, wi)
-        m[direct] = md
+        # one quadrature per distinct |w|: symmetric grids repeat each twice
+        uw, inv = np.unique(aw[direct], return_inverse=True)
+        m[direct] = np.array([_v1_direct(self.nu, wi) for wi in uw])[inv]
         rest = ~direct
         if np.any(rest):
             phi = self._phase(q[rest])
@@ -306,10 +324,9 @@ def h_derivative_on_line(pair: CriticalPair, gamma: float, z, d: int):
     """d-th derivative of H at z + i gamma via jets (d in {1, 3})."""
     if d not in (1, 3):
         raise DomainError(f"derivative order must be 1 or 3, got {d}")
-    z_arr = np.asarray(z, dtype=complex) + 1j * gamma
-    jet, s0 = h_jets_scaled(z_arr, pair.L)
+    m, s0 = _h_deriv_scaled(pair, gamma, z, d)
     with np.errstate(over="ignore"):
-        return jet[..., d] * math.factorial(d) * np.exp(s0)
+        return m * np.exp(s0)
 
 
 def _h_deriv_scaled(pair: CriticalPair, gamma: float, z, d: int):
@@ -381,17 +398,15 @@ class SpectrumTriple:
     z_max: float
 
 
-def _uhat_scaled(spec: ControlSpec, z: np.ndarray):
-    """u-hat = v-hat H on the real axis, as (mantissa, log-scale)."""
-    v1m, v1s = vhat1_scaled(spec.nu, spec.beta, z)
+def _uhat_scaled(spec: ControlSpec, z: np.ndarray, v1m: np.ndarray, v1s: np.ndarray):
+    """u-hat = v-hat H on the real axis, as (mantissa, log-scale); (v1m, v1s) = v1(beta z)."""
     _, _, hm, hs = gh_scaled(z.astype(complex), spec.pair.L)
     phase = np.exp(-1j * spec.beta * z)
     return phase * v1m * hm, v1s + hs
 
 
-def _what_scaled(spec: ControlSpec, z: np.ndarray):
+def _what_scaled(spec: ControlSpec, z: np.ndarray, v1m: np.ndarray, v1s: np.ndarray):
     """w-hat as (mantissa, log-scale): (3/mu3) v H'_g or (27/mu3^3) z v H'''_g."""
-    v1m, v1s = vhat1_scaled(spec.nu, spec.beta, z)
     dm, ds = _h_deriv_scaled(spec.pair, spec.gamma, z, spec.h_order)
     phase = np.exp(-1j * spec.beta * z)
     L = spec.pair.L
@@ -405,7 +420,7 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray):
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     z_probe = np.geomspace(1.0, 1e9, 400)
-    m, s = _uhat_scaled(spec, z_probe)
+    m, s = _uhat_scaled(spec, z_probe, *vhat1_scaled(spec.nu, spec.beta, z_probe))
     logmag = np.log(np.abs(m) + 1e-300) + s
     peak = logmag.max()
     beyond = np.flatnonzero((logmag < peak - drop) & (z_probe > z_probe[np.argmax(logmag)]))
@@ -447,9 +462,9 @@ def steering_spectrum(
     while 2.0 * z_max / n > dz_needed and n < (1 << 24):
         n *= 2
     z = -z_max + 2.0 * z_max * np.arange(n) / n
-    um, us = _uhat_scaled(spec, z)
-    wm, ws = _what_scaled(spec, z)
     vm, vs = vhat1_scaled(spec.nu, spec.beta, z)
+    um, us = _uhat_scaled(spec, z, vm, vs)
+    wm, ws = _what_scaled(spec, z, vm, vs)
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
     with np.errstate(under="ignore"):
         uhat = um * np.exp(us)
@@ -604,9 +619,10 @@ def _sign_integral(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     z = _band_grid(spec, n_side)
     d = spec.h_order
 
-    # the bump factor dominates the cost; evaluate once per shift
-    v1m_z, v1s_z = vhat1_scaled(spec.nu, spec.beta, z)
-    v1m_s, v1s_s = vhat1_scaled(spec.nu, spec.beta, z - p)
+    # the bump factor dominates the cost; one table serves both shifts
+    v1m, v1s = vhat1_scaled(spec.nu, spec.beta, np.concatenate([z, z - p]))
+    v1m_z, v1m_s = np.split(v1m, 2)
+    v1s_z, v1s_s = np.split(v1s, 2)
 
     # factored integrand: vhat(z) conj(vhat(z-p)) NUM / (Xi(z) conj(Xi(z-p)))
     num_m, num_s = interaction_numerator(pair, z.astype(complex))

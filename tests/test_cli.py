@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kdvcrit import numbertheory as nt
-from kdvcrit import pde
+from kdvcrit import pde, spectral
 from kdvcrit.cli import dispatch
 
 
@@ -54,3 +54,22 @@ def test_verify_all_config_overlay(tmp_path):
     assert dispatch(["verify-all", "--config", str(cfg), "--no-timing", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert [c["name"] for c in report["checks"]] == ["representations vs brute force (N <= 1e4)"]
+
+
+def test_kernel_nonfinite_z_is_usage_error(tmp_path, capsys):
+    argv = ["kernel", "--k", "2", "--l", "1", "--zmin", "nan", "--zmax", "5", "--points", "3"]
+    assert dispatch(argv + ["--out", str(tmp_path / "k.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_verify_all_records_stray_exception(tmp_path, monkeypatch):
+    def broken(z):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(spectral, "roots", broken)
+    out = tmp_path / "report.json"
+    argv = ["verify-all", "--only", "spectral,numbertheory", "--no-timing", "--out", str(out)]
+    assert dispatch(argv) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["status"] for c in checks] == ["fail", "fail", "pass"]
+    assert checks[0]["measured"] == "RuntimeError: boom"

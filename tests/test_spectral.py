@@ -15,6 +15,12 @@ def test_roots_at_zero():
     assert np.allclose(sorted(lam, key=lambda z: z.imag), [-1j, 0, 1j], atol=1e-15)
 
 
+def test_roots_reject_nonfinite():
+    for z in (math.nan, math.inf, complex(0.0, math.nan), np.array([1.0, -math.inf])):
+        with pytest.raises(DomainError):
+            sp.roots(z)
+
+
 def test_root_residuals_batch():
     rng = np.random.default_rng(7)
     z = rng.uniform(-1e6, 1e6, 4000)

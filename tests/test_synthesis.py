@@ -1,10 +1,13 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kdvcrit import jets
 from kdvcrit import numbertheory as nt
 from kdvcrit import spectral as sp
 from kdvcrit import synthesis as syn
@@ -98,6 +101,29 @@ def test_contour_matches_mpmath():
         got = val.real * math.exp(sc)
         assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
         assert abs(val.imag) <= 1e-10 * abs(val)
+        # the half path the bump table is built from: v1 = 2 Re(e^{-iw} C)
+        c, sc = syn._half_contour(nu, np.array([w]))
+        got = 2.0 * (np.exp(-1j * w) * c[0]).real * math.exp(sc[0])
+        assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
+
+
+def test_half_contour_batch_matches_per_element():
+    # 1,200 nodes span three chunks; each node takes the steps it takes alone
+    w = np.geomspace(70.0, 4e4, 1200)
+    m, s = syn._half_contour(0.457, w)
+    for i in range(w.size):
+        mi, si = syn._half_contour(0.457, w[i : i + 1])
+        assert mi[0] == m[i] and si[0] == s[i]
+
+
+def test_vhat1_direct_range_raises_no_warning():
+    spec = syn.make_spec(P21, 25.0)
+    w_sw = syn.BumpTable(spec.nu, 0.0).w_sw
+    z = np.linspace(0.0, w_sw / spec.beta, 3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, s = syn.vhat1_scaled(spec.nu, spec.beta, z)
+    assert np.all(s == 0.0) and np.all(np.isfinite(m))
 
 
 def test_bump_table_matches_pointwise():
@@ -137,6 +163,61 @@ def test_h_derivative_against_contour_oracle():
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
+def _continued_roots(z0, radius, n=256):
+    """The roots at z0 (sorted) continued out to radius and once around the circle.
+
+    Returns a function of a circle point; nearest-root steps are short, and
+    the circle excludes the collision points, so each branch stays analytic.
+    """
+    th = np.exp(2j * np.pi * np.arange(n) / n)
+    path = np.concatenate([z0 + radius * np.linspace(0.0, 1.0, 33), z0 + radius * th])
+    lam = sp.roots(path)
+    for _ in range(3):  # polish to full precision near the collision points
+        lam = lam - (lam**3 + lam + 1j * path[:, None]) / (3.0 * lam**2 + 1.0)
+    out = np.empty_like(lam)
+    prev = lam[0]
+    for i in range(path.size):
+        prev = lam[i][np.argmin(np.abs(lam[i][None, :] - prev[:, None]), axis=1)]
+        out[i] = prev
+    circle, on_circle = path[33:], out[33:]
+    return lambda z: on_circle[np.argmin(np.abs(circle - z))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-40.0, 40.0),
+    st.floats(-4.0, 4.0),
+    st.floats(-3.0, 0.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from([None, 1.0, -1.0]),
+)
+def test_root_jets_match_cauchy_derivatives(x, y, log_rho, angle, near):
+    # near = +/-1 puts z0 at distance 10^log_rho from +/-COLLISION_Z, where
+    # 3 lambda^2 + 1 is small but above the singular tolerance
+    if near is None:
+        z0 = complex(x, y)
+    else:
+        z0 = near * sp.COLLISION_Z + 10.0**log_rho * cmath.exp(1j * angle)
+    dist = min(abs(z0 - sp.COLLISION_Z), abs(z0 + sp.COLLISION_Z))
+    radius = min(0.4, dist / 4.0)
+    jet = jets.root_jets(np.array([z0]))[0]
+    branch = _continued_roots(z0, radius)
+    for k in range(3):
+        for d in (1, 2, 3):
+            ref = cauchy_derivative(lambda z: branch(z)[k], z0, d, radius=radius)
+            got = jet[k, d] * math.factorial(d)
+            # the oracle's own roundoff grows like d! / radius^d
+            assert abs(got - ref) <= 1e-8 * abs(ref) + 1e-14 * math.factorial(d) / radius**d
+
+
+def test_h_jets_blocks_match_per_slice_calls():
+    z = np.linspace(-3000.0, 3000.0, (1 << 15) + 2000) + 1.0j
+    jet, s0 = jets.h_jets_scaled(z, P21.L)
+    parts = [jets.h_jets_scaled(z[i : i + 5000], P21.L) for i in range(0, z.size, 5000)]
+    assert np.array_equal(jet, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(s0, np.concatenate([p[1] for p in parts]))
+
+
 def test_h_derivative_rejects_bad_order():
     with pytest.raises(DomainError):
         syn.h_derivative_on_line(P21, 1.0, 0.0, 2)
@@ -170,8 +251,9 @@ def test_what_uhat_pointwise_relation():
     # the definitions
     spec = syn.make_spec(P21, 2.0)
     zs = np.array([0.5, 7.0, 31.0])
-    um, us = syn._uhat_scaled(spec, zs)
-    wm, ws = syn._what_scaled(spec, zs)
+    v1 = syn.vhat1_scaled(spec.nu, spec.beta, zs)
+    um, us = syn._uhat_scaled(spec, zs, *v1)
+    wm, ws = syn._what_scaled(spec, zs, *v1)
     _, _, hm, hs = sp.gh_scaled(zs.astype(complex), P21.L)
     dm, ds = syn._h_deriv_scaled(P21, spec.gamma, zs, 1)
     lhs = wm * hm * np.exp(ws + hs)
