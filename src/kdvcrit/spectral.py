@@ -38,6 +38,8 @@ __all__ = [
     "detq_scaled",
     "p_scaled",
     "xi",
+    "h_scaled",
+    "gh_scaled",
     "frame",
     "y_hat",
     "paley_wiener_check",
@@ -254,31 +256,45 @@ class SpectralFrame:
 _XI_FALLBACK = 1e-6
 
 
+def _over_xi(lam: np.ndarray, L: float, num, expsign: float):
+    """num / Xi in (mantissa, log-scale) form; num is scaled P (expsign +1) or det Q (-1).
+
+    Near root collisions (|Xi| < 1e-6) the divided-difference form
+    -expsign * dd2(expsign) is used, which is finite there by entirety.
+    """
+    m, s = num
+    x = xi(lam)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = m / x
+    near = np.abs(x) < _XI_FALLBACK
+    if np.any(near):
+        m[near] = -expsign * _dd2(expsign, lam[near], L)
+        s = np.where(near, 0.0, s)
+    return m, s
+
+
+def _shaped(z, m, s):
+    if np.ndim(z) == 0:
+        return m[0], float(np.atleast_1d(s)[0])
+    return m.reshape(np.shape(z)), s.reshape(np.shape(z))
+
+
+def h_scaled(z, L: float):
+    """H = det Q / Xi as (hm, hs) with H = hm*exp(hs), valid for arbitrarily large z."""
+    lam = np.atleast_2d(roots(z))
+    return _shaped(z, *_over_xi(lam, L, detq_scaled(lam, L), -1.0))
+
+
 def gh_scaled(z, L: float):
     """G and H in (mantissa, log-scale) form, valid for arbitrarily large z.
 
-    Returns (gm, gs, hm, hs) with G = gm*exp(gs), H = hm*exp(hs).  Near root
-    collisions (|Xi| < 1e-6) the divided-difference forms are used, which are
-    finite there by entirety.
+    Returns (gm, gs, hm, hs) with G = gm*exp(gs), H = hm*exp(hs); H is the
+    h_scaled value, from the same root triple as G.
     """
-    lam = roots(z)
-    lam2 = np.atleast_2d(lam)
-    x = xi(lam2)
-    pm, ps = p_scaled(lam2, L)
-    qm, qs = detq_scaled(lam2, L)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gm, gs = pm / x, ps
-        hm, hs = qm / x, qs
-    near = np.abs(x) < _XI_FALLBACK
-    if np.any(near):
-        gm[near] = -_dd2(+1.0, lam2[near], L)
-        gs = np.where(near, 0.0, gs)
-        hm[near] = _dd2(-1.0, lam2[near], L)
-        hs = np.where(near, 0.0, hs)
-    if np.ndim(z) == 0:
-        return gm[0], float(np.atleast_1d(gs)[0]), hm[0], float(np.atleast_1d(hs)[0])
-    shape = np.shape(z)
-    return gm.reshape(shape), gs.reshape(shape), hm.reshape(shape), hs.reshape(shape)
+    lam = np.atleast_2d(roots(z))
+    gm, gs = _over_xi(lam, L, p_scaled(lam, L), 1.0)
+    hm, hs = _over_xi(lam, L, detq_scaled(lam, L), -1.0)
+    return _shaped(z, gm, gs) + _shaped(z, hm, hs)
 
 
 def frame(z, L: float) -> SpectralFrame:
@@ -290,18 +306,14 @@ def frame(z, L: float) -> SpectralFrame:
     if L <= 0:
         raise DomainError(f"L must be positive, got {L}")
     zc = complex(z)
-    lam = roots(zc)
-    x = complex(xi(lam))
-    pm, ps = p_scaled(lam[None, :], L)
-    qm, qs = detq_scaled(lam[None, :], L)
+    lam = roots(zc)[None, :]  # one root triple serves every field
+    p, q = p_scaled(lam, L), detq_scaled(lam, L)
+    parts = (q, p, _over_xi(lam, L, p, 1.0), _over_xi(lam, L, q, -1.0))
     with np.errstate(over="ignore"):
-        detq = complex(qm[0] * np.exp(qs[0]))
-        pval = complex(pm[0] * np.exp(ps[0]))
-    gm, gs, hm, hs = gh_scaled(zc, L)
-    with np.errstate(over="ignore"):
-        g = complex(gm * np.exp(gs))
-        h = complex(hm * np.exp(hs))
-    return SpectralFrame(z=zc, L=L, lam=lam, detQ=detq, P=pval, Xi=x, G=g, H=h)
+        detq, pval, g, h = (complex(m[0] * np.exp(s[0])) for m, s in parts)
+    # Xi by scalar arithmetic on the triple: array products round differently
+    x = complex(xi(lam[0]))
+    return SpectralFrame(z=zc, L=L, lam=lam[0], detQ=detq, P=pval, Xi=x, G=g, H=h)
 
 
 # ---------------------------------------------------------------------------

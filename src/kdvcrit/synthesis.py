@@ -45,7 +45,7 @@ from .errors import CaseError, DomainError, ResolutionError, SupportLeak
 from .jets import h_jets_scaled
 from .kernel import interaction_numerator
 from .numbertheory import CriticalPair
-from .spectral import COLLISION_Z, MU, gh_scaled, roots, xi
+from .spectral import COLLISION_Z, MU, h_scaled, roots, xi
 from .unreachable import constants
 
 __all__ = [
@@ -331,7 +331,7 @@ def h_derivative_on_line(pair: CriticalPair, gamma: float, z, d: int):
 
 def _h_deriv_scaled(pair: CriticalPair, gamma: float, z, d: int):
     z_arr = np.asarray(z, dtype=complex) + 1j * gamma
-    jet, s0 = h_jets_scaled(z_arr, pair.L)
+    jet, s0 = h_jets_scaled(z_arr, pair.L, d)
     return jet[..., d] * math.factorial(d), s0
 
 
@@ -398,16 +398,16 @@ class SpectrumTriple:
     z_max: float
 
 
-def _uhat_scaled(spec: ControlSpec, z: np.ndarray, v1m: np.ndarray, v1s: np.ndarray):
-    """u-hat = v-hat H on the real axis, as (mantissa, log-scale); (v1m, v1s) = v1(beta z)."""
-    _, _, hm, hs = gh_scaled(z.astype(complex), spec.pair.L)
+def _uhat_scaled(spec: ControlSpec, z: np.ndarray, v1, h):
+    """u-hat = v-hat H on the real axis; v1 = v1(beta z), h = H(z) and the result are (m, s)."""
+    (v1m, v1s), (hm, hs) = v1, h
     phase = np.exp(-1j * spec.beta * z)
     return phase * v1m * hm, v1s + hs
 
 
-def _what_scaled(spec: ControlSpec, z: np.ndarray, v1m: np.ndarray, v1s: np.ndarray):
-    """w-hat as (mantissa, log-scale): (3/mu3) v H'_g or (27/mu3^3) z v H'''_g."""
-    dm, ds = _h_deriv_scaled(spec.pair, spec.gamma, z, spec.h_order)
+def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
+    """w-hat as (m, s): (3/mu3) v H'_g or (27/mu3^3) z v H'''_g; dh = H^(h_order)(z + i gamma)."""
+    (v1m, v1s), (dm, ds) = v1, dh
     phase = np.exp(-1j * spec.beta * z)
     L = spec.pair.L
     if spec.case == 1:
@@ -420,13 +420,20 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray, v1m: np.ndarray, v1s: np.ndar
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     z_probe = np.geomspace(1.0, 1e9, 400)
-    m, s = _uhat_scaled(spec, z_probe, *vhat1_scaled(spec.nu, spec.beta, z_probe))
+    v1 = vhat1_scaled(spec.nu, spec.beta, z_probe)
+    m, s = _uhat_scaled(spec, z_probe, v1, h_scaled(z_probe, spec.pair.L))
     logmag = np.log(np.abs(m) + 1e-300) + s
     peak = logmag.max()
     beyond = np.flatnonzero((logmag < peak - drop) & (z_probe > z_probe[np.argmax(logmag)]))
     if beyond.size == 0:
         raise SupportLeak("spectrum cutoff not reached by z = 1e9; raise the probe range")
     return float(z_probe[beyond[0]]), float(peak)
+
+
+def _mirror(half, sign: int):
+    """(m, s) on dz*(0..n/2) extended to dz*(-n/2..n/2-1) by f(-z) = sign * conj(f(z))."""
+    m, s = half
+    return np.concatenate([sign * np.conj(m[:0:-1]), m[:-1]]), np.concatenate([s[:0:-1], s[:-1]])
 
 
 def _check_hump(s_peak: float) -> None:
@@ -461,17 +468,23 @@ def steering_spectrum(
     n = n_fft
     while 2.0 * z_max / n > dz_needed and n < (1 << 24):
         n *= 2
-    z = -z_max + 2.0 * z_max * np.arange(n) / n
-    vm, vs = vhat1_scaled(spec.nu, spec.beta, z)
-    um, us = _uhat_scaled(spec, z, vm, vs)
-    wm, ws = _what_scaled(spec, z, vm, vs)
+    dz = 2.0 * z_max / n
+    z = dz * (np.arange(n) - n // 2)
+    # each z factor is evaluated once per |z| and mirrored by the cubic's
+    # conjugation symmetry: v1 is real and even, H(-z) = conj(H(z)), and
+    # H^(d)(-z + i g) = (-1)^d conj(H^(d)(z + i g)); the phase, prefactor and
+    # z factor of the spectra apply on the full grid
+    zh = dz * np.arange(n // 2 + 1)
+    vm, vs = _mirror(vhat1_scaled(spec.nu, spec.beta, zh), 1)
+    um, us = _uhat_scaled(spec, z, (vm, vs), _mirror(h_scaled(zh, spec.pair.L), 1))
+    dh = _h_deriv_scaled(spec.pair, spec.gamma, zh, spec.h_order)
+    wm, ws = _what_scaled(spec, z, (vm, vs), _mirror(dh, (-1) ** spec.h_order))
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
     with np.errstate(under="ignore"):
         uhat = um * np.exp(us)
         what = wm * np.exp(ws)
         vhat = np.exp(-1j * spec.beta * z) * vm * np.exp(vs)
 
-    dz = 2.0 * z_max / n
     t = t0 + (2.0 * math.pi / (n * dz)) * np.arange(n)
 
     def inverse(spectrum):
@@ -653,7 +666,7 @@ def _sign_integral(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     # statement-level ratio of the small-time projection result:
     # int u ubar(.-p) intB dz / ||u||_{H^{-s}}^2 -> E (s = 2/3) or F (s = 1)
     sob = 2.0 / 3.0 if spec.case == 1 else 1.0
-    _, _, hm_z, hs_z = gh_scaled(z.astype(complex), pair.L)
+    hm_z, hs_z = h_scaled(z, pair.L)
     weight = (1.0 + z**2) ** (-sob)
     h_m, h_s = _scaled_integral(
         z, np.abs(v1m_z * hm_z) ** 2 * weight, 2.0 * (v1s_z + hs_z)

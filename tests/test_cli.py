@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from kdvcrit import numbertheory as nt
 from kdvcrit import pde, spectral
 from kdvcrit.cli import dispatch
+
+DATA = Path(__file__).with_name("data")
 
 
 @pytest.mark.parametrize("system", ["linear", "second-order", "nonlinear"])
@@ -73,3 +76,45 @@ def test_verify_all_records_stray_exception(tmp_path, monkeypatch):
     checks = json.loads(out.read_text())["checks"]
     assert [c["status"] for c in checks] == ["fail", "fail", "pass"]
     assert checks[0]["measured"] == "RuntimeError: boom"
+
+
+def test_constants_json(tmp_path):
+    out = tmp_path / "constants.json"
+    assert dispatch(["constants", "--k", "2", "--l", "1", "--json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert {"k", "l", "N", "L", "p", "caseE0", "eta", "E", "F", "E1_over_E"} <= set(payload)
+    assert (payload["k"], payload["l"]) == (2, 1)
+
+
+def test_kernel_asym_exits_zero(tmp_path):
+    out = tmp_path / "asym.json"
+    assert dispatch(["kernel-asym", "--k", "2", "--l", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+def test_synthesize_usage_and_leak_exits(tmp_path, capsys):
+    out = str(tmp_path / "ctrl.csv")
+    assert dispatch(["synthesize", "--k", "2", "--l", "1", "--T", "-1", "--out", out]) == 2
+    # at (3,2), T = 0.4 the spectral hump exceeds double range: SupportLeak
+    assert dispatch(["synthesize", "--k", "3", "--l", "2", "--T", "0.4", "--out", out]) == 1
+    assert "spectral hump" in capsys.readouterr().err
+
+
+def test_verify_signs_json(tmp_path):
+    out = tmp_path / "signs.json"
+    argv = ["verify-signs", "--k", "3", "--l", "2", "--tsweep", "0.4", "--n-side", "401"]
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())
+    report_keys = {
+        "pair", "case", "T", "gamma", "value", "log_norm_w", "wshift", "re_ratio",
+        "im_ratio_over_T", "im_ratio_plus_p", "prop37_ratio", "z_peak", "log_peak", "n_grid",
+    }  # SignReport.as_dict
+    assert set(entry) == report_keys | {"pass_re_band", "pass_im_negative", "pass_im_below_minus_p"}
+    assert entry["pass_re_band"] and entry["pass_im_negative"]
+
+
+def test_spectral_csv_is_stable(capsys):
+    # frames from one root triple print the same bytes as three root solves did
+    assert dispatch(["spectral", "--L", "3.6", "--z", "0:3:7"]) == 0
+    with open(DATA / "spectral_L3.6_z0-3-7.csv", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -1,8 +1,10 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdvcrit import spectral as sp
 from kdvcrit.errors import DomainError, NearPole
@@ -134,6 +136,65 @@ def test_gh_continuous_through_collision():
     g_at = gm0 * np.exp(gs0)
     g_near = gm1 * np.exp(gs1)
     assert abs(g_at - g_near) < 1e-5 * abs(g_at)
+
+
+# offsets from the collision points: the _dd2 fallback runs below ~5e-14
+_NEAR_COLLISION = np.array([0.0, 1e-15, -1e-15, 1e-14, -3e-14, 1e-12, -1e-10, 1e-8])
+
+
+def test_h_scaled_is_gh_scaled_h():
+    z = np.concatenate(
+        [
+            np.linspace(-3000.0, 3000.0, 4001),
+            sp.COLLISION_Z + _NEAR_COLLISION,
+            -sp.COLLISION_Z + _NEAR_COLLISION,
+        ]
+    )
+    assert np.any(np.abs(sp.xi(sp.roots(z))) < sp._XI_FALLBACK)
+    for zz in (z, z + 0.5j, z[:, None]):
+        _, _, hm, hs = sp.gh_scaled(zz, L21)
+        hm1, hs1 = sp.h_scaled(zz, L21)
+        assert np.array_equal(hm1, hm) and np.array_equal(hs1, hs)
+    for zz in (0.3, sp.COLLISION_Z, 17.0 - 2.0j):
+        _, _, hm, hs = sp.gh_scaled(zz, L21)
+        assert sp.h_scaled(zz, L21) == (hm, hs)
+
+
+def test_h_scaled_mirror_on_real_axis():
+    # H(-z) = conj(H(z)) for real z; within ~1e-10 of the collision points,
+    # outside the fallback band, the raw quotient itself carries ~1e-11 errors
+    near = _NEAR_COLLISION[np.abs(_NEAR_COLLISION) < 1e-13]
+    z = np.concatenate([np.linspace(0.0, 3000.0, 6001), sp.COLLISION_Z + near])
+    hm, hs = sp.h_scaled(z, L21)
+    hm_neg, hs_neg = sp.h_scaled(-z, L21)
+    err = np.abs(hm_neg * np.exp(hs_neg - hs) - np.conj(hm))
+    assert np.all(err <= 1e-13 * np.abs(hm))
+
+
+def test_frame_reads_gh_scaled():
+    for z in (0.0, 0.4, sp.COLLISION_Z, -sp.COLLISION_Z + 1e-15, 33.0, -250.0 + 1.5j):
+        fr = sp.frame(z, L21)
+        gm, gs, hm, hs = sp.gh_scaled(z, L21)
+        assert fr.G == complex(gm * np.exp(gs))
+        assert fr.H == complex(hm * np.exp(hs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e4, 1e4),
+    st.floats(-50.0, 50.0),
+    st.floats(-3.0, 0.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from([None, 1.0, -1.0]),
+)
+def test_vieta_residuals_complex_z(x, y, log_rho, angle, near):
+    # near = +/-1 puts z at distance 10^log_rho from +/-COLLISION_Z
+    if near is None:
+        z = complex(x, y)
+    else:
+        z = near * sp.COLLISION_Z + 10.0**log_rho * cmath.exp(1j * angle)
+    res = sp.vieta_residuals(sp.roots(z), z)
+    assert np.all(res <= 1e-12 * (1.0 + abs(z)))
 
 
 def test_noncritical_h_no_real_zeros():

@@ -212,10 +212,15 @@ def test_root_jets_match_cauchy_derivatives(x, y, log_rho, angle, near):
 
 def test_h_jets_blocks_match_per_slice_calls():
     z = np.linspace(-3000.0, 3000.0, (1 << 15) + 2000) + 1.0j
-    jet, s0 = jets.h_jets_scaled(z, P21.L)
-    parts = [jets.h_jets_scaled(z[i : i + 5000], P21.L) for i in range(0, z.size, 5000)]
+    jet, s0 = jets.h_jets_scaled(z, P21.L, 3)
+    parts = [jets.h_jets_scaled(z[i : i + 5000], P21.L, 3) for i in range(0, z.size, 5000)]
     assert np.array_equal(jet, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(s0, np.concatenate([p[1] for p in parts]))
+    # a lower order is the bit-identical prefix of the order-3 jet
+    for d in (1, 2):
+        jet_d, s0_d = jets.h_jets_scaled(z, P21.L, d)
+        assert np.array_equal(jet_d, jet[..., : d + 1])
+        assert np.array_equal(s0_d, s0)
 
 
 def test_h_derivative_rejects_bad_order():
@@ -252,10 +257,10 @@ def test_what_uhat_pointwise_relation():
     spec = syn.make_spec(P21, 2.0)
     zs = np.array([0.5, 7.0, 31.0])
     v1 = syn.vhat1_scaled(spec.nu, spec.beta, zs)
-    um, us = syn._uhat_scaled(spec, zs, *v1)
-    wm, ws = syn._what_scaled(spec, zs, *v1)
     _, _, hm, hs = sp.gh_scaled(zs.astype(complex), P21.L)
     dm, ds = syn._h_deriv_scaled(P21, spec.gamma, zs, 1)
+    um, us = syn._uhat_scaled(spec, zs, v1, sp.h_scaled(zs, P21.L))
+    wm, ws = syn._what_scaled(spec, zs, v1, (dm, ds))
     lhs = wm * hm * np.exp(ws + hs)
     rhs = (3.0 / (sp.MU[2] * P21.L)) * um * dm * np.exp(us + ds)
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
@@ -271,6 +276,14 @@ def test_steering_spectrum_21():
     spec = syn.make_spec(P21, 25.0)
     trip = syn.steering_spectrum(spec, n_fft=1 << 17)
     assert trip.outside_mass <= 1e-6
+    # the grid is exactly antisymmetric about z = 0, and the spectrum built
+    # from mirrored z >= 0 factors matches direct evaluation on the full grid
+    n = trip.z.size
+    assert np.array_equal(trip.z[1:], -trip.z[n - 1 : 0 : -1])
+    v1 = syn.vhat1_scaled(spec.nu, spec.beta, trip.z)
+    um, us = syn._uhat_scaled(spec, trip.z, v1, sp.h_scaled(trip.z, P21.L))
+    direct = um * np.exp(us)
+    assert np.all(np.abs(trip.uhat - direct) <= 1e-12 * np.abs(direct))
     # Hermitian spectrum reconstructs a real control (asserted inside, but
     # check the stored signal is real-typed and nontrivial)
     assert trip.u_time.dtype.kind == "f"
