@@ -93,18 +93,20 @@ def enumerate_pairs(k_max: int) -> list[CriticalPair]:
 
 
 def representations(N: int) -> LengthClass:
-    """Complete the length class of N by bounded brute force over l <= k.
+    """Complete the length class of N in O(sqrt N) steps.
 
+    For each l with 3 l^2 <= N (equivalently k >= l), k^2 + lk + l^2 - N = 0
+    gives k = (r - l) / 2 with r^2 = 4N - 3 l^2, checked exactly in integers.
     Raises NotCritical when N is not of the form k^2 + kl + l^2.
     """
     if N < 3:
         raise NotCritical(f"N = {N} has no representation with k >= l >= 1")
     found = []
-    k_hi = math.isqrt(N)
-    for k in range(1, k_hi + 1):
-        for l in range(1, k + 1):
-            if k * k + k * l + l * l == N:
-                found.append(CriticalPair(k, l))
+    for l in range(math.isqrt(N // 3), 0, -1):  # increasing k
+        r = math.isqrt(4 * N - 3 * l * l)
+        k = (r - l) // 2
+        if k * k + k * l + l * l == N:
+            found.append(CriticalPair(k, l))
     if not found:
         raise NotCritical(f"N = {N} has no representation with k >= l >= 1")
     # decreasing p; the k = l pair (p = 0) goes last

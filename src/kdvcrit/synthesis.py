@@ -58,8 +58,6 @@ __all__ = [
     "vhat1_scaled",
     "h_derivative_on_line",
     "steering_spectrum",
-    "integral_I",
-    "integral_J",
     "sign_report",
     "fractional_norm",
 ]
@@ -123,47 +121,14 @@ def _leg_integral(panel_edges, phi_func):
     return (np.exp(ph - smax[..., None]) * wq).sum(axis=-1), smax
 
 
-def _v1_contour(nu: float, w: float):
-    """(mantissa, log-scale) of v1 at large w via the descent contour.
-
-    Path: from -1 along the descent ray to the saddle t-, straight down to
-    depth D, across, up to t+, and along the ray to +1, with D chosen so the
-    horizontal stretch sits 40 e-folds below the saddles.  The integrand is
-    analytic off t = +/-1 and |exp(-nu/(1-t^2))| <= 1 on the whole strip
-    |Re t| < 1 below the axis, so straight segments are legal and the only
-    requirement is resolution, handled by graded panels.
-    """
-    t_plus = complex(_saddle(nu, np.array([w]))[0])
-    t_minus = -t_plus.conjugate()
-    depth = abs(t_plus.imag) + (40.0 + math.sqrt(nu * w)) / w
-    depth = min(depth, 0.7)
-    b_lo = complex(t_minus.real, -depth)
-    b_hi = complex(t_plus.real, -depth)
-
-    def phi(t):
-        return -nu / (1.0 - t * t) - 1j * w * t
-
-    legs = [
-        _graded_panels(-1.0 + 0j, t_minus, 14, 1.35, from_lo=False),
-        _graded_panels(t_minus, b_lo, 12, 1.5, from_lo=True),
-        np.linspace(b_lo, b_hi, 4),
-        _graded_panels(b_hi, t_plus, 12, 1.5, from_lo=False),
-        _graded_panels(t_plus, 1.0 + 0j, 14, 1.35, from_lo=True),
-    ]
-    vals, smaxs = zip(*(_leg_integral(edges, phi) for edges in legs))
-    s_ref = max(smaxs)
-    total = sum(v * math.exp(s - s_ref) for v, s in zip(vals, smaxs))
-    return total, s_ref
-
-
 def _half_contour(nu: float, w):
     """(mantissa, log-scale) of C = e^{iw} * int over the right half path.
 
     By the t -> -conj(t) symmetry of the integrand, v1 = 2 Re(e^{-iw} C); the
-    e^{iw} factor strips the fast endpoint phase so that both log|C| and
-    arg(C) are slowly varying (near-linear) in sqrt(w), which is what the
-    interpolation table exploits.  Vectorized over a 1-D w, in chunks of
-    _CONTOUR_CHUNK nodes; every node takes the same steps it would alone.
+    e^{iw} factor strips the fast endpoint phase, leaving the saddle exponent
+    -(1 - i) sqrt(nu w) + O(1) that BumpTable removes before it interpolates.
+    Vectorized over a 1-D w, in chunks of _CONTOUR_CHUNK nodes; every node
+    takes the same steps it would alone.
     """
     w = np.asarray(w, dtype=float)
     total = np.empty(w.shape, dtype=complex)
@@ -211,80 +176,57 @@ def _half_contour_chunk(nu: float, w: np.ndarray):
     return total, s_ref
 
 
-def _use_direct(nu: float, w: float) -> bool:
-    # the direct branch cancels exp(sqrt(nu w) - nu) digits; keep it only
-    # while that stays ~8 digits above double roundoff
-    return w < 60.0 or math.sqrt(nu * w) <= nu + 18.0
+_LAT_H = 0.04  # lattice step in ln q, q = sqrt(w)
+_LAT_OFFS = np.arange(-3, 5)  # Lagrange stencil about the base node q_j <= q < q_{j+1}
+_LAT_C = np.array([1.0 / np.prod([a - b for b in _LAT_OFFS if b != a]) for a in _LAT_OFFS])
+
+
+def _wrap(x):
+    """x reduced to [-pi, pi)."""
+    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def vhat1_scaled(nu: float, beta: float, z):
     """The real even factor v1(beta z) of the bump transform, as (m, log-scale).
 
-    v-hat(z) = e^{-i beta z} v1(beta z).  Direct weighted quadrature while the
-    cancellation keeps sqrt(nu w) small; the descent contour (exact contour
-    deformation, not an asymptotic formula) beyond.  Both branches agree to
-    ~1e-6 or better on the overlap; the contour branch zeroes the tiny
-    imaginary residue of a real quantity.
+    v-hat(z) = e^{-i beta z} v1(beta z).  Every call reads BumpTable(nu), so a
+    value depends on (nu, beta z) alone: any subset of a grid, the scalar call
+    included, gives values bit-identical to the full call.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if z_arr.size > 2000:
-        table = BumpTable(nu, beta * np.abs(z_arr).max())
-        m, s = table.eval_w(beta * np.abs(z_arr))
-    else:
-        m = np.empty(z_arr.shape)
-        s = np.empty(z_arr.shape)
-        mr, sr = m.ravel(), s.ravel()
-        for i, zz in enumerate(z_arr.ravel()):
-            w = beta * abs(zz)
-            if _use_direct(nu, w):
-                mr[i] = _v1_direct(nu, w)
-                sr[i] = 0.0
-            else:
-                val, sc = _v1_contour(nu, w)
-                mr[i] = val.real
-                sr[i] = sc
+    m, s = BumpTable(nu).eval_w(beta * np.abs(z_arr))
     if np.ndim(z) == 0:
         return float(m[0]), float(s[0])
     return m, s
 
 
 class BumpTable:
-    """Spline table of the half-contour in q = sqrt(w) for fast dense grids.
+    """v1(w) for one nu: direct quadrature below w_sw, a lattice table of the half contour above.
 
-    log|C| and the unwrapped phase of C are near-linear in q (the saddle
-    exponent is -(1 - i) sqrt(nu w) + O(1)), so a few phase-resolved nodes
-    reproduce the contour values to ~1e-9; below the switch point the direct
-    quadrature is tabulated on its own q-grid (v1 is smooth there at scale
-    O(1) in w because the direct region ends at bounded sqrt(nu w)).
+    Below the switch w_sw = (nu + 18)^2 / nu (sqrt(nu w) <= nu + 18, where the
+    direct branch's cancellation of e^{sqrt(nu w) - nu} still leaves ~8
+    digits) each distinct |w| gets one weighted quadrature.  Above it, v1 =
+    2 Re(e^{-iw} C) with C the half contour, whose saddle exponent is
+    -(1 - i) sqrt(nu w) + O(1).  With that exponent removed, log|C| + sqrt(nu w)
+    and arg(C e^{-i sqrt(nu w)}) vary slowly in ln q, q = sqrt(w); they are
+    tabulated at the lattice nodes q_k = q_0 e^{k h}, with q_0 and h fixed by
+    nu alone, and each point is interpolated from its own 8-node Lagrange
+    stencil, its phase unwrapped about the stencil's base node.  Only the nodes
+    a request touches are built.  For T in [0.05, 50] and w <= 1e6 the result
+    is within 1.2e-10 of |C| of the exact half contour, which is the rounding
+    of the phase w itself.
     """
 
-    def __init__(self, nu: float, w_max: float):
-        from scipy.interpolate import CubicSpline
-
+    def __init__(self, nu: float):
         self.nu = nu
-        # direct/contour switch; O(1)-in-w oscillation below is evaluated
-        # pointwise (no table: a spline would need ~3 nodes per period)
-        w_sw = max(60.0, (nu + 18.0) ** 2 / nu)
-        self.w_sw = w_sw
-        self._contour = None
-        if w_max > self.w_sw * 1.0001:
-            q0, q1 = math.sqrt(self.w_sw * 0.98), math.sqrt(w_max) * 1.000001
-            phase_span = math.sqrt(nu) * (q1 - q0) + 10.0
-            n_c = int(np.clip(phase_span / 0.2, 400, 60000))
-            qc = np.linspace(q0, q1, n_c)
-            mant, logs = _half_contour(nu, qc * qc)
-            logmag = np.log(np.abs(mant)) + logs
-            phase = np.unwrap(np.angle(mant))
-            if np.abs(np.diff(phase)).max() > 2.5:
-                raise DomainError("bump table phase under-resolved; raise node count")
-            self._logmag = CubicSpline(qc, logmag)
-            self._phase = CubicSpline(qc, phase)
-            self._contour = True
+        # (nu + 18)^2 / nu >= 72 for every nu > 0
+        self.w_sw = (nu + 18.0) ** 2 / nu
+        # the lowest stencil of a point above the switch starts at node 0
+        self._lq0 = 0.5 * math.log(self.w_sw) + _LAT_OFFS[0] * _LAT_H
 
     def eval_w(self, w):
         w = np.asarray(w, dtype=float)
         aw = np.abs(w)
-        q = np.sqrt(aw)
         m = np.empty(w.shape)
         s = np.zeros(w.shape)
         direct = aw <= self.w_sw
@@ -293,10 +235,39 @@ class BumpTable:
         m[direct] = np.array([_v1_direct(self.nu, wi) for wi in uw])[inv]
         rest = ~direct
         if np.any(rest):
-            phi = self._phase(q[rest])
-            m[rest] = 2.0 * np.cos(phi - aw[rest])
-            s[rest] = self._logmag(q[rest])
+            m[rest], s[rest] = self._lattice(aw[rest])
         return m, s
+
+    def _lattice(self, w: np.ndarray):
+        x = (0.5 * np.log(w) - self._lq0) / _LAT_H
+        j = np.floor(x)
+        t = x - j
+        base, row = np.unique(j.astype(np.int64), return_inverse=True)
+        k = np.unique(base[:, None] + _LAT_OFFS)
+        q = np.exp(self._lq0 + k * _LAT_H)
+        c, cs = _half_contour(self.nu, q * q)
+        rq = math.sqrt(self.nu) * q
+        # log C + (1 - i) sqrt(nu w) = f + i g, g known modulo 2 pi
+        f = np.log(np.abs(c)) + cs + rq
+        g = np.angle(c) - rq
+        # a stencil spans 7 steps; below pi/7 each the local unwrap is the true phase
+        steps = np.abs(_wrap(np.diff(g)))[np.diff(k) == 1]
+        if steps.max() > math.pi / (_LAT_OFFS.size - 1):
+            raise ResolutionError(f"bump lattice phase step {steps.max():.2f} rad is under-resolved")
+        first = np.searchsorted(k, base + _LAT_OFFS[0])
+        cols = first[:, None] + np.arange(_LAT_OFFS.size)
+        g0 = g[first - _LAT_OFFS[0]][:, None]
+        tab_f, tab_g = f[cols].T, (g0 + _wrap(g[cols] - g0)).T
+        d = [t - o for o in _LAT_OFFS]
+        fi = gi = 0.0
+        for i in range(_LAT_OFFS.size):
+            wi = _LAT_C[i]
+            for dm in d[:i] + d[i + 1 :]:
+                wi = wi * dm
+            fi = fi + wi * tab_f[i][row]
+            gi = gi + wi * tab_g[i][row]
+        rw = math.sqrt(self.nu) * np.sqrt(w)
+        return 2.0 * np.cos(gi + rw - w), fi - rw
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +593,13 @@ def _scaled_integral(z: np.ndarray, mant: np.ndarray, logs: np.ndarray):
     return np.trapezoid(vals, z), ref
 
 
-def _sign_integral(spec: ControlSpec, n_side: int = 24001) -> SignReport:
+def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
+    """I (case 1, with 1/E) or J (case 2, with 1/F) for one (pair, T), with its diagnostics.
+
+    I = (1/E) int u-hat(z) conj(u-hat(z-p)) intB(z) dz; J uses 1/F and the
+    third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
+    SignReport).
+    """
     pair = spec.pair
     p = pair.p
     data = constants(pair)
@@ -632,7 +609,7 @@ def _sign_integral(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     z = _band_grid(spec, n_side)
     d = spec.h_order
 
-    # the bump factor dominates the cost; one table serves both shifts
+    # one bump-factor call serves both shifts
     v1m, v1s = vhat1_scaled(spec.nu, spec.beta, np.concatenate([z, z - p]))
     v1m_z, v1m_s = np.split(v1m, 2)
     v1s_z, v1s_s = np.split(v1s, 2)
@@ -693,30 +670,6 @@ def _sign_integral(spec: ControlSpec, n_side: int = 24001) -> SignReport:
         log_peak=float(wlog[i_pk]),
         n_grid=int(z.size),
     )
-
-
-def integral_I(spec: ControlSpec, n_side: int = 24001) -> complex:
-    """I = (1/E) int u-hat(z) conj(u-hat(z-p)) intB(z) dz, in units of int|w|^2.
-
-    Returned normalized by int |w-hat|^2 dz (the integrals individually
-    overflow any float at small T; every use in the analysis is relative to
-    this normalizer).  Case-1 pairs only.
-    """
-    if spec.case != 1:
-        raise CaseError("integral_I is the generic-case functional; use integral_J")
-    return _sign_integral(spec, n_side).value
-
-
-def integral_J(spec: ControlSpec, n_side: int = 24001) -> complex:
-    """Case-2 analogue of I with 1/F and the third-derivative w-hat."""
-    if spec.case != 2:
-        raise CaseError("integral_J applies to caseE0 pairs; use integral_I")
-    return _sign_integral(spec, n_side).value
-
-
-def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
-    """Full diagnostics of the sign integral for one (pair, T)."""
-    return _sign_integral(spec, n_side)
 
 
 # ---------------------------------------------------------------------------

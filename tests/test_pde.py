@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdvcrit import numbertheory as nt
 from kdvcrit import pde
@@ -117,6 +118,18 @@ def test_xnorm_positive():
     g = pde.Grid(L=PAIR.L, nx=48, T=1.0, nt=100)
     traj = pde.solve_linear(g, y0=exact_y0(g))
     assert traj.xnorm > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([8, 16, 32]), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_cn_states_two_columns_match_one_column_runs(nx, n_steps, seed):
+    sys_ = pde._System(pde.Grid(L=PAIR.L, nx=nx, T=0.5, nt=n_steps))
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((len(sys_.free), 2))
+    u = rng.standard_normal((n_steps + 1, 2))
+    both = pde._cn_states(sys_, y, u)
+    for j in range(2):
+        assert np.array_equal(both[..., j], pde._cn_states(sys_, y[:, j], u[:, j]))
 
 
 def test_step_matrix_factored_once_per_system(monkeypatch):

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kdvcrit import jets
 from kdvcrit import numbertheory as nt
 from kdvcrit import spectral as sp
 from kdvcrit import synthesis as syn
-from kdvcrit.errors import CaseError, DomainError, SupportLeak
+from kdvcrit.errors import DomainError, SupportLeak
 
 P21 = nt.CriticalPair(2, 1)
 P32 = nt.CriticalPair(3, 2)
@@ -64,6 +64,12 @@ def test_vhat1_decay_rate():
     assert bounded.max() <= bounded[:8].max() + 1e-9
 
 
+def _v1_half_contour(nu, w):
+    """Exact v1 = 2 Re(e^{-iw} C) from the half contour, with its scale and |C|."""
+    c, sc = syn._half_contour(nu, np.atleast_1d(np.asarray(w, dtype=float)))
+    return 2.0 * (np.exp(-1j * w) * c).real, sc, np.abs(c)
+
+
 def test_contour_matches_direct_overlap():
     # sample inside the region where the direct branch still has ~8 clean
     # digits (w below (nu+17)^2/nu) but the contour geometry is formed
@@ -72,9 +78,9 @@ def test_contour_matches_direct_overlap():
         for _ in range(6):
             w = float(rng.uniform(62.0, (nu + 17.0) ** 2 / nu))
             ref = syn._v1_direct(nu, w)
-            val, sc = syn._v1_contour(nu, w)
-            got = val.real * math.exp(sc)
-            assert abs(got - ref) <= 3e-6 * max(abs(ref), math.exp(-math.sqrt(nu * w)))
+            val, sc, _ = _v1_half_contour(nu, w)
+            got = val[0] * math.exp(sc[0])
+            assert abs(got - ref) <= 1e-8 * max(abs(ref), math.exp(-math.sqrt(nu * w)))
 
 
 def test_contour_matches_mpmath():
@@ -96,15 +102,14 @@ def test_contour_matches_mpmath():
         )
 
     for nu, w in ((0.4, 900.0), (3.0, 300.0), (10.2, 2000.0)):
-        val, sc = syn._v1_contour(nu, w)
-        ref = reference(nu, w)
-        got = val.real * math.exp(sc)
-        assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
-        assert abs(val.imag) <= 1e-10 * abs(val)
-        # the half path the bump table is built from: v1 = 2 Re(e^{-iw} C)
-        c, sc = syn._half_contour(nu, np.array([w]))
-        got = 2.0 * (np.exp(-1j * w) * c[0]).real * math.exp(sc[0])
-        assert abs(got - float(ref)) <= 1e-10 * abs(float(ref))
+        ref = float(reference(nu, w))
+        # the half path the lattice is built from, and the lattice itself
+        val, sc, _ = _v1_half_contour(nu, w)
+        assert abs(val[0] * math.exp(sc[0]) - ref) <= 1e-10 * abs(ref)
+        table = syn.BumpTable(nu)
+        assert w > table.w_sw
+        m, s = table.eval_w(np.array([w]))
+        assert abs(m[0] * math.exp(s[0]) - ref) <= 1e-10 * abs(ref)
 
 
 def test_half_contour_batch_matches_per_element():
@@ -118,7 +123,7 @@ def test_half_contour_batch_matches_per_element():
 
 def test_vhat1_direct_range_raises_no_warning():
     spec = syn.make_spec(P21, 25.0)
-    w_sw = syn.BumpTable(spec.nu, 0.0).w_sw
+    w_sw = syn.BumpTable(spec.nu).w_sw
     z = np.linspace(0.0, w_sw / spec.beta, 3000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -128,18 +133,51 @@ def test_vhat1_direct_range_raises_no_warning():
 
 def test_bump_table_matches_pointwise():
     nu, beta = 0.8, 2.0
-    table = syn.BumpTable(nu, beta * 5e4)
+    table = syn.BumpTable(nu)
     rng = np.random.default_rng(2)
     zs = rng.uniform(1.0, 5e4, 40)
     mt, st = table.eval_w(beta * zs)
     for z, m0, s0 in zip(zs, mt, st):
         w = beta * z
-        if syn._use_direct(nu, w):
-            ref, sc = syn._v1_direct(nu, w), 0.0
+        if w <= table.w_sw:
+            assert s0 == 0.0 and m0 == syn._v1_direct(nu, w)
         else:
-            val, sc = syn._v1_contour(nu, w)
-            ref = val.real
-        assert abs(m0 * math.exp(s0 - sc) - ref) <= 1e-7 * max(abs(ref), 1e-6)
+            ref, sc, cabs = _v1_half_contour(nu, w)
+            assert abs(m0 * math.exp(s0 - sc[0]) - ref[0]) <= 1e-9 * cabs[0]
+
+
+@pytest.mark.parametrize("T", [0.05, 0.4, 5.0, 25.0, 50.0])
+def test_lattice_matches_half_contour(T):
+    # w up to 1e6 covers the sign-integral grids; there the rounding of the
+    # phase w itself is 1.2e-10 of |C|
+    beta = T / 2.0
+    nu = 1.617 / math.sqrt(beta)
+    table = syn.BumpTable(nu)
+    w = np.geomspace(table.w_sw * (1.0 + 1e-12), 1e6, 4000)
+    m, s = table.eval_w(w)
+    ref, sc, cabs = _v1_half_contour(nu, w)
+    assert np.all(np.abs(m * np.exp(s - sc) - ref) <= 1e-9 * cabs)
+
+
+_Z21 = np.linspace(0.0, 3000.0, 2001)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, _Z21.size - 1), st.sampled_from([1.0, -1.0])), min_size=1, max_size=30),
+    st.sampled_from([25.0, 0.4]),
+)
+@example(picks=[(i, 1.0) for i in range(2000)], T=25.0)
+def test_vhat1_any_subset_matches_full_call(picks, T):
+    # the grid straddles the switch w_sw (z = 59.6 at T = 25, 646 at T = 0.4);
+    # v1 is even, so a point and its mirror read the same value
+    spec = syn.make_spec(P21, T)
+    m, s = syn.vhat1_scaled(spec.nu, spec.beta, _Z21)
+    idx = np.array([i for i, _ in picks])
+    z = np.array([sign * _Z21[i] for i, sign in picks])
+    m_sub, s_sub = syn.vhat1_scaled(spec.nu, spec.beta, z)
+    assert np.array_equal(m_sub, m[idx]) and np.array_equal(s_sub, s[idx])
+    assert syn.vhat1_scaled(spec.nu, spec.beta, z[0]) == (m[idx[0]], s[idx[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +349,7 @@ def test_steering_spectrum_leak_raises_at_small_T():
 @pytest.mark.slow
 def test_integral_I_32():
     spec = syn.make_spec(P32, 0.4)
-    val = syn.integral_I(spec, n_side=4001)
+    val = syn.sign_report(spec, n_side=4001).value
     assert 0.9 <= val.real <= 1.1
     assert val.imag < 0.0
 
@@ -319,16 +357,9 @@ def test_integral_I_32():
 @pytest.mark.slow
 def test_integral_J_41():
     spec = syn.make_spec(P41, 0.4)
-    val = syn.integral_J(spec, n_side=4001)
+    val = syn.sign_report(spec, n_side=4001).value
     assert 0.9 <= val.real <= 1.1
     assert val.imag < 0.0
-
-
-def test_integral_case_guards():
-    with pytest.raises(CaseError):
-        syn.integral_I(syn.make_spec(P41, 0.4), n_side=101)
-    with pytest.raises(CaseError):
-        syn.integral_J(syn.make_spec(P32, 0.4), n_side=101)
 
 
 @pytest.mark.slow
