@@ -132,31 +132,20 @@ def test_vhat1_direct_range_raises_no_warning():
 
 
 def test_bump_table_matches_pointwise():
-    nu, beta = 0.8, 2.0
-    table = syn.BumpTable(nu)
-    rng = np.random.default_rng(2)
-    zs = rng.uniform(1.0, 5e4, 40)
-    mt, st = table.eval_w(beta * zs)
-    for z, m0, s0 in zip(zs, mt, st):
-        w = beta * z
-        if w <= table.w_sw:
-            assert s0 == 0.0 and m0 == syn._v1_direct(nu, w)
-        else:
-            ref, sc, cabs = _v1_half_contour(nu, w)
-            assert abs(m0 * math.exp(s0 - sc[0]) - ref[0]) <= 1e-9 * cabs[0]
-
-
-@pytest.mark.parametrize("T", [0.05, 0.4, 5.0, 25.0, 50.0])
-def test_lattice_matches_half_contour(T):
-    # w up to 1e6 covers the sign-integral grids; there the rounding of the
-    # phase w itself is 1.2e-10 of |C|
-    beta = T / 2.0
-    nu = 1.617 / math.sqrt(beta)
-    table = syn.BumpTable(nu)
-    w = np.geomspace(table.w_sw * (1.0 + 1e-12), 1e6, 4000)
-    m, s = table.eval_w(w)
-    ref, sc, cabs = _v1_half_contour(nu, w)
-    assert np.all(np.abs(m * np.exp(s - sc) - ref) <= 1e-9 * cabs)
+    # below the switch the table is quad itself; above it the lattice is
+    # within 1e-9 of |C| of the exact half contour for w up to 1e6, which
+    # covers the sign-integral grids (the rounding of the phase w itself is
+    # 1.2e-10 of |C| there)
+    w = np.geomspace(1.0, 1e6, 4000)
+    for T in (0.05, 0.4, 5.0, 25.0, 50.0):
+        nu = syn.make_spec(P21, T).nu
+        table = syn.BumpTable(nu)
+        m, s = table.eval_w(w)
+        lo = w <= table.w_sw
+        assert np.all(s[lo] == 0.0)
+        assert np.array_equal(m[lo], [syn._v1_direct(nu, x) for x in w[lo]])
+        ref, sc, cabs = _v1_half_contour(nu, w[~lo])
+        assert np.all(np.abs(m[~lo] * np.exp(s[~lo] - sc) - ref) <= 1e-9 * cabs)
 
 
 _Z21 = np.linspace(0.0, 3000.0, 2001)
