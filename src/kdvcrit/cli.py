@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import kernel, numbertheory, pde, spectral, synthesis, unreachable
-from .errors import DomainError, KdvCritError, NearPole
+from .errors import DomainError, KdvCritError
 
 _FMT = "%.17g"
 
@@ -171,13 +171,11 @@ def cmd_spectral(args) -> int:
 def cmd_kernel(args) -> int:
     pair = _pair(args)
     zs = np.geomspace(args.zmin, args.zmax, args.points)
-    rows = []
-    for z in zs:
-        try:
-            val = kernel.intB_closed(pair, float(z))
-            rows.append([_f(z), _f(val.real), _f(val.imag)])
-        except NearPole:
-            rows.append([_f(z), "", ""])
+    vals, near = kernel._intB_masked(pair, zs)
+    rows = [
+        [_f(z), "", ""] if bad else [_f(z), _f(v.real), _f(v.imag)]
+        for z, v, bad in zip(zs, vals, near)
+    ]
     _write_csv(args.out, ["z", "re_intB", "im_intB"], rows)
     return 0
 

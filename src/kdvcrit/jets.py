@@ -67,7 +67,10 @@ def jet_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def root_jets(z0, singular_tol: float = 1e-8) -> np.ndarray:
+_SINGULAR_TOL = 1e-8  # |3 lambda^2 + 1| below this is a root collision
+
+
+def root_jets(z0) -> np.ndarray:
     """Jets of the three roots at base points z0; shape z0.shape + (3, 4).
 
     Closed-form implicit derivatives at the exact base roots; raises
@@ -77,7 +80,7 @@ def root_jets(z0, singular_tol: float = 1e-8) -> np.ndarray:
     z0 = np.asarray(z0, dtype=complex)
     lam = roots(z0)  # (..., 3)
     d = 3.0 * lam * lam + 1.0
-    if np.any(np.abs(d) < singular_tol):
+    if np.any(np.abs(d) < _SINGULAR_TOL):
         raise RootDerivativeSingular(
             "3*lambda^2 + 1 ~ 0: root collision on the evaluation set"
         )

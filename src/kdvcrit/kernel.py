@@ -7,10 +7,11 @@ profile at z - p, and phi_x:
 
     f = sum_j (e^{l_{j+1}L} - e^{l_j L}) e^{l_{j+2} x},   D = det Q(z),
 
-with g, D~ built from the roots of mu^3 + mu - i(z - p) = 0.  The closed-form
-x-integral expands f * g * phi_x into at most 108 pure exponentials
-c e^{a x}, integrates each as c (e^{aL} - 1)/a (series branch for small aL),
-and cancels the dominant exponentials against D * D~ analytically, so the
+with g, D~ built from the roots of mu^3 + mu - i(z - p) = 0.  Each profile is
+three exponentials F_j e^{l_{j+2} x}, so the closed-form x-integral sums the
+27 exponents a = l_{j+2} + mu~_{m+2} + eta_{k+2}; each term integrates to
+c (e^{aL} - 1)/a (series branch for small aL).  The profiles carry the det Q
+and det Q~ scales, so the dominant exponentials cancel analytically and the
 evaluation stays inside double range for z up to 1e6 and beyond.
 
 Everything is exercised against the expansions
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import NearPole
 from .numbertheory import CriticalPair
-from .spectral import detq_scaled, roots, shifted_roots, xi
+from .spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots
 from .unreachable import UnreachableData, constants, eta_triple
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "verify_expansion",
 ]
 
-_POLE_TOL = 1e-10
 _SERIES_CUT = 1e-3  # switch (e^{aL}-1)/a to its series below |a|L = 1e-3
 
 
@@ -53,20 +53,6 @@ def _eta_terms(pair: CriticalPair, negate: bool = False):
     return (ep1 - e) * ep2, ep2
 
 
-def _pure_factor_terms(lam: np.ndarray, L: float):
-    """f as six pure exponentials: signs s_t, constant exponents A_t, x-exponents B_t.
-
-    f = sum_j (e^{l_{j+1} L} - e^{l_j L}) e^{l_{j+2} x}
-      = sum_t s_t e^{A_t + B_t x},  s = +/-1.
-    """
-    lp1 = np.roll(lam, -1, axis=-1)
-    lp2 = np.roll(lam, -2, axis=-1)
-    signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    a = np.concatenate([lp1 * L, lam * L], axis=-1)
-    b = np.concatenate([lp2, lp2], axis=-1)
-    return signs, a, b
-
-
 def _series_int(aL: np.ndarray) -> np.ndarray:
     """(e^{aL} - 1)/(aL) via its Taylor series, accurate for |aL| <= 1e-3."""
     out = np.ones_like(aL)
@@ -77,11 +63,10 @@ def _series_int(aL: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_poles(qm, qtm, z):
-    bad = (np.abs(qm) < _POLE_TOL) | (np.abs(qtm) < _POLE_TOL)
-    if np.any(bad):
-        zb = np.atleast_1d(np.asarray(z))[np.atleast_1d(bad)]
-        raise NearPole(f"scaled denominator below {_POLE_TOL:g} near z = {zb[:3]}")
+def _check_poles(near, z):
+    if np.any(near):
+        zb = np.atleast_1d(np.asarray(z))[np.atleast_1d(near)]
+        raise NearPole(f"scaled denominator below {POLE_TOL:g} near z = {zb[:3]}")
 
 
 def B_eval(pair: CriticalPair, z, x, *, negate_eta: bool = False, p=None):
@@ -92,80 +77,83 @@ def B_eval(pair: CriticalPair, z, x, *, negate_eta: bool = False, p=None):
     them unset so the pair supplies both.
     """
     L = pair.L
-    p_eff = pair.p if p is None else p
     zc = complex(z)
-    lam = roots(zc)[None, :]
-    lamt = shifted_roots(zc, p_eff)[None, :]
-    qm, qs = detq_scaled(lam, L)
-    qtm, qts = detq_scaled(lamt, L)
-    _check_poles(qm, qtm, zc)
+    lam = roots(zc)
+    lamt = shifted_roots(zc, pair.p if p is None else p)
+    (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
+    _check_poles((abs(qm) < POLE_TOL) | (abs(qtm) < POLE_TOL), zc)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def factor(l3, qm_, qs_):
-        s, a, b = _pure_factor_terms(l3[0], L)
-        expo = a[None, :] + np.multiply.outer(x_arr, b)
-        m = (s * np.exp(expo - qs_)).sum(axis=-1)
-        return m / qm_
-
-    fa = factor(lam, qm[0], qs[0])
-    ga = factor(lamt, qtm[0], qts[0])
+    fa = profile_scaled(lam, L, x_arr, qs).sum(axis=-1) / qm
+    ga = profile_scaled(lamt, L, x_arr, qts).sum(axis=-1) / qtm
     ec, ee = _eta_terms(pair, negate=negate_eta)
     phix = (ec * np.exp(np.multiply.outer(x_arr, ee))).sum(axis=-1)
     out = fa * ga * phix
     return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
+def _scaled_parts(pair: CriticalPair, z, negate_eta: bool = False, p=None):
+    """Flattened (numerator mantissa, qm, qtm, qs + qts) of int B at real z.
+
+    int B = num / (qm qtm), because the numerator carries the scale
+    e^{qs + qts} of det Q det Q~.
+    """
+    L = pair.L
+    z_arr = np.asarray(z, dtype=complex).reshape(-1)
+    lam = roots(z_arr)
+    lamt = shifted_roots(z_arr, pair.p if p is None else p)
+    qm, qs = detq_scaled(lam, L)
+    qtm, qts = detq_scaled(lamt, L)
+    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair, negate=negate_eta))
+    return num, qm, qtm, qs + qts
+
+
+def _intB_masked(pair: CriticalPair, z, *, negate_eta: bool = False, p=None):
+    """int_0^L B dx over the flattened z, and the mask of near-pole points.
+
+    A masked value is not meaningful; intB_closed raises NearPole instead.
+    """
+    num, qm, qtm, _ = _scaled_parts(pair, z, negate_eta, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = num / (qm * qtm)
+    return vals, (np.abs(qm) < POLE_TOL) | (np.abs(qtm) < POLE_TOL)
+
+
 def intB_closed(pair: CriticalPair, z, *, negate_eta: bool = False, p=None):
     """Closed-form int_0^L B(z, x) dx, vectorized over real z.
 
-    Each of the 108 products integrates to c (e^{aL}-1)/a with
-    a = lambda_{i+2} + mu~_{j+2} + eta_{k+2}; the two exponential halves are
-    accumulated separately against the common scale of det Q * det Q~, which
-    keeps every mantissa O(1) for z up to 1e6 and L up to ~30.
+    The 27 exponential terms of f g phi_x are summed against the common
+    scale of det Q * det Q~, which keeps every mantissa O(1) for z up to 1e6
+    and L up to ~30.
     """
-    L = pair.L
-    p_eff = pair.p if p is None else p
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    lam = roots(z_arr)
-    lamt = shifted_roots(z_arr, p_eff)
-    qm, qs = detq_scaled(lam, L)
-    qtm, qts = detq_scaled(lamt, L)
-    _check_poles(qm, qtm, z_arr)
-    num_m, num_s = _numerator_scaled(pair, lam, lamt, qs + qts, negate_eta=negate_eta)
-    out = num_m * np.exp(num_s - (qs + qts)) / (qm * qtm)
-    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+    vals, near = _intB_masked(pair, z, negate_eta=negate_eta, p=p)
+    _check_poles(near, z)
+    return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
 
-def _numerator_scaled(pair, lam, lamt, scale, *, negate_eta: bool = False):
-    """int_0^L f g phi_x dx as (mantissa, log-scale) with log-scale = ``scale``.
+def _numerator_scaled(L, lam, lamt, qs, qts, ec, ee):
+    """Mantissa of int_0^L f g phi_x dx against the scale e^{qs + qts}.
 
-    ``scale`` should be the log-scale of det Q * det Q~ so the quotient in
-    intB_closed is a pure mantissa ratio.
+    f0, fL (g0, gL) are the profile terms at x = 0 and x = L; with
+    w = e^{eta_k L}, common to every k, term (j, m, k) is
+    c_k (w fL_j gL_m - f0_j g0_m)/a_jmk, or c_k f0_j g0_m L S(aL) for small aL,
+    where a_jmk = l_{j+2} + mu~_{m+2} + eta_{k+2}.  One (j, m) block per k
+    keeps the temporaries at 9 values per point.
     """
-    L = pair.L
-    sf, af, bf = _pure_factor_terms(lam, L)
-    sg, ag, bg = _pure_factor_terms(lamt, L)
-    ec, ee = _eta_terms(pair, negate=negate_eta)
-    acc = np.zeros(lam.shape[:-1], dtype=complex)
-    for u in range(6):
-        for v in range(6):
-            c0 = sf[u] * sg[v]
-            a0 = af[..., u] + ag[..., v]
-            bb = bf[..., u] + bg[..., v]
-            for k in range(3):
-                c = c0 * ec[k]
-                a = bb + ee[k]
-                aL = a * L
-                small = np.abs(aL) < _SERIES_CUT
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    acc_big = (c / a) * (
-                        np.exp(a0 + aL - scale) - np.exp(a0 - scale)
-                    )
-                if np.any(small):
-                    acc_small = c * L * _series_int(aL) * np.exp(a0 - scale)
-                    acc_big = np.where(small, acc_small, acc_big)
-                acc = acc + acc_big
-    return acc, scale
+    f0, fL = profile_scaled(lam, L, 0.0, qs), profile_scaled(lam, L, L, qs)
+    g0, gL = profile_scaled(lamt, L, 0.0, qts), profile_scaled(lamt, L, L, qts)
+    low = f0[..., :, None] * g0[..., None, :]
+    rise = np.exp(ee[0] * L) * fL[..., :, None] * gL[..., None, :] - low
+    lm = np.roll(lam, -2, axis=-1)[..., :, None] + np.roll(lamt, -2, axis=-1)[..., None, :]
+    acc = 0.0
+    for c, e in zip(ec, ee):
+        a = lm + e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = c * rise / a
+        small = np.abs(a * L) < _SERIES_CUT
+        if np.any(small):
+            terms = np.where(small, c * low * L * _series_int(a * L), terms)
+        acc = acc + terms.sum(axis=(-2, -1))
+    return acc
 
 
 def interaction_numerator(pair: CriticalPair, z):
@@ -177,19 +165,16 @@ def interaction_numerator(pair: CriticalPair, z):
     where the det Q factors cancel analytically against u-hat's H factors and
     the value must stay finite across the det Q zeros.
     """
-    L = pair.L
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    lam = roots(z_arr)
-    lamt = shifted_roots(z_arr, pair.p)
-    _, qs = detq_scaled(lam, L)
-    _, qts = detq_scaled(lamt, L)
-    m, s = _numerator_scaled(pair, lam, lamt, qs + qts)
+    m, _, _, s = _scaled_parts(pair, z)
     if np.ndim(z) == 0:
         return m[0], float(s[0])
     return m.reshape(np.shape(z)), s.reshape(np.shape(z))
 
 
-def intb_quadrature(pair: CriticalPair, z, tol: float = 1e-10, max_doublings: int = 14):
+_MAX_DOUBLINGS = 14
+
+
+def intb_quadrature(pair: CriticalPair, z, tol: float = 1e-10):
     """Adaptive Gauss-Legendre oracle for int_0^L B dx (test use only).
 
     Panel count doubles until two successive composite values agree to tol
@@ -203,7 +188,7 @@ def intb_quadrature(pair: CriticalPair, z, tol: float = 1e-10, max_doublings: in
     nodes, weights = np.polynomial.legendre.leggauss(10)
     prev = None
     n = n0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         edges = np.linspace(0.0, L, n + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])

@@ -360,14 +360,11 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     return y1, _assemble_trajectory(sys_, hist, zero)
 
 
-def solve_nonlinear(
-    grid: Grid,
-    y0=None,
-    u=None,
-    *,
-    max_picard: int = 25,
-    tol: float = 1e-11,
-) -> Trajectory:
+_PICARD_MAX = 25  # Picard sweeps per CN step before FixedPointDiverged
+_PICARD_TOL = 1e-11  # relative step size that ends the sweeps
+
+
+def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
     """Full KdV trajectory; y y_x handled by per-step Picard around CN.
 
     Raises FixedPointDiverged outside the small-data regime.
@@ -383,7 +380,7 @@ def solve_nonlinear(
         full_prev[sys_.i_dN] = u_arr[n]
         full_next[sys_.i_dN] = u_arr[n + 1]
         y_next = y
-        for _ in range(max_picard):
+        for _ in range(_PICARD_MAX):
             full_next[sys_.free] = y_next
             mid = 0.5 * (full_prev + full_next)
             cand = solve(base - grid.dt * sys_.nonlinear_weak(mid))
@@ -391,7 +388,7 @@ def solve_nonlinear(
             y_next = cand
             if not np.all(np.isfinite(y_next)):
                 raise FixedPointDiverged(f"Picard blow-up at step {n}")
-            if delta <= tol * max(1.0, np.linalg.norm(y_next)):
+            if delta <= _PICARD_TOL * max(1.0, np.linalg.norm(y_next)):
                 return y_next
         raise FixedPointDiverged(f"Picard stalled at step {n} (delta = {delta:.3e})")
 
@@ -510,15 +507,12 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     )
 
 
-def hum_control(
-    grid: Grid,
-    target,
-    *,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    stall_window: int = 60,
-    stall_factor: float = 1e-3,
-) -> np.ndarray:
+_CG_MAX_ITER = 2000
+_CG_STALL_WINDOW = 60  # CG steps without a _CG_STALL_FACTOR residual drop mean stagnation
+_CG_STALL_FACTOR = 1e-3
+
+
+def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     """Minimum-L^2-norm control whose final state matches ``target``.
 
     Conjugate gradient on the normal equations Phi Phi^T mu = g of the
@@ -542,13 +536,13 @@ def hum_control(
     g_norm = math.sqrt(float(g @ g))
     best = math.inf
     best_iter = 0
-    for it in range(max_iter):
+    for it in range(_CG_MAX_ITER):
         res_norm = math.sqrt(rs)
         if res_norm <= tol * g_norm:
             return phi_l2.T @ mu
-        if res_norm < best * (1.0 - stall_factor):
+        if res_norm < best * (1.0 - _CG_STALL_FACTOR):
             best, best_iter = res_norm, it
-        elif it - best_iter > stall_window:
+        elif it - best_iter > _CG_STALL_WINDOW:
             raise NotReachable(
                 f"CG stagnated at relative residual {res_norm / g_norm:.3e}"
             )
@@ -563,5 +557,5 @@ def hum_control(
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise NotReachable(
-        f"CG exceeded {max_iter} iterations at residual {math.sqrt(rs) / g_norm:.3e}"
+        f"CG exceeded {_CG_MAX_ITER} iterations at residual {math.sqrt(rs) / g_norm:.3e}"
     )

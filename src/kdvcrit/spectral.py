@@ -36,6 +36,7 @@ __all__ = [
     "vieta_residuals",
     "exp_sum_scaled",
     "detq_scaled",
+    "profile_scaled",
     "p_scaled",
     "xi",
     "h_scaled",
@@ -55,6 +56,9 @@ MU_TILDE = np.exp(1j * np.pi / 6 + 2j * np.pi * np.arange(1, 4) / 3)
 COLLISION_Z = 2.0 / (3.0 * np.sqrt(3.0))
 
 _OMEGA = np.exp(2j * np.pi / 3)
+
+# Scaled det Q mantissas below this mark z as too close to the pole set.
+POLE_TOL = 1e-10
 
 
 def _cardano(z: np.ndarray) -> np.ndarray:
@@ -194,6 +198,18 @@ def detq_scaled(lam: np.ndarray, L: float):
     return exp_sum_scaled(lp1 - lam, -lp2 * L)
 
 
+def profile_scaled(lam: np.ndarray, L: float, x, s) -> np.ndarray:
+    """Terms (e^{lambda_{j+1} L} - e^{lambda_j L}) e^{lambda_{j+2} x - s}, last axis j.
+
+    Their sum is the solution profile divided by e^s.  x and s broadcast
+    against lam[..., 0]; each exponent is formed whole, so with s the det Q
+    scale nothing overflows for x in [0, L].
+    """
+    lp2x = np.roll(lam, -2, axis=-1) * np.asarray(x)[..., None]
+    s = np.asarray(s)[..., None]
+    return np.exp(np.roll(lam, -1, axis=-1) * L + lp2x - s) - np.exp(lam * L + lp2x - s)
+
+
 def p_scaled(lam: np.ndarray, L: float):
     """P = sum_j lambda_j (e^{lambda_{j+2} L} - e^{lambda_{j+1} L}), scaled."""
     lp1 = np.roll(lam, -1, axis=-1)
@@ -322,11 +338,10 @@ def frame(z, L: float) -> SpectralFrame:
 
 
 def y_hat(z, x, u_hat, L: float):
-    """hat y(z, x) = u_hat * sum_j (e^{l_{j+1}L} - e^{l_j L}) e^{l_{j+2} x} / det Q.
+    """hat y(z, x) = u_hat * sum_j profile_scaled(x, qs) / qm, with det Q = qm e^{qs}.
 
-    Evaluated with the dominant exponential divided out of numerator and
-    denominator; raises NearPole when the scaled det Q mantissa drops below
-    1e-10 (z too close to the discrete pole set).
+    The profile and det Q share the scale e^{qs}, so nothing overflows; raises
+    NearPole when |qm| < POLE_TOL (z too close to the discrete pole set).
     """
     if L <= 0:
         raise DomainError(f"L must be positive, got {L}")
@@ -334,35 +349,24 @@ def y_hat(z, x, u_hat, L: float):
     if np.any(x_arr < -1e-12) or np.any(x_arr > L * (1 + 1e-12)):
         raise DomainError("x must lie in [0, L]")
     lam = roots(complex(z))
-    qm, qs = detq_scaled(lam[None, :], L)
-    if abs(qm[0]) < 1e-10:
-        raise NearPole(f"scaled det Q mantissa {abs(qm[0]):.3e} at z = {z}")
-    lp1 = np.roll(lam, -1)
-    lp2 = np.roll(lam, -2)
-    # numerator terms: +e^{l_{j+1}L + l_{j+2}x}, -e^{l_j L + l_{j+2}x}
-    exps = np.concatenate(
-        [
-            lp1[None, :] * L + lp2[None, :] * x_arr.reshape(-1, 1),
-            lam[None, :] * L + lp2[None, :] * x_arr.reshape(-1, 1),
-        ],
-        axis=-1,
-    )
-    coeffs = np.concatenate(
-        [np.ones((1, 3)), -np.ones((1, 3))], axis=-1
-    ) * np.ones((x_arr.size, 1))
-    nm, ns = exp_sum_scaled(coeffs, exps)
-    val = u_hat * nm * np.exp(ns - qs[0]) / qm[0]
+    qm, qs = _detq_off_pole(lam, L, z)
+    val = u_hat * profile_scaled(lam, L, x_arr.reshape(-1), qs).sum(axis=-1) / qm
     return complex(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
+
+
+def _detq_off_pole(lam: np.ndarray, L: float, z):
+    qm, qs = detq_scaled(lam, L)
+    if abs(qm) < POLE_TOL:
+        raise NearPole(f"scaled det Q mantissa {abs(qm):.3e} at z = {z}")
+    return qm, qs
 
 
 def dx_y_hat0(z, u_hat, L: float):
     """d/dx hat y at x = 0: u_hat * P / det Q (scaled evaluation)."""
     lam = roots(complex(z))
-    qm, qs = detq_scaled(lam[None, :], L)
-    if abs(qm[0]) < 1e-10:
-        raise NearPole(f"scaled det Q mantissa {abs(qm[0]):.3e} at z = {z}")
-    pm, ps = p_scaled(lam[None, :], L)
-    return complex(u_hat * pm[0] * np.exp(ps[0] - qs[0]) / qm[0])
+    qm, qs = _detq_off_pole(lam, L, z)
+    pm, ps = p_scaled(lam, L)
+    return complex(u_hat * pm * np.exp(ps - qs) / qm)
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +386,19 @@ class PaleyWienerReport:
     bound_holds: bool
 
 
+_PW_LINES = (0.0, 1.0, -1.0)  # Im z of the sampled lines
+_PW_POLE_TOL = 1e-6
+
+
 def paley_wiener_check(
-    u: np.ndarray,
-    dt: float,
-    T: float,
-    L: float,
-    z_max: float = 60.0,
-    n_z: int = 241,
-    lines: tuple[float, ...] = (0.0, 1.0, -1.0),
-    pole_tol: float = 1e-6,
+    u: np.ndarray, dt: float, T: float, L: float, z_max: float = 60.0, n_z: int = 241
 ) -> PaleyWienerReport:
     """Check |u^(z)| and |u^ G/H| <= C e^{T |Im z|} along horizontal lines.
 
     u is sampled on a uniform grid of step dt with support in [0, T].  The
     transform u^(z) = dt * sum u_j e^{-i z t_j} is evaluated directly (the
     lines are short), u^ G/H is sampled off the poles of H (points with a
-    scaled |H| mantissa below pole_tol are excluded and counted), and the
+    scaled |H| mantissa below _PW_POLE_TOL are excluded and counted), and the
     report carries the fitted constants C = max |f| e^{-T |Im z|}.
     """
     u = np.asarray(u, dtype=float)
@@ -406,12 +407,12 @@ def paley_wiener_check(
     c_u = 0.0
     c_ugh = 0.0
     excluded = 0
-    for y in lines:
+    for y in _PW_LINES:
         z = zs + 1j * y
         uhat = dt * (u[None, :] * np.exp(-1j * np.outer(z, t))).sum(axis=1)
         c_u = max(c_u, float(np.max(np.abs(uhat) * np.exp(-T * abs(y)))))
         gm, gs, hm, hs = gh_scaled(z, L)
-        ok = np.abs(hm) > pole_tol
+        ok = np.abs(hm) > _PW_POLE_TOL
         excluded += int(np.sum(~ok))
         ratio = np.abs(uhat[ok]) * np.abs(gm[ok] / hm[ok]) * np.exp(
             (gs[ok] - hs[ok]) - T * abs(y)
@@ -420,7 +421,7 @@ def paley_wiener_check(
             c_ugh = max(c_ugh, float(np.max(ratio)))
     return PaleyWienerReport(
         T=T,
-        lines=tuple(lines),
+        lines=_PW_LINES,
         C_uhat=c_u,
         C_uhat_gh=c_ugh,
         n_excluded=excluded,

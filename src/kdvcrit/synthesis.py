@@ -415,26 +415,25 @@ def _check_hump(s_peak: float) -> None:
         )
 
 
-def steering_spectrum(
-    spec: ControlSpec,
-    n_fft: int = 1 << 17,
-    window: float = 8.0,
-    leak_tol: float = 1e-6,
-) -> SpectrumTriple:
-    """Sample v-hat, u-hat, w-hat and reconstruct u, w on [-window T/4, ...).
+_WINDOW = 8.0  # the time grid spans _WINDOW * T, from -_WINDOW * T / 4
+_LEAK_TOL = 1e-6  # largest relative L^2 mass of u outside [0, T]
+
+
+def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple:
+    """Sample v-hat, u-hat, w-hat and reconstruct u, w on [-2T, 6T).
 
     The grid covers [-Z, Z] with Z set by the 1e-14 relative envelope cutoff;
     the inverse transform u(t) = (1/2pi) int u-hat e^{izt} dz is one FFT.
     Raises SupportLeak when the relative L^2 mass of u outside [0, T] exceeds
-    ``leak_tol`` - because the grid is too coarse, or because the spectral
+    _LEAK_TOL - because the grid is too coarse, or because the spectral
     hump exceeds float64 range (exp(~36)), in which case no double-precision
     quadrature can reconstruct the cancellation and the caller should move to
     a larger T.
     """
     z_max, probe_peak = _spectrum_cutoff(spec)
     _check_hump(probe_peak)  # a lower bound on the true peak: fail before the full grid
-    t0 = -window * spec.T / 4.0
-    t_span = window * spec.T
+    t0 = -_WINDOW * spec.T / 4.0
+    t_span = _WINDOW * spec.T
     dz_needed = 2.0 * math.pi / t_span
     n = n_fft
     while 2.0 * z_max / n > dz_needed and n < (1 << 24):
@@ -474,10 +473,10 @@ def steering_spectrum(
     inside = (t >= 0.0) & (t <= spec.T)
     total = float(np.sum(u_t**2))
     outside_mass = float(np.sum(u_t[~inside] ** 2) / max(total, 1e-300))
-    if outside_mass > leak_tol:
+    if outside_mass > _LEAK_TOL:
         raise SupportLeak(
-            f"outside-[0,T] mass {outside_mass:.3e} > {leak_tol:g}; "
-            "raise n_fft / the window, or the hump defeats double precision"
+            f"outside-[0,T] mass {outside_mass:.3e} > {_LEAK_TOL:g}; "
+            "raise n_fft, or the hump defeats double precision"
         )
     return SpectrumTriple(
         spec=spec,
@@ -684,7 +683,10 @@ class SobolevNorm:
     n_fft: int
 
 
-def fractional_norm(u: np.ndarray, s: float, dt: float, pad_factor: int = 8) -> SobolevNorm:
+_PAD_FACTOR = 8  # FFT length over the next power of two of the signal
+
+
+def fractional_norm(u: np.ndarray, s: float, dt: float) -> SobolevNorm:
     """H^s(R)-norm of the zero-extension of a sampled signal.
 
     value = (int (1 + xi^2)^s |u-hat(xi)|^2 dxi)^{1/2} with the unitary
@@ -694,7 +696,7 @@ def fractional_norm(u: np.ndarray, s: float, dt: float, pad_factor: int = 8) -> 
     if not -2.0 <= s <= 2.0:
         raise DomainError("s outside the supported band [-2, 2]")
     u = np.asarray(u, dtype=float)
-    n = int(pad_factor * 2 ** math.ceil(math.log2(max(u.size, 2))))
+    n = int(_PAD_FACTOR * 2 ** math.ceil(math.log2(max(u.size, 2))))
     spec = dt * np.fft.fft(u, n=n) / math.sqrt(2.0 * math.pi)
     xi_grid = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
     dxi = 2.0 * math.pi / (n * dt)

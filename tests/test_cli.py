@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from kdvcrit import numbertheory as nt
-from kdvcrit import pde, spectral
+from kdvcrit import kernel, pde, spectral
 from kdvcrit.cli import dispatch
 
 DATA = Path(__file__).with_name("data")
@@ -63,6 +63,18 @@ def test_kernel_nonfinite_z_is_usage_error(tmp_path, capsys):
     argv = ["kernel", "--k", "2", "--l", "1", "--zmin", "nan", "--zmax", "5", "--points", "3"]
     assert dispatch(argv + ["--out", str(tmp_path / "k.csv")]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_kernel_rows_match_pointwise_values(tmp_path):
+    pair = nt.CriticalPair(2, 1)
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--k", "2", "--l", "1", "--zmin", "10", "--zmax", "1e4", "--points", "9"]
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for z, re_val, im_val in rows:
+        val = kernel.intB_closed(pair, float(z))
+        assert [re_val, im_val] == ["%.17g" % val.real, "%.17g" % val.imag]
 
 
 def test_verify_all_records_stray_exception(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit.errors import NearPole
+from kdvcrit.unreachable import eta_triple
 
 P21 = nt.CriticalPair(2, 1)
 P41 = nt.CriticalPair(4, 1)
@@ -27,6 +29,38 @@ def test_closed_form_vs_quadrature_random_battery():
             c = kn.intB_closed(pair, float(z))
             q = kn.intb_quadrature(pair, float(z), tol=1e-11)
             assert abs(c - q) <= 1e-9 * max(abs(q), 1e-12)
+
+
+def _intb_mpmath(pair, z):
+    """60-digit sum of the 27 exponential terms of int f g phi_x / (det Q det Q~)."""
+    with mp.workdps(60):
+        L, p = mp.mpf(pair.L), mp.mpf(pair.p)
+        lam = mp.polyroots([1, 0, 1, 1j * mp.mpf(z)], maxsteps=200, extraprec=200)
+        mu = mp.polyroots([1, 0, 1, -1j * (mp.mpf(z) - p)], maxsteps=200, extraprec=200)
+        eta = [mp.mpc(e) for e in eta_triple(pair).eta]
+
+        def profile(r):
+            return [(mp.exp(r[(j + 1) % 3] * L) - mp.exp(r[j] * L), r[(j + 2) % 3]) for j in range(3)]
+
+        def detq(r):
+            return sum((r[(j + 1) % 3] - r[j]) * mp.exp(-r[(j + 2) % 3] * L) for j in range(3))
+
+        total = 0
+        for f, lf in profile(lam):
+            for g, lg in profile(mu):
+                for k in range(3):
+                    a = lf + lg + eta[(k + 2) % 3]
+                    c = (eta[(k + 1) % 3] - eta[k]) * eta[(k + 2) % 3]
+                    total += c * f * g * (mp.exp(a * L) - 1) / a
+        return complex(total / (detq(lam) * detq(mu)))
+
+
+@pytest.mark.parametrize("pair", [P41, P21], ids=["41", "21"])
+def test_closed_form_vs_mpmath_large_z(pair):
+    # case-2 pairs such as (4,1) cancel int B down to O(z^-2)
+    for z in (1e6, -4.98e6):
+        exact = _intb_mpmath(pair, z)
+        assert abs(kn.intB_closed(pair, z) - exact) <= 1e-8 * abs(exact)
 
 
 def test_b_eval_finite_at_x0():
@@ -148,9 +182,18 @@ def test_expansion_all_pairs_k_le_6():
 
 
 def test_near_pole_detection():
-    # z = -p is a real zero of det Q at the critical length
-    with pytest.raises(NearPole):
-        kn.intB_closed(P21, -P21.p)
+    # det Q vanishes at z = -p at the critical length, det Q~ at z = 2p; the
+    # array path masks exactly the points where the scalar call raises
+    for pair in (P21, P41):
+        zs = np.array([10.0, -pair.p, 37.0, 2 * pair.p, -pair.p + 1e-3, 1e4])
+        vals, near = kn._intB_masked(pair, zs)
+        assert near.tolist() == [False, True, False, True, False, False]
+        for z, v, bad in zip(zs, vals, near):
+            if bad:
+                with pytest.raises(NearPole):
+                    kn.intB_closed(pair, float(z))
+            else:
+                assert v == kn.intB_closed(pair, float(z))
 
 
 def test_interaction_numerator_consistency():
