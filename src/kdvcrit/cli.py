@@ -115,9 +115,7 @@ def cmd_lengths(args) -> int:
 def cmd_constants(args) -> int:
     pair = _pair(args)
     data = unreachable.constants(pair)
-    ratio = None
-    if not pair.caseE0:
-        ratio = unreachable.e1_over_e(pair)
+    ratio = None if pair.caseE0 else unreachable.e1_over_e(pair)
     payload = {
         "k": pair.k,
         "l": pair.l,
@@ -170,7 +168,10 @@ def cmd_spectral(args) -> int:
 
 def cmd_kernel(args) -> int:
     pair = _pair(args)
-    zs = np.geomspace(args.zmin, args.zmax, args.points)
+    lo, hi = args.zmin, args.zmax
+    if not (np.isfinite([lo, hi]).all() and np.sign(lo) == np.sign(hi) != 0):
+        raise DomainError(f"kernel: z range [{lo:g}, {hi:g}] must be finite, nonzero, one sign")
+    zs = np.geomspace(lo, hi, args.points)
     vals, near = kernel._intB_masked(pair, zs)
     rows = [
         [_f(z), "", ""] if bad else [_f(z), _f(v.real), _f(v.imag)]

@@ -203,24 +203,27 @@ def vhat1_scaled(nu: float, beta: float, z):
 class BumpTable:
     """v1(w) for one nu: direct quadrature below w_sw, a lattice table of the half contour above.
 
-    Below the switch w_sw = (nu + 18)^2 / nu (sqrt(nu w) <= nu + 18, where the
-    direct branch's cancellation of e^{sqrt(nu w) - nu} still leaves ~8
-    digits) each distinct |w| gets one weighted quadrature.  Above it, v1 =
-    2 Re(e^{-iw} C) with C the half contour, whose saddle exponent is
-    -(1 - i) sqrt(nu w) + O(1).  With that exponent removed, log|C| + sqrt(nu w)
-    and arg(C e^{-i sqrt(nu w)}) vary slowly in ln q, q = sqrt(w); they are
-    tabulated at the lattice nodes q_k = q_0 e^{k h}, with q_0 and h fixed by
-    nu alone, and each point is interpolated from its own 8-node Lagrange
-    stencil, its phase unwrapped about the stencil's base node.  Only the nodes
-    a request touches are built.  For T in [0.05, 50] and w <= 1e6 the result
-    is within 1.2e-10 of |C| of the exact half contour, which is the rounding
-    of the phase w itself.
+    Below the switch w_sw = min((nu + 18)^2 / nu, max(80, 8 nu)) each distinct
+    |w| gets one weighted quadrature.  Above it, v1 = 2 Re(e^{-iw} C) with C
+    the half contour, whose saddle exponent is -(1 - i) sqrt(nu w) + O(1).
+    With that exponent removed, log|C| + sqrt(nu w) and arg(C e^{-i sqrt(nu w)})
+    vary slowly in ln q, q = sqrt(w); they are tabulated at the lattice nodes
+    q_k = q_0 e^{k h}, with q_0 and h fixed by nu alone, and each point is
+    interpolated from its own 8-node Lagrange stencil, its phase unwrapped
+    about the stencil's base node.  Only the nodes a request touches are built.
+    For T in [0.05, 50] and w <= 1e6 the result is within 1.2e-10 of |C| of
+    the exact half contour, which is the rounding of the phase w itself.
+
+    The switch is 80 for T > 0.0598 (nu < 9.35), where the lattice is within
+    5e-13 of |C| of the exact half contour on [80, 240] and, for T >= 1,
+    within 4.2e-11 of e^{-sqrt(nu w)} of the quadrature up to sqrt(nu w) = nu + 12.
+    At smaller T the 8 nu term keeps (nu + 18)^2 / nu, where the quadrature
+    still has ~8 digits and a lower start would under-resolve the lattice phase.
     """
 
     def __init__(self, nu: float):
         self.nu = nu
-        # (nu + 18)^2 / nu >= 72 for every nu > 0
-        self.w_sw = (nu + 18.0) ** 2 / nu
+        self.w_sw = min((nu + 18.0) ** 2 / nu, max(80.0, 8.0 * nu))
         # the lowest stencil of a point above the switch starts at node 0
         self._lq0 = 0.5 * math.log(self.w_sw) + _LAT_OFFS[0] * _LAT_H
 
@@ -372,8 +375,7 @@ class SpectrumTriple:
 def _uhat_scaled(spec: ControlSpec, z: np.ndarray, v1, h):
     """u-hat = v-hat H on the real axis; v1 = v1(beta z), h = H(z) and the result are (m, s)."""
     (v1m, v1s), (hm, hs) = v1, h
-    phase = np.exp(-1j * spec.beta * z)
-    return phase * v1m * hm, v1s + hs
+    return np.exp(-1j * spec.beta * z) * v1m * hm, v1s + hs
 
 
 def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
@@ -381,11 +383,8 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
     (v1m, v1s), (dm, ds) = v1, dh
     phase = np.exp(-1j * spec.beta * z)
     L = spec.pair.L
-    if spec.case == 1:
-        pref = 3.0 / (MU[2] * L)
-        return pref * phase * v1m * dm, v1s + ds
-    pref = 27.0 / (MU[2] ** 3 * L**3)
-    return pref * z * phase * v1m * dm, v1s + ds
+    pref = 3.0 / (MU[2] * L) if spec.case == 1 else 27.0 / (MU[2] ** 3 * L**3) * z
+    return pref * phase * v1m * dm, v1s + ds
 
 
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:

@@ -65,6 +65,14 @@ def test_kernel_nonfinite_z_is_usage_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zr", [("-5", "5"), ("0", "5"), ("5", "-0.1")])
+def test_kernel_bad_range_is_usage_error(tmp_path, capsys, zr):
+    argv = ["kernel", "--k", "2", "--l", "1", "--zmin", zr[0], "--zmax", zr[1], "--points", "3"]
+    assert dispatch(argv + ["--out", str(tmp_path / "k.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"z range [{float(zr[0]):g}, {float(zr[1]):g}]" in err and "Warning" not in err
+
+
 def test_kernel_rows_match_pointwise_values(tmp_path):
     pair = nt.CriticalPair(2, 1)
     out = tmp_path / "k.csv"
