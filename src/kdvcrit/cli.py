@@ -62,8 +62,10 @@ def _load_config(args):
         for key, val in cfg.items():
             attr = key.replace("-", "_")
             if not hasattr(args, attr):
-                raise SystemExit(f"unknown config key: {key}")
-            if getattr(args, attr) is None:
+                raise DomainError(f"unknown config key: {key}")
+            current = getattr(args, attr)
+            # None, or a store_true flag left False: the command line did not set it
+            if current is None or current is False:
                 setattr(args, attr, val)
     return args
 
@@ -145,7 +147,7 @@ def _parse_range(text: str) -> np.ndarray:
         a, b, n = text.split(":")
         return np.linspace(float(a), float(b), int(n))
     except ValueError as exc:
-        raise SystemExit(f"bad range {text!r}, expected start:stop:npoints") from exc
+        raise DomainError(f"bad range {text!r}, expected start:stop:npoints") from exc
 
 
 def cmd_spectral(args) -> int:
@@ -185,9 +187,7 @@ def cmd_kernel_asym(args) -> int:
     pair = _pair(args)
     rep = kernel.verify_expansion(pair)
     _emit_json(rep.as_dict(), getattr(args, "out", None))
-    ok = all(
-        abs(s - e) < 0.1 or s < e + 0.1 for s, e in zip(rep.slopes, rep.expected)
-    )
+    ok = all(s < e + 0.1 for s, e in zip(rep.slopes, rep.expected))
     return 0 if ok else 1
 
 
@@ -204,9 +204,9 @@ def _control_from_spec(spec: dict, t_nodes: np.ndarray) -> np.ndarray:
     if kind == "file":
         u = np.loadtxt(spec["path"], delimiter=",")
         if u.size != t_nodes.size:
-            raise SystemExit("control file length != nt+1")
+            raise DomainError("control file length != nt+1")
         return u
-    raise SystemExit(f"unknown control type {kind!r}")
+    raise DomainError(f"unknown control type {kind!r}")
 
 
 def _initial_from_spec(spec: dict, pair, x_nodes):
@@ -219,7 +219,7 @@ def _initial_from_spec(spec: dict, pair, x_nodes):
         vals = (amp * unreachable.phi(eta, x_nodes)).real
         ders = (amp * unreachable.phi_x(eta, x_nodes)).real
         return vals, ders
-    raise SystemExit(f"unknown initial type {kind!r}")
+    raise DomainError(f"unknown initial type {kind!r}")
 
 
 def cmd_simulate(args) -> int:
@@ -399,14 +399,12 @@ def verify_all(only=None, include_timing=True):
     def expansion_slopes():
         out = {}
         ok = True
-        rep = kernel.verify_expansion(numbertheory.CriticalPair(2, 1))
-        out["(2,1)"] = list(rep.slopes)
-        ok &= abs(rep.slopes[0] + 4 / 3) < 0.05 and abs(rep.slopes[1] + 2) < 0.05
-        ok &= rep.slopes[2] <= -7 / 3 + 0.1
-        rep = kernel.verify_expansion(numbertheory.CriticalPair(4, 1))
-        out["(4,1)"] = list(rep.slopes)
-        ok &= abs(rep.slopes[0] + 2) < 0.05 and abs(rep.slopes[1] + 8 / 3) < 0.07
-        ok &= rep.slopes[2] <= -3 + 0.1
+        # the orders come from the report; the second-slope window is per pair
+        for (k, l), win in (((2, 1), 0.05), ((4, 1), 0.07)):
+            rep = kernel.verify_expansion(numbertheory.CriticalPair(k, l))
+            out[f"({k},{l})"] = list(rep.slopes)
+            (s0, s1, s2), (e0, e1, e2) = rep.slopes, rep.expected
+            ok &= abs(s0 - e0) < 0.05 and abs(s1 - e1) < win and s2 <= e2 + 0.1
         return out, ok
 
     run("kernel", "two-term expansion slopes", expansion_slopes, "criterion windows")

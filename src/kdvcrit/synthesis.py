@@ -104,7 +104,6 @@ def _graded_panels(lo, hi, n: int, grow: float, from_lo: bool):
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_CONTOUR_CHUNK = 512  # half-contour nodes per array pass; bounds the temporaries
 
 
 def _leg_integral(panel_edges, phi_func):
@@ -119,24 +118,6 @@ def _leg_integral(panel_edges, phi_func):
     # temporary first: numpy reuses a large temporary as the output and then
     # puts it first, and the fused complex product rounds by operand order
     return (np.exp(ph - smax[..., None]) * wq).sum(axis=-1), smax
-
-
-def _half_contour(nu: float, w):
-    """(mantissa, log-scale) of C = e^{iw} * int over the right half path.
-
-    By the t -> -conj(t) symmetry of the integrand, v1 = 2 Re(e^{-iw} C); the
-    e^{iw} factor strips the fast endpoint phase, leaving the saddle exponent
-    -(1 - i) sqrt(nu w) + O(1) that BumpTable removes before it interpolates.
-    Vectorized over a 1-D w, in chunks of _CONTOUR_CHUNK nodes; every node
-    takes the same steps it would alone.
-    """
-    w = np.asarray(w, dtype=float)
-    total = np.empty(w.shape, dtype=complex)
-    s_ref = np.empty(w.shape)
-    for i in range(0, w.size, _CONTOUR_CHUNK):
-        sl = slice(i, i + _CONTOUR_CHUNK)
-        total[sl], s_ref[sl] = _half_contour_chunk(nu, w[sl])
-    return total, s_ref
 
 
 def _saddle(nu: float, w: np.ndarray) -> np.ndarray:
@@ -157,7 +138,15 @@ def _saddle(nu: float, w: np.ndarray) -> np.ndarray:
     return t_plus
 
 
-def _half_contour_chunk(nu: float, w: np.ndarray):
+def _half_contour(nu: float, w: np.ndarray):
+    """(mantissa, log-scale) of C = e^{iw} * int over the right half path.
+
+    By the t -> -conj(t) symmetry of the integrand, v1 = 2 Re(e^{-iw} C); the
+    e^{iw} factor strips the fast endpoint phase, leaving the saddle exponent
+    -(1 - i) sqrt(nu w) + O(1) that BumpTable removes before it interpolates.
+    Vectorized over a 1-D w in one array pass; every node takes the same steps
+    it would alone.
+    """
     t_plus = _saddle(nu, w)
     depth = np.minimum(np.abs(t_plus.imag) + (40.0 + np.sqrt(nu * w)) / w, 0.7)
     b_hi = t_plus.real - 1j * depth
@@ -320,8 +309,8 @@ def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
 def make_spec(pair: CriticalPair, T: float, gamma: float | None = None) -> ControlSpec:
     """Fix beta, nu and the first admissible gamma from {0.5, 1, 1.5, 2}.
 
-    nu^2 = (1.617)^2 / beta exactly (the rounded restatement 5.223/T of the
-    same choice is recorded by reports, not used).
+    nu^2 = (1.617)^2 / beta exactly; the rounded restatement 5.223/T of the
+    same choice is neither used nor recorded.
     """
     if T <= 0:
         raise DomainError("T must be positive")
@@ -362,7 +351,6 @@ class SpectrumTriple:
 
     spec: ControlSpec
     z: np.ndarray
-    vhat: np.ndarray
     uhat: np.ndarray
     what: np.ndarray
     t: np.ndarray
@@ -372,26 +360,28 @@ class SpectrumTriple:
     z_max: float
 
 
-def _uhat_scaled(spec: ControlSpec, z: np.ndarray, v1, h):
-    """u-hat = v-hat H on the real axis; v1 = v1(beta z), h = H(z) and the result are (m, s)."""
+def _uhat_scaled(v1, h):
+    """e^{i beta z} u-hat = v1 H on the real axis, as (m, s); v1 = v1(beta z), h = H(z)."""
     (v1m, v1s), (hm, hs) = v1, h
-    return np.exp(-1j * spec.beta * z) * v1m * hm, v1s + hs
+    return v1m * hm, v1s + hs
 
 
 def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
-    """w-hat as (m, s): (3/mu3) v H'_g or (27/mu3^3) z v H'''_g; dh = H^(h_order)(z + i gamma)."""
+    """e^{i beta z} w-hat as (m, s): (3/(mu3 L)) v1 H'_g or (27/(mu3 L)^3) z v1 H'''_g.
+
+    dh = H^(h_order)(z + i gamma); this is the one home of the w-hat prefactor.
+    """
     (v1m, v1s), (dm, ds) = v1, dh
-    phase = np.exp(-1j * spec.beta * z)
     L = spec.pair.L
     pref = 3.0 / (MU[2] * L) if spec.case == 1 else 27.0 / (MU[2] ** 3 * L**3) * z
-    return pref * phase * v1m * dm, v1s + ds
+    return pref * v1m * dm, v1s + ds
 
 
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     z_probe = np.geomspace(1.0, 1e9, 400)
     v1 = vhat1_scaled(spec.nu, spec.beta, z_probe)
-    m, s = _uhat_scaled(spec, z_probe, v1, h_scaled(z_probe, spec.pair.L))
+    m, s = _uhat_scaled(v1, h_scaled(z_probe, spec.pair.L))
     logmag = np.log(np.abs(m) + 1e-300) + s
     peak = logmag.max()
     beyond = np.flatnonzero((logmag < peak - drop) & (z_probe > z_probe[np.argmax(logmag)]))
@@ -419,7 +409,7 @@ _LEAK_TOL = 1e-6  # largest relative L^2 mass of u outside [0, T]
 
 
 def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple:
-    """Sample v-hat, u-hat, w-hat and reconstruct u, w on [-2T, 6T).
+    """Sample u-hat and w-hat and reconstruct u, w on [-2T, 6T).
 
     The grid covers [-Z, Z] with Z set by the 1e-14 relative envelope cutoff;
     the inverse transform u(t) = (1/2pi) int u-hat e^{izt} dz is one FFT.
@@ -444,15 +434,17 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     # H^(d)(-z + i g) = (-1)^d conj(H^(d)(z + i g)); the phase, prefactor and
     # z factor of the spectra apply on the full grid
     zh = dz * np.arange(n // 2 + 1)
-    vm, vs = _mirror(vhat1_scaled(spec.nu, spec.beta, zh), 1)
-    um, us = _uhat_scaled(spec, z, (vm, vs), _mirror(h_scaled(zh, spec.pair.L), 1))
+    v1 = _mirror(vhat1_scaled(spec.nu, spec.beta, zh), 1)
+    um, us = _uhat_scaled(v1, _mirror(h_scaled(zh, spec.pair.L), 1))
     dh = _h_deriv_scaled(spec.pair, spec.gamma, zh, spec.h_order)
-    wm, ws = _what_scaled(spec, z, (vm, vs), _mirror(dh, (-1) ** spec.h_order))
+    wm, ws = _what_scaled(spec, z, v1, _mirror(dh, (-1) ** spec.h_order))
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
+    phase = np.exp(-1j * spec.beta * z)
+    um *= phase
+    wm *= phase
     with np.errstate(under="ignore"):
         uhat = um * np.exp(us)
         what = wm * np.exp(ws)
-        vhat = np.exp(-1j * spec.beta * z) * vm * np.exp(vs)
 
     t = t0 + (2.0 * math.pi / (n * dz)) * np.arange(n)
 
@@ -480,7 +472,6 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     return SpectrumTriple(
         spec=spec,
         z=z,
-        vhat=vhat,
         uhat=uhat,
         what=what,
         t=t,
@@ -623,29 +614,20 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     mant, logs = _bridge_fill(z, mant, logs, _bridge_mask(z, p))
     ival_m, ival_s = _scaled_integral(z, mant, logs)
 
-    # normalizers from w-hat = pref * v-hat * H^(d) on the shifted line
-    dm_z, ds_z = _h_deriv_scaled(pair, spec.gamma, z, d)
-    dm_s, ds_s = _h_deriv_scaled(pair, spec.gamma, z - p, d)
-    if spec.case == 1:
-        pref = 3.0 / (MU[2] * pair.L)
-        wm_z, wm_s = pref * v1m_z * dm_z, pref * v1m_s * dm_s
-    else:
-        pref = 27.0 / (MU[2] ** 3 * pair.L**3)
-        wm_z, wm_s = pref * z * v1m_z * dm_z, pref * (z - p) * v1m_s * dm_s
-    ws_z = v1s_z + ds_z
-    ws_s = v1s_s + ds_s
+    # normalizers from w-hat on the shifted line, one H^(d) call per shift;
+    # the bump phases of w-hat(z) conj(w-hat(z-p)) give e^{-i beta p} again
+    wm_z, ws_z = _what_scaled(spec, z, (v1m_z, v1s_z), _h_deriv_scaled(pair, spec.gamma, z, d))
+    wm_s, ws_s = _what_scaled(
+        spec, z - p, (v1m_s, v1s_s), _h_deriv_scaled(pair, spec.gamma, z - p, d)
+    )
     n_m, n_s = _scaled_integral(z, np.abs(wm_z) ** 2, 2.0 * ws_z)
-    # e^{-i beta z} conj(e^{-i beta (z-p)}) = e^{-i beta p} again
     c_m, c_s = _scaled_integral(z, phase * wm_z * np.conj(wm_s), ws_z + ws_s)
 
     # statement-level ratio of the small-time projection result:
     # int u ubar(.-p) intB dz / ||u||_{H^{-s}}^2 -> E (s = 2/3) or F (s = 1)
     sob = 2.0 / 3.0 if spec.case == 1 else 1.0
-    hm_z, hs_z = h_scaled(z, pair.L)
-    weight = (1.0 + z**2) ** (-sob)
-    h_m, h_s = _scaled_integral(
-        z, np.abs(v1m_z * hm_z) ** 2 * weight, 2.0 * (v1s_z + hs_z)
-    )
+    um, us = _uhat_scaled((v1m_z, v1s_z), h_scaled(z, pair.L))
+    h_m, h_s = _scaled_integral(z, np.abs(um) ** 2 * (1.0 + z**2) ** (-sob), 2.0 * us)
 
     ratio = (ival_m / n_m) * math.exp(ival_s - n_s)
     wshift = (c_m / n_m) * math.exp(c_s - n_s)

@@ -51,12 +51,37 @@ def test_gramian_bad_grid_is_usage_error(tmp_path, capsys):
 
 
 def test_verify_all_config_overlay(tmp_path):
+    # the file fills options the command line left unset, store_true flags included
     cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"only": "numbertheory"}))
+    cfg.write_text(json.dumps({"only": "numbertheory", "no-timing": True}))
     out = tmp_path / "report.json"
-    assert dispatch(["verify-all", "--config", str(cfg), "--no-timing", "--out", str(out)]) == 0
+    assert dispatch(["verify-all", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert [c["name"] for c in report["checks"]] == ["representations vs brute force (N <= 1e4)"]
+    assert not any("runtime_s" in c for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (["spectral", "--L", "3.6", "--z", "0:3"], None, "bad range '0:3'"),
+        (["verify-all", "--no-timing"], {"bogus": 1}, "unknown config key: bogus"),
+        (
+            ["simulate", "--system", "linear"],
+            {"L": 3.0, "nx": 8, "nt": 6, "T": 0.2, "control": {"type": "nope"}},
+            "unknown control type 'nope'",
+        ),
+    ],
+    ids=["range", "config-key", "control-type"],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
+    argv = command + ["--out", str(tmp_path / "out")]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+    assert dispatch(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_kernel_nonfinite_z_is_usage_error(tmp_path, capsys):

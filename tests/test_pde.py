@@ -279,6 +279,22 @@ def test_gramian_dichotomy_quick():
     assert (np.diff(sv) <= 1e-12).all() and (sv >= 0).all()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("N, dim", [(7, 2), (91, 4)])
+def test_gramian_collapse_rate_multi_pair(N, dim):
+    # the paper's case, dim M_N >= 2: the restricted ratio is discretization
+    # error (fourth order in h), so the gate is its rate, not a fixed bound
+    cls = nt.representations(N)
+    ratios = []
+    for nx, steps in ((128, 650), (256, 650), (512, 1300)):
+        rep = pde.gramian(pde.Grid(L=cls.L, nx=nx, T=1.0, nt=steps), cls)
+        assert rep.dim_mn == cls.dim_MN == dim
+        ratios.append(rep.restricted_ratio)
+    assert ratios[0] >= 10 * ratios[1] and ratios[1] >= 10 * ratios[2]
+    free = pde.gramian(pde.Grid(L=1.0, nx=128, T=1.0, nt=650), cls)
+    assert free.restricted_min_ratio >= 1e-4
+
+
 def test_gramian_zero_time_limit():
     cls = nt.representations(3)
     reports = []
