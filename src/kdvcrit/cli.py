@@ -51,6 +51,10 @@ def _emit_json(obj, path):
             fh.write(text + "\n")
 
 
+# the options a verify-all config file may set, with the JSON type of each
+_CONFIG_TYPES = {"only": str, "no_timing": bool, "out": str}
+
+
 def _load_config(args):
     """Merge a JSON config under the parsed args: flags win over the file.
 
@@ -61,8 +65,11 @@ def _load_config(args):
             cfg = json.load(fh)
         for key, val in cfg.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            kind = _CONFIG_TYPES.get(attr)
+            if kind is None:
                 raise DomainError(f"unknown config key: {key}")
+            if not isinstance(val, kind):
+                raise DomainError(f"config key {key} takes a {kind.__name__}: {val!r}")
             current = getattr(args, attr)
             # None, or a store_true flag left False: the command line did not set it
             if current is None or current is False:
@@ -225,7 +232,11 @@ def _initial_from_spec(spec: dict, pair, x_nodes):
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if "k" in cfg and "l" in cfg:
+    paired = "k" in cfg and "l" in cfg
+    missing = [key for key in ("nx", "nt", "T") + (() if paired else ("L",)) if key not in cfg]
+    if missing:
+        raise DomainError(f"run file lacks {', '.join(missing)}")
+    if paired:
         pair = numbertheory.CriticalPair(cfg["k"], cfg["l"])
         length = pair.L
     else:

@@ -66,13 +66,18 @@ def test_verify_all_config_overlay(tmp_path):
     [
         (["spectral", "--L", "3.6", "--z", "0:3"], None, "bad range '0:3'"),
         (["verify-all", "--no-timing"], {"bogus": 1}, "unknown config key: bogus"),
+        (["verify-all", "--no-timing"], {"func": 1}, "unknown config key: func"),
+        (["verify-all", "--no-timing"], {"only": 5}, "config key only takes a str"),
         (
             ["simulate", "--system", "linear"],
             {"L": 3.0, "nx": 8, "nt": 6, "T": 0.2, "control": {"type": "nope"}},
             "unknown control type 'nope'",
         ),
+        (["simulate", "--system", "linear"], {"L": 3.0, "nx": 8, "T": 0.2}, "run file lacks nt"),
+        (["simulate", "--system", "linear"], {"k": 2, "l": 1, "nt": 6}, "run file lacks nx, T"),
     ],
-    ids=["range", "config-key", "control-type"],
+    ids=["range", "config-key", "config-argparse-attr", "config-type", "control-type",
+         "run-file-key", "run-file-keys"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
     argv = command + ["--out", str(tmp_path / "out")]

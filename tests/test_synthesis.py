@@ -13,6 +13,7 @@ from kdvcrit import spectral as sp
 from kdvcrit import synthesis as syn
 from kdvcrit.errors import DomainError, SupportLeak
 
+P11 = nt.CriticalPair(1, 1)
 P21 = nt.CriticalPair(2, 1)
 P32 = nt.CriticalPair(3, 2)
 P41 = nt.CriticalPair(4, 1)
@@ -175,6 +176,47 @@ def test_vhat1_any_subset_matches_full_call(picks, T):
     m_sub, s_sub = syn.vhat1_scaled(spec.nu, spec.beta, z)
     assert np.array_equal(m_sub, m[idx]) and np.array_equal(s_sub, s[idx])
     assert syn.vhat1_scaled(spec.nu, spec.beta, z[0]) == (m[idx[0]], s[idx[0]])
+
+
+# ---------------------------------------------------------------------------
+# H factors of the steering spectrum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair, order", [(P21, 1), (P11, 3)])
+def test_h_table_matches_exact(pair, order):
+    # above the switch the lattice holds H and H^(d) to 1e-12 of their size;
+    # the measured gap is 2.2e-13, the rounding of the exact phase itself
+    spec = syn.make_spec(pair, 25.0)
+    assert spec.h_order == order
+    z = np.geomspace(syn._H_SW, 1e5, 6000)
+    (hm, hs), (dm, ds) = syn._h_factors(spec, z)
+    em, es = sp.h_scaled(z, pair.L)
+    xm, xs = syn._h_deriv_scaled(pair, spec.gamma, z, order)
+    assert np.all(np.abs(hm * np.exp(hs - es) - em) <= 1e-12 * np.abs(em))
+    assert np.all(np.abs(dm * np.exp(ds - xs) - xm) <= 1e-12 * np.abs(xm))
+    # below it both factors are the exact values
+    zl = np.linspace(0.0, syn._H_SW, 50, endpoint=False)
+    (hm, hs), (dm, ds) = syn._h_factors(spec, zl)
+    assert np.array_equal(hm, sp.h_scaled(zl, pair.L)[0])
+    assert np.array_equal(dm, syn._h_deriv_scaled(pair, spec.gamma, zl, order)[0])
+
+
+_ZH = np.linspace(0.0, 3000.0, 2001)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, _ZH.size - 1), min_size=1, max_size=30), st.sampled_from([P21, P11]))
+@example(picks=list(range(2000)), pair=P21)
+def test_h_factors_any_subset_matches_full_call(picks, pair):
+    # the grid straddles the switch; a value depends on (spec, z) alone
+    spec = syn.make_spec(pair, 25.0)
+    full = syn._h_factors(spec, _ZH)
+    sub = syn._h_factors(spec, _ZH[picks])
+    one = syn._h_factors(spec, float(_ZH[picks[0]]))
+    for (m, s), (m_sub, s_sub), (m_one, s_one) in zip(full, sub, one):
+        assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
+        assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[picks[0]], s[picks[0]])
 
 
 # ---------------------------------------------------------------------------
