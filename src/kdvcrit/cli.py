@@ -9,6 +9,8 @@ Structured output is JSON; gridded output is CSV with every float printed at
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import json
 import sys
@@ -31,50 +33,69 @@ def _c(x) -> str:
     return f"{_FMT % z.real}{'+' if z.imag >= 0 else '-'}{_FMT % abs(z.imag)}j"
 
 
-def _write_csv(path, header, rows):
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+@contextlib.contextmanager
+def _output(path):
+    """Yield stdout for None or "-", else `path` opened for writing."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
     try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
+
+
+def _write_csv(path, header, rows):
+    with _output(path) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _emit_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path in (None, "-"):
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    with _output(path) as out:
+        out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-# the options a verify-all config file may set, with the JSON type of each
-_CONFIG_TYPES = {"only": str, "no_timing": bool, "out": str}
+def _checked(obj, types: dict, what: str) -> dict:
+    """`obj` must be a JSON object whose keys are in `types`, each holding a
+    value of the type (or tuple of types) given there."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, not a {type(obj).__name__}")
+    for key, val in obj.items():
+        kinds = types.get(key)
+        if kinds is None:
+            raise DomainError(f"unknown {what} key: {key}")
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        # JSON true/false would pass as int: bool is a subclass of it
+        if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            article = "an" if names[0] in "aeiou" else "a"
+            raise DomainError(f"{what} key {key} takes {article} {names}: {val!r}")
+    return obj
 
 
-def _load_config(args):
-    """Merge a JSON config under the parsed args: flags win over the file.
+def _read_json(path, types: dict, what: str) -> dict:
+    """Load the JSON file at `path` and check it with `_checked`."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+    return _checked(obj, types, what)
 
-    Only verify-all takes such an overlay; simulate's --config is its run file.
-    """
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            kind = _CONFIG_TYPES.get(attr)
-            if kind is None:
-                raise DomainError(f"unknown config key: {key}")
-            if not isinstance(val, kind):
-                raise DomainError(f"config key {key} takes a {kind.__name__}: {val!r}")
-            current = getattr(args, attr)
-            # None, or a store_true flag left False: the command line did not set it
-            if current is None or current is False:
-                setattr(args, attr, val)
-    return args
+
+_NUMBER = (int, float)
+# the options a verify-all config file may set; flags win over the file
+_CONFIG_TYPES = {"only": str, "no-timing": bool, "no_timing": bool, "out": str}
+_RUN_TYPES = {
+    "k": int, "l": int, "L": _NUMBER, "nx": int, "nt": int, "T": _NUMBER,
+    "control": dict, "initial": dict,
+}
+_CONTROL_TYPES = {"type": str, "amplitude": _NUMBER, "start": _NUMBER, "stop": _NUMBER, "path": str}
+_INITIAL_TYPES = {"type": str, "re": _NUMBER, "im": _NUMBER}
 
 
 def _pair(args) -> numbertheory.CriticalPair:
@@ -142,10 +163,11 @@ def cmd_constants(args) -> int:
         "E1_over_E": None if ratio is None else [ratio.real, ratio.imag],
     }
     if args.json:
-        _emit_json(payload, getattr(args, "out", None))
+        _emit_json(payload, args.out)
     else:
-        for key, val in payload.items():
-            print(f"{key}: {val}")
+        with _output(args.out) as out:
+            for key, val in payload.items():
+                print(f"{key}: {val}", file=out)
     return 0
 
 
@@ -180,6 +202,8 @@ def cmd_kernel(args) -> int:
     lo, hi = args.zmin, args.zmax
     if not (np.isfinite([lo, hi]).all() and np.sign(lo) == np.sign(hi) != 0):
         raise DomainError(f"kernel: z range [{lo:g}, {hi:g}] must be finite, nonzero, one sign")
+    if args.points < 1:
+        raise DomainError(f"kernel: --points must be >= 1, got {args.points}")
     zs = np.geomspace(lo, hi, args.points)
     vals, near = kernel._intB_masked(pair, zs)
     rows = [
@@ -193,7 +217,7 @@ def cmd_kernel(args) -> int:
 def cmd_kernel_asym(args) -> int:
     pair = _pair(args)
     rep = kernel.verify_expansion(pair)
-    _emit_json(rep.as_dict(), getattr(args, "out", None))
+    _emit_json(rep.as_dict(), args.out)
     ok = all(s < e + 0.1 for s, e in zip(rep.slopes, rep.expected))
     return 0 if ok else 1
 
@@ -203,13 +227,18 @@ def _control_from_spec(spec: dict, t_nodes: np.ndarray) -> np.ndarray:
     if kind == "zero":
         return np.zeros_like(t_nodes)
     if kind == "sine-bump":
-        amp = float(spec.get("amplitude", 1.0))
-        t0 = float(spec.get("start", 0.0))
-        t1 = float(spec.get("stop", t_nodes[-1]))
+        amp = spec.get("amplitude", 1.0)
+        t0 = spec.get("start", 0.0)
+        t1 = spec.get("stop", t_nodes[-1])
         s = np.clip((t_nodes - t0) / max(t1 - t0, 1e-300), 0.0, 1.0)
         return amp * np.sin(np.pi * s) ** 2 * ((t_nodes >= t0) & (t_nodes <= t1))
     if kind == "file":
-        u = np.loadtxt(spec["path"], delimiter=",")
+        if "path" not in spec:
+            raise DomainError("control type 'file' needs a path")
+        try:
+            u = np.loadtxt(spec["path"], delimiter=",")
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read control file {spec['path']}: {exc}") from exc
         if u.size != t_nodes.size:
             raise DomainError("control file length != nt+1")
         return u
@@ -221,6 +250,8 @@ def _initial_from_spec(spec: dict, pair, x_nodes):
     if kind == "zero":
         return None
     if kind == "psi-re":
+        if pair is None:
+            raise DomainError("initial type 'psi-re' needs k and l in the run file")
         amp = complex(spec.get("re", 1.0), spec.get("im", 0.0))
         eta = unreachable.eta_triple(pair)
         vals = (amp * unreachable.phi(eta, x_nodes)).real
@@ -230,8 +261,7 @@ def _initial_from_spec(spec: dict, pair, x_nodes):
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(args.config, _RUN_TYPES, "run file")
     paired = "k" in cfg and "l" in cfg
     missing = [key for key in ("nx", "nt", "T") + (() if paired else ("L",)) if key not in cfg]
     if missing:
@@ -242,9 +272,11 @@ def cmd_simulate(args) -> int:
     else:
         pair = None
         length = float(cfg["L"])
-    grid = pde.Grid(L=length, nx=int(cfg["nx"]), T=float(cfg["T"]), nt=int(cfg["nt"]))
-    u = _control_from_spec(cfg.get("control", {}), grid.t_nodes)
-    y0 = _initial_from_spec(cfg.get("initial", {}), pair, grid.x_nodes)
+    grid = pde.Grid(L=length, nx=cfg["nx"], T=float(cfg["T"]), nt=cfg["nt"])
+    control = _checked(cfg.get("control", {}), _CONTROL_TYPES, "control")
+    initial = _checked(cfg.get("initial", {}), _INITIAL_TYPES, "initial")
+    u = _control_from_spec(control, grid.t_nodes)
+    y0 = _initial_from_spec(initial, pair, grid.x_nodes)
     if args.system == "linear":
         traj = pde.solve_linear(grid, y0=y0, u=u)
     elif args.system == "second-order":
@@ -266,7 +298,7 @@ def cmd_gramian(args) -> int:
     cls = numbertheory.representations(pair.N)
     grid = pde.Grid(L=length, nx=args.nx, T=args.T, nt=args.nt)
     rep = pde.gramian(grid, cls)
-    _emit_json(rep.as_dict(), getattr(args, "out", None))
+    _emit_json(rep.as_dict(), args.out)
     return 0
 
 
@@ -289,7 +321,10 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify_signs(args) -> int:
     pair = _pair(args)
-    sweeps = [float(s) for s in args.tsweep.split(",")]
+    try:
+        sweeps = [float(s) for s in args.tsweep.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"bad --tsweep {args.tsweep!r}, expected T,T,...") from exc
     out = []
     failed = False
     for T in sweeps:
@@ -301,7 +336,7 @@ def cmd_verify_signs(args) -> int:
         entry["pass_im_below_minus_p"] = bool(rep.im_ratio < -pair.p)
         out.append(entry)
         failed |= not (entry["pass_re_band"] and entry["pass_im_negative"])
-    _emit_json(out, getattr(args, "out", None))
+    _emit_json(out, args.out)
     return 1 if failed else 0
 
 
@@ -310,16 +345,136 @@ def cmd_verify_signs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(name, value, tol, ok, runtime, include_timing):
-    entry = {
-        "name": name,
-        "status": "pass" if ok else "fail",
-        "measured": value,
-        "tolerance": tol,
+def _roots_residual():
+    rng = np.random.default_rng(20240811)
+    z = rng.uniform(-1e6, 1e6, 10000)
+    lam = spectral.roots(z)
+    res = np.abs(lam**3 + lam + 1j * z[:, None]).max(axis=1)
+    worst = float((res / (1.0 + np.abs(z))).max())
+    return worst, worst <= 1e-12
+
+
+def _root_orders():
+    zg = 1e3 * 2.0 ** np.arange(0, 10.5)
+    lam = spectral.roots(zg)
+    errs = [np.abs(lam - spectral.asymptotic_roots(zg, n)).max(axis=1) for n in (1, 2)]
+    s1, s2 = (np.polyfit(np.log10(zg), np.log10(e), 1)[0] for e in errs)
+    ok = abs(s1 + 1.0 / 3.0) < 0.05 and abs(s2 + 5.0 / 3.0) < 0.05
+    return [float(s1), float(s2)], ok
+
+
+def _gamma_lambda():
+    worst = 0.0
+    for q in numbertheory.enumerate_pairs(20)[:50]:
+        d = unreachable.constants(q)
+        closed = -8j * np.pi**3 * q.k * q.l * (q.k + q.l) / q.L**3
+        worst = max(
+            worst,
+            abs(d.Gamma - closed) / abs(closed),
+            abs(d.Lambda - closed) / abs(closed),
+        )
+    return worst, worst <= 1e-12
+
+
+def _e_dichotomy():
+    ok = True
+    for q in numbertheory.enumerate_pairs(20)[:50]:
+        d = unreachable.constants(q)
+        if q.caseE0:
+            ok &= abs(d.E) < 1e-12
+        else:
+            ok &= abs(d.E) > 1e-3 * abs(d.Gamma)
+    return ok, ok
+
+
+def _e1_ratio():
+    worst = 0.0
+    for q in numbertheory.enumerate_pairs(20):
+        if q.caseE0:
+            continue
+        r = unreachable.e1_over_e(q)
+        worst = max(worst, abs(r.imag + q.p * q.L / 6.0))
+    return worst, worst <= 1e-10
+
+
+def _expansion_slopes():
+    out = {}
+    ok = True
+    # the orders come from the report; the second-slope window is per pair
+    for (k, l), win in (((2, 1), 0.05), ((4, 1), 0.07)):
+        rep = kernel.verify_expansion(numbertheory.CriticalPair(k, l))
+        out[f"({k},{l})"] = list(rep.slopes)
+        (s0, s1, s2), (e0, e1, e2) = rep.slopes, rep.expected
+        ok &= abs(s0 - e0) < 0.05 and abs(s1 - e1) < win and s2 <= e2 + 0.1
+    return out, ok
+
+
+def _representations_oracle():
+    table = collections.defaultdict(list)
+    for k in range(1, 101):
+        for l in range(1, k + 1):
+            table[k * k + k * l + l * l].append((k, l))
+    ok = True
+    for n, pairs in table.items():
+        if n > 10000:
+            continue
+        cls = numbertheory.representations(n)
+        ok &= sorted((q.k, q.l) for q in cls.pairs) == sorted(pairs)
+        ok &= cls.dim_MN == cls.n_L + cls.n_L_pos
+    return ok, ok
+
+
+def _pde_order():
+    pair = numbertheory.CriticalPair(2, 1)
+    eta = unreachable.eta_triple(pair)
+    c0 = 0.3 + 0.7j
+    errs = []
+    for nx in (48, 96, 192):
+        grid = pde.Grid(L=pair.L, nx=nx, T=1.0, nt=1200)
+        x = grid.x_nodes
+        vals = (c0 * unreachable.psi(eta, 0.0, x)).real
+        ders = (c0 * unreachable.phi_x(eta, x)).real
+        traj = pde.solve_linear(grid, y0=(vals, ders))
+        ref = traj.system.interpolate(
+            (c0 * unreachable.psi(eta, 1.0, x)).real,
+            (c0 * np.exp(-1j * eta.p) * unreachable.phi_x(eta, x)).real,
+        )
+        errs.append(traj.system.l2_norm(traj.final() - ref))
+    slope = float(np.polyfit(np.log10([48, 96, 192]), np.log10(errs), 1)[0])
+    return -slope, -slope >= 1.9
+
+
+def _gramian_quick():
+    cls = numbertheory.representations(3)
+    crit = pde.gramian(pde.Grid(L=2 * np.pi, nx=128, T=1.0, nt=650), cls)
+    free = pde.gramian(pde.Grid(L=1.0, nx=128, T=1.0, nt=650), cls)
+    vals = {
+        "critical": crit.restricted_ratio,
+        "noncritical": free.restricted_min_ratio,
     }
-    if include_timing:
-        entry["runtime_s"] = round(runtime, 3)
-    return entry
+    return vals, crit.restricted_ratio <= 1e-6 and free.restricted_min_ratio >= 1e-4
+
+
+def _signs_quick():
+    spec = synthesis.make_spec(numbertheory.CriticalPair(3, 2), 0.4)
+    rep = synthesis.sign_report(spec, n_side=4001)
+    vals = {"re": rep.re_ratio, "im": rep.value.imag}
+    return vals, 0.7 <= rep.re_ratio <= 1.3 and rep.value.imag < 0
+
+
+# (tag, name, check, tolerance); each check returns (measured value, passed)
+_CHECKS = (
+    ("spectral", "root residual / (1+|z|)", _roots_residual, 1e-12),
+    ("spectral", "root expansion slopes", _root_orders, "[-1/3, -5/3] +/- 0.05"),
+    ("unreachable", "Gamma = Lambda closed form", _gamma_lambda, 1e-12),
+    ("unreachable", "E vanishes iff 3 | (2k+l)", _e_dichotomy, "exact dichotomy"),
+    ("unreachable", "Im(E1/E) = -pL/6", _e1_ratio, 1e-10),
+    ("kernel", "two-term expansion slopes", _expansion_slopes, "criterion windows"),
+    ("numbertheory", "representations vs brute force (N <= 1e4)", _representations_oracle, "exact"),
+    ("pde", "spatial convergence order", _pde_order, ">= 1.9"),
+    ("pde", "Gramian dichotomy (quick grid)", _gramian_quick, "<= 1e-6 vs >= 1e-4"),
+    ("synthesis", "sign integral (3,2), T = 0.4", _signs_quick, "Re in [0.7,1.3], Im < 0"),
+)
 
 
 def verify_all(only=None, include_timing=True):
@@ -327,163 +482,41 @@ def verify_all(only=None, include_timing=True):
     enforces the full criteria at their stated grids.  Deterministic: fixed
     seeds, no wall-clock inputs (runtimes are annotations only and can be
     suppressed for byte-identical reports)."""
+    tags = {tag for tag, *_ in _CHECKS}
+    if only is not None and not only <= tags:
+        raise DomainError(
+            f"unknown --only tag {', '.join(sorted(only - tags))}; "
+            f"valid tags: {', '.join(sorted(tags))}"
+        )
     checks = []
-
-    def want(tag):
-        return only is None or tag in only
-
-    def run(tag, name, fn, tol):
-        if not want(tag):
-            return
+    for tag, name, fn, tol in _CHECKS:
+        if only is not None and tag not in only:
+            continue
         t0 = time.perf_counter()
         try:
             value, ok = fn()
         except Exception as exc:  # one broken check must not end the battery
             value, ok = f"{type(exc).__name__}: {exc}", False
-        checks.append(_check(name, value, tol, ok, time.perf_counter() - t0, include_timing))
-
-    def roots_residual():
-        rng = np.random.default_rng(20240811)
-        z = rng.uniform(-1e6, 1e6, 10000)
-        lam = spectral.roots(z)
-        res = np.abs(lam**3 + lam + 1j * z[:, None]).max(axis=1)
-        worst = float((res / (1.0 + np.abs(z))).max())
-        return worst, worst <= 1e-12
-
-    run("spectral", "root residual / (1+|z|)", roots_residual, 1e-12)
-
-    def root_orders():
-        zg = 1e3 * 2.0 ** np.arange(0, 10.5)
-        lam = spectral.roots(zg)
-        s1 = np.polyfit(
-            np.log10(zg),
-            np.log10(np.abs(lam - spectral.asymptotic_roots(zg, 1)).max(axis=1)),
-            1,
-        )[0]
-        s2 = np.polyfit(
-            np.log10(zg),
-            np.log10(np.abs(lam - spectral.asymptotic_roots(zg, 2)).max(axis=1)),
-            1,
-        )[0]
-        ok = abs(s1 + 1.0 / 3.0) < 0.05 and abs(s2 + 5.0 / 3.0) < 0.05
-        return [float(s1), float(s2)], ok
-
-    run("spectral", "root expansion slopes", root_orders, "[-1/3, -5/3] +/- 0.05")
-
-    def gamma_lambda():
-        worst = 0.0
-        for q in numbertheory.enumerate_pairs(20)[:50]:
-            d = unreachable.constants(q)
-            closed = -8j * np.pi**3 * q.k * q.l * (q.k + q.l) / q.L**3
-            worst = max(
-                worst,
-                abs(d.Gamma - closed) / abs(closed),
-                abs(d.Lambda - closed) / abs(closed),
-            )
-        return worst, worst <= 1e-12
-
-    run("unreachable", "Gamma = Lambda closed form", gamma_lambda, 1e-12)
-
-    def e_dichotomy():
-        ok = True
-        for q in numbertheory.enumerate_pairs(20)[:50]:
-            d = unreachable.constants(q)
-            if q.caseE0:
-                ok &= abs(d.E) < 1e-12
-            else:
-                ok &= abs(d.E) > 1e-3 * abs(d.Gamma)
-        return ok, ok
-
-    run("unreachable", "E vanishes iff 3 | (2k+l)", e_dichotomy, "exact dichotomy")
-
-    def e1_ratio():
-        worst = 0.0
-        for q in numbertheory.enumerate_pairs(20):
-            if q.caseE0:
-                continue
-            r = unreachable.e1_over_e(q)
-            worst = max(worst, abs(r.imag + q.p * q.L / 6.0))
-        return worst, worst <= 1e-10
-
-    run("unreachable", "Im(E1/E) = -pL/6", e1_ratio, 1e-10)
-
-    def expansion_slopes():
-        out = {}
-        ok = True
-        # the orders come from the report; the second-slope window is per pair
-        for (k, l), win in (((2, 1), 0.05), ((4, 1), 0.07)):
-            rep = kernel.verify_expansion(numbertheory.CriticalPair(k, l))
-            out[f"({k},{l})"] = list(rep.slopes)
-            (s0, s1, s2), (e0, e1, e2) = rep.slopes, rep.expected
-            ok &= abs(s0 - e0) < 0.05 and abs(s1 - e1) < win and s2 <= e2 + 0.1
-        return out, ok
-
-    run("kernel", "two-term expansion slopes", expansion_slopes, "criterion windows")
-
-    def representations_oracle():
-        import collections
-
-        table = collections.defaultdict(list)
-        for k in range(1, 101):
-            for l in range(1, k + 1):
-                table[k * k + k * l + l * l].append((k, l))
-        ok = True
-        for n, pairs in table.items():
-            if n > 10000:
-                continue
-            cls = numbertheory.representations(n)
-            ok &= sorted((q.k, q.l) for q in cls.pairs) == sorted(pairs)
-            ok &= cls.dim_MN == cls.n_L + cls.n_L_pos
-        return ok, ok
-
-    run("numbertheory", "representations vs brute force (N <= 1e4)", representations_oracle, "exact")
-
-    def pde_order():
-        pair = numbertheory.CriticalPair(2, 1)
-        eta = unreachable.eta_triple(pair)
-        c0 = 0.3 + 0.7j
-        errs = []
-        for nx in (48, 96, 192):
-            grid = pde.Grid(L=pair.L, nx=nx, T=1.0, nt=1200)
-            x = grid.x_nodes
-            vals = (c0 * unreachable.psi(eta, 0.0, x)).real
-            ders = (c0 * unreachable.phi_x(eta, x)).real
-            traj = pde.solve_linear(grid, y0=(vals, ders))
-            ref = traj.system.interpolate(
-                (c0 * unreachable.psi(eta, 1.0, x)).real,
-                (c0 * np.exp(-1j * eta.p) * unreachable.phi_x(eta, x)).real,
-            )
-            errs.append(traj.system.l2_norm(traj.final() - ref))
-        slope = float(np.polyfit(np.log10([48, 96, 192]), np.log10(errs), 1)[0])
-        return -slope, -slope >= 1.9
-
-    run("pde", "spatial convergence order", pde_order, ">= 1.9")
-
-    def gramian_quick():
-        cls = numbertheory.representations(3)
-        crit = pde.gramian(pde.Grid(L=2 * np.pi, nx=128, T=1.0, nt=650), cls)
-        free = pde.gramian(pde.Grid(L=1.0, nx=128, T=1.0, nt=650), cls)
-        vals = {
-            "critical": crit.restricted_ratio,
-            "noncritical": free.restricted_min_ratio,
+        entry = {
+            "name": name,
+            "status": "pass" if ok else "fail",
+            "measured": value,
+            "tolerance": tol,
         }
-        return vals, crit.restricted_ratio <= 1e-6 and free.restricted_min_ratio >= 1e-4
-    run("pde", "Gramian dichotomy (quick grid)", gramian_quick, "<= 1e-6 vs >= 1e-4")
-
-    def signs_quick():
-        spec = synthesis.make_spec(numbertheory.CriticalPair(3, 2), 0.4)
-        rep = synthesis.sign_report(spec, n_side=4001)
-        vals = {"re": rep.re_ratio, "im": rep.value.imag}
-        return vals, 0.7 <= rep.re_ratio <= 1.3 and rep.value.imag < 0
-
-    run("synthesis", "sign integral (3,2), T = 0.4", signs_quick, "Re in [0.7,1.3], Im < 0")
-
+        if include_timing:
+            entry["runtime_s"] = round(time.perf_counter() - t0, 3)
+        checks.append(entry)
     failed = any(c["status"] == "fail" for c in checks)
     return {"checks": checks, "failed": int(failed)}
 
 
 def cmd_verify_all(args) -> int:
-    _load_config(args)
+    if args.config:
+        for key, val in _read_json(args.config, _CONFIG_TYPES, "config").items():
+            attr = key.replace("-", "_")
+            # None, or a store_true flag left False: the command line did not set it
+            if getattr(args, attr) in (None, False):
+                setattr(args, attr, val)
     only = None
     if args.only:
         only = {s.strip() for s in args.only.split(",")}
@@ -496,6 +529,36 @@ def cmd_verify_all(args) -> int:
 # dispatch
 # ---------------------------------------------------------------------------
 
+_INT = {"type": int, "required": True}
+_FLOAT = {"type": float, "required": True}
+_FLAG = {"action": "store_true"}
+
+# (name, handler, help, takes --k/--l, options); every command also takes --out
+_COMMANDS = (
+    ("lengths", cmd_lengths, "enumerate critical length classes", False,
+     (("--nmax", dict(_INT, help="bound on k")), ("--json", _FLAG))),
+    ("constants", cmd_constants, "eta triple and expansion constants", True,
+     (("--json", _FLAG),)),
+    ("spectral", cmd_spectral, "root frames on a z range", False,
+     (("--L", _FLOAT), ("--z", {"required": True, "help": "start:stop:npoints"}))),
+    ("kernel", cmd_kernel, "closed-form int B on a log grid", True,
+     (("--zmin", _FLOAT), ("--zmax", _FLOAT), ("--points", _INT))),
+    ("kernel-asym", cmd_kernel_asym, "expansion-order report", True, ()),
+    ("simulate", cmd_simulate, "run a discretized control system", False,
+     (("--system", {"choices": ["linear", "second-order", "nonlinear"], "required": True}),
+      ("--config", {"required": True, "help": "JSON: L or (k,l), nx, nt, T, control, initial"}))),
+    ("gramian", cmd_gramian, "control-to-state SVD split along M_N", True,
+     (("--T", _FLOAT), ("--nx", _INT), ("--nt", _INT),
+      ("--L", {"type": float, "default": None, "help": "override length (dichotomy tests)"}))),
+    ("synthesize", cmd_synthesize, "bump steering control to CSV", True, (("--T", _FLOAT),)),
+    ("verify-signs", cmd_verify_signs, "sign-condition sweep for I / J", True,
+     (("--tsweep", {"default": "0.4,0.2,0.1,0.05"}), ("--n-side", {"type": int, "default": 8001}))),
+    ("verify-all", cmd_verify_all, "bounded verification battery, JSON report", False,
+     (("--only", {"default": None, "help": "comma list: numbertheory,spectral,..."}),
+      ("--config", {"default": None}),
+      ("--no-timing", dict(_FLAG, help="omit runtimes (byte-stable reports)")))),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -503,79 +566,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerics for KdV boundary control at critical lengths",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lengths", help="enumerate critical length classes")
-    p.add_argument("--nmax", type=int, required=True, help="bound on k")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lengths)
-
-    p = sub.add_parser("constants", help="eta triple and expansion constants")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("spectral", help="root frames on a z range")
-    p.add_argument("--L", type=float, required=True)
-    p.add_argument("--z", required=True, help="start:stop:npoints")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectral)
-
-    p = sub.add_parser("kernel", help="closed-form int B on a log grid")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--zmin", type=float, required=True)
-    p.add_argument("--zmax", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("kernel-asym", help="expansion-order report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_kernel_asym)
-
-    p = sub.add_parser("simulate", help="run a discretized control system")
-    p.add_argument("--system", choices=["linear", "second-order", "nonlinear"], required=True)
-    p.add_argument("--config", required=True, help="JSON: L or (k,l), nx, nt, T, control, initial")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("gramian", help="control-to-state SVD split along M_N")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--nt", type=int, required=True)
-    p.add_argument("--L", type=float, default=None, help="override length (dichotomy tests)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gramian)
-
-    p = sub.add_parser("synthesize", help="bump steering control to CSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("verify-signs", help="sign-condition sweep for I / J")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--tsweep", default="0.4,0.2,0.1,0.05")
-    p.add_argument("--n-side", type=int, default=8001)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify_signs)
-
-    p = sub.add_parser("verify-all", help="bounded verification battery, JSON report")
-    p.add_argument("--only", default=None, help="comma list: numbertheory,spectral,...")
-    p.add_argument("--config", default=None)
-    p.add_argument("--no-timing", action="store_true", help="omit runtimes (byte-stable reports)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify_all)
-
+    paired = argparse.ArgumentParser(add_help=False)
+    paired.add_argument("--k", type=int, required=True)
+    paired.add_argument("--l", type=int, required=True)
+    for name, func, text, takes_pair, options in _COMMANDS:
+        p = sub.add_parser(name, help=text, parents=[paired] if takes_pair else [])
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
     return ap
 
 

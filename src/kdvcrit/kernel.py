@@ -238,7 +238,7 @@ def _fit_slope(z: np.ndarray, r: np.ndarray) -> float:
     return float(np.polyfit(np.log10(z[mask]), np.log10(r[mask]), 1)[0])
 
 
-def verify_expansion(pair: CriticalPair, z_grid=None) -> AsymptoticReport:
+def verify_expansion(pair: CriticalPair) -> AsymptoticReport:
     """Fit the residual decay orders of the two-term kernel expansion.
 
     The grid is dyadic in [1e3, 1e6] (>= 8 points).  The third-level residual
@@ -246,9 +246,7 @@ def verify_expansion(pair: CriticalPair, z_grid=None) -> AsymptoticReport:
     int B - E z^{-4/3} - E_1 z^{-2} cancels ~8 significant digits and double
     precision floors the fit.
     """
-    if z_grid is None:
-        z_grid = 1e3 * 2.0 ** np.arange(0, 10.5, 1.0)
-    z_grid = np.asarray(z_grid, dtype=float)
+    z_grid = 1e3 * 2.0 ** np.arange(0, 10.5, 1.0)
     data = constants(pair)
     vals = np.empty(z_grid.size, dtype=complex)
     keep = np.ones(z_grid.size, dtype=bool)

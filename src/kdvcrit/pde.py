@@ -59,9 +59,9 @@ class Grid:
     def __post_init__(self) -> None:
         if self.nx < 8:
             raise DomainError(f"need nx >= 8 interior nodes, got nx = {self.nx}")
-        if self.nt < 1 or self.T <= 0 or self.L <= 0:
+        if self.nt < 1 or not (0 < self.T < math.inf and 0 < self.L < math.inf):
             raise DomainError(
-                f"need T, L > 0 and nt >= 1, got T = {self.T}, L = {self.L}, nt = {self.nt}"
+                f"need finite T, L > 0 and nt >= 1, got T = {self.T}, L = {self.L}, nt = {self.nt}"
             )
 
     @property

@@ -320,28 +320,25 @@ def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
     return bool(np.min(logmag) > math.log(1e-10))
 
 
-def make_spec(pair: CriticalPair, T: float, gamma: float | None = None) -> ControlSpec:
+def make_spec(pair: CriticalPair, T: float) -> ControlSpec:
     """Fix beta, nu and the first admissible gamma from {0.5, 1, 1.5, 2}.
 
     nu^2 = (1.617)^2 / beta exactly; the rounded restatement 5.223/T of the
     same choice is neither used nor recorded.
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite, got {T}")
     beta = T / 2.0
     nu = 1.617 / math.sqrt(beta)
     case = 2 if pair.caseE0 else 1
     d = 1 if case == 1 else 3
-    if gamma is None:
-        for cand in _GAMMA_CANDIDATES:
-            if _gamma_admissible(pair, cand, d):
-                gamma = cand
-                break
-        else:
-            raise DomainError(
-                f"no admissible gamma among {_GAMMA_CANDIDATES} for pair "
-                f"{(pair.k, pair.l)}"
-            )
+    for gamma in _GAMMA_CANDIDATES:
+        if _gamma_admissible(pair, gamma, d):
+            break
+    else:
+        raise DomainError(
+            f"no admissible gamma among {_GAMMA_CANDIDATES} for pair {(pair.k, pair.l)}"
+        )
     return ControlSpec(pair=pair, T=T, beta=beta, nu=nu, gamma=gamma, case=case)
 
 
@@ -643,6 +640,8 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
     SignReport).
     """
+    if n_side < 2:
+        raise DomainError(f"sign_report: n_side must be >= 2, got {n_side}")
     pair = spec.pair
     p = pair.p
     data = constants(pair)

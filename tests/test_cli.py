@@ -61,6 +61,12 @@ def test_verify_all_config_overlay(tmp_path):
     assert not any("runtime_s" in c for c in report["checks"])
 
 
+_RUN = {"L": 3.0, "nx": 8, "nt": 6, "T": 0.2}
+_SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
+
+
+# "{tmp}" in a command or config stands for the test's tmp_path; a str config
+# is written as it is, any other as JSON
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
@@ -75,18 +81,70 @@ def test_verify_all_config_overlay(tmp_path):
         ),
         (["simulate", "--system", "linear"], {"L": 3.0, "nx": 8, "T": 0.2}, "run file lacks nt"),
         (["simulate", "--system", "linear"], {"k": 2, "l": 1, "nt": 6}, "run file lacks nx, T"),
+        (["verify-all", "--config", "{tmp}/missing.json"], None, "cannot read config"),
+        (["verify-all"], "{not json", "cannot read config"),
+        (["verify-all"], ["only"], "config must be a JSON object, not a list"),
+        (["simulate", "--system", "linear", "--config", "{tmp}/missing.json"], None,
+         "cannot read run file"),
+        (["simulate", "--system", "linear"], "{not json", "cannot read run file"),
+        (["simulate", "--system", "linear"], [], "run file must be a JSON object, not a list"),
+        (["simulate", "--system", "linear"], dict(_RUN, nx="eight"),
+         "run file key nx takes an int: 'eight'"),
+        (["simulate", "--system", "linear"], dict(_RUN, control=[]),
+         "run file key control takes a dict: []"),
+        (["simulate", "--system", "linear"], dict(_RUN, control={"type": "file"}),
+         "control type 'file' needs a path"),
+        (
+            ["simulate", "--system", "linear"],
+            dict(_RUN, control={"type": "file", "path": "{tmp}/missing.csv"}),
+            "cannot read control file",
+        ),
+        (["simulate", "--system", "linear"], dict(_RUN, initial={"type": "psi-re"}),
+         "initial type 'psi-re' needs k and l"),
+        (["kernel", "--k", "2", "--l", "1", "--zmin", "1", "--zmax", "5", "--points", "-3"], None,
+         "--points must be >= 1"),
+        (_SIGNS + ["--tsweep", "0.4,abc"], None, "bad --tsweep '0.4,abc'"),
+        (_SIGNS + ["--tsweep", "nan"], None, "T must be positive and finite, got nan"),
+        (_SIGNS + ["--tsweep", "0.4", "--n-side", "1"], None, "n_side must be >= 2"),
+        (["lengths", "--nmax", "3", "--out", "{tmp}/missing/out.csv"], None, "cannot write"),
+        (
+            ["verify-all", "--only", "spectrl"],
+            None,
+            "unknown --only tag spectrl; valid tags: kernel, numbertheory, pde, spectral, "
+            "synthesis, unreachable",
+        ),
     ],
     ids=["range", "config-key", "config-argparse-attr", "config-type", "control-type",
-         "run-file-key", "run-file-keys"],
+         "run-file-key", "run-file-keys", "config-missing", "config-malformed", "config-list",
+         "run-file-missing", "run-file-malformed", "run-file-list", "run-file-type",
+         "control-list", "control-file-no-path", "control-file-missing", "initial-no-pair",
+         "kernel-points", "tsweep", "tsweep-nan", "n-side", "out-dir-missing", "only-tag"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
-    argv = command + ["--out", str(tmp_path / "out")]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
     if cfg is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        text = cfg if isinstance(cfg, str) else json.dumps(cfg)
+        path.write_text(text.replace("{tmp}", str(tmp_path)))
         argv += ["--config", str(path)]
     assert dispatch(argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("usage error:") == 1 and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["lengths", "constants", "spectral", "kernel", "kernel-asym", "simulate", "gramian",
+     "synthesize", "verify-signs", "verify-all"],
+)
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: kdvcrit {command}" in capsys.readouterr().out
 
 
 def test_kernel_nonfinite_z_is_usage_error(tmp_path, capsys):

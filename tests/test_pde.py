@@ -259,8 +259,9 @@ def test_nonlinear_weak_matches_per_element_reference():
 def test_bad_grid_and_control_raise_domain_error():
     with pytest.raises(DomainError):
         pde.Grid(L=1.0, nx=4, T=1.0, nt=10)
-    with pytest.raises(DomainError):
-        pde.Grid(L=1.0, nx=8, T=0.0, nt=10)
+    for T in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            pde.Grid(L=1.0, nx=8, T=T, nt=10)
     g = pde.Grid(L=1.0, nx=8, T=1.0, nt=10)
     with pytest.raises(DomainError):
         pde.solve_linear(g, u=np.zeros(g.nt))

@@ -31,8 +31,12 @@ def test_spec_parameters():
     assert spec.case == 1 and spec.h_order == 1
     spec2 = syn.make_spec(P41, 0.4)
     assert spec2.case == 2 and spec2.h_order == 3
-    with pytest.raises(DomainError):
-        syn.make_spec(P32, -1.0)
+    for T in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            syn.make_spec(P32, T)
+    for n_side in (0, 1):
+        with pytest.raises(DomainError):
+            syn.sign_report(spec, n_side=n_side)
 
 
 def test_vhat_at_zero_positive():
