@@ -31,7 +31,7 @@ __all__ = [
     "h_jets_scaled",
 ]
 
-_BLOCK = 1 << 15  # points per h_jets_scaled pass; bounds the jet temporaries
+_BLOCK = 1 << 13  # points per h_jets_scaled pass; bounds the jet temporaries (~7 MB at order 1)
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NearPole
 from .numbertheory import CriticalPair
-from .spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots
+from .spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots, xi
 from .unreachable import UnreachableData, constants, eta_triple
 
 __all__ = [
@@ -92,10 +92,10 @@ def B_eval(pair: CriticalPair, z, x, *, negate_eta: bool = False, p=None):
 
 
 def _scaled_parts(pair: CriticalPair, z, negate_eta: bool = False, p=None):
-    """Flattened (numerator mantissa, qm, qtm, qs + qts) of int B at real z.
+    """Flattened (numerator mantissa, qm, qtm, qs + qts, lam, lamt) of int B at real z.
 
     int B = num / (qm qtm), because the numerator carries the scale
-    e^{qs + qts} of det Q det Q~.
+    e^{qs + qts} of det Q det Q~; lam and lamt are the root triples it is built from.
     """
     L = pair.L
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
@@ -104,7 +104,7 @@ def _scaled_parts(pair: CriticalPair, z, negate_eta: bool = False, p=None):
     qm, qs = detq_scaled(lam, L)
     qtm, qts = detq_scaled(lamt, L)
     num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair, negate=negate_eta))
-    return num, qm, qtm, qs + qts
+    return num, qm, qtm, qs + qts, lam, lamt
 
 
 def _intB_masked(pair: CriticalPair, z, *, negate_eta: bool = False, p=None):
@@ -112,7 +112,7 @@ def _intB_masked(pair: CriticalPair, z, *, negate_eta: bool = False, p=None):
 
     A masked value is not meaningful; intB_closed raises NearPole instead.
     """
-    num, qm, qtm, _ = _scaled_parts(pair, z, negate_eta, p)
+    num, qm, qtm, *_ = _scaled_parts(pair, z, negate_eta, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / (qm * qtm)
     return vals, (np.abs(qm) < POLE_TOL) | (np.abs(qtm) < POLE_TOL)
@@ -151,21 +151,23 @@ def _numerator_scaled(L, lam, lamt, qs, qts, ec, ee):
             terms = c * rise / a
         small = np.abs(a * L) < _SERIES_CUT
         if np.any(small):
-            terms = np.where(small, c * low * L * _series_int(a * L), terms)
+            terms[small] = c * low[small] * L * _series_int(a[small] * L)
         acc = acc + terms.sum(axis=(-2, -1))
     return acc
 
 
 def interaction_numerator(pair: CriticalPair, z):
-    """int_0^L f g phi_x dx as (mantissa, log-scale), no pole exclusion.
+    """N / (Xi(lambda) Xi(lambda~)) as (mantissa, log-scale), no pole exclusion.
 
-    The returned scale is log(det Q * det Q~)'s own scale, so
-    intB = m * exp(s) / (det Q det Q~) and the quotient against the scaled
-    determinants is a pure mantissa ratio.  Used by the control synthesis,
-    where the det Q factors cancel analytically against u-hat's H factors and
-    the value must stay finite across the det Q zeros.
+    N = int_0^L f g phi_x dx; both Xi come from N's own root triples, so the
+    antisymmetric N and Xi Xi~ share one root order per point.  With the
+    det Q det Q~ scale s and H = det Q / Xi, intB = m e^s / (H(z) H(p - z)):
+    the synthesis cancels the H factors against u-hat's, so the value stays
+    finite across det Q zeros (0/0 only where z or z - p is +-COLLISION_Z).
     """
-    m, _, _, s = _scaled_parts(pair, z)
+    num, _, _, s, lam, lamt = _scaled_parts(pair, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = num / (xi(lam) * xi(lamt))
     if np.ndim(z) == 0:
         return m[0], float(s[0])
     return m.reshape(np.shape(z)), s.reshape(np.shape(z))
@@ -248,15 +250,8 @@ def verify_expansion(pair: CriticalPair) -> AsymptoticReport:
     """
     z_grid = 1e3 * 2.0 ** np.arange(0, 10.5, 1.0)
     data = constants(pair)
-    vals = np.empty(z_grid.size, dtype=complex)
-    keep = np.ones(z_grid.size, dtype=bool)
-    for i, zz in enumerate(z_grid):
-        try:
-            vals[i] = intB_closed(pair, zz)
-        except NearPole:
-            keep[i] = False
-    z = z_grid[keep]
-    vals = vals[keep]
+    vals, near = _intB_masked(pair, z_grid)
+    z, vals = z_grid[~near], vals[~near]
     if pair.caseE0:
         case = 2
         t1 = data.F / np.abs(z) ** 2
@@ -279,9 +274,9 @@ def verify_expansion(pair: CriticalPair) -> AsymptoticReport:
     return AsymptoticReport(
         pair=(pair.k, pair.l),
         case=case,
-        z_grid=z_grid[keep],
+        z_grid=z,
         slopes=slopes,
         expected=expected,
         constants=data,
-        excluded=tuple(z_grid[~keep]),
+        excluded=tuple(z_grid[near]),
     )

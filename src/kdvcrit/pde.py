@@ -33,7 +33,7 @@ from scipy.linalg import cholesky
 
 from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable
 from .numbertheory import LengthClass
-from .unreachable import eta_triple, phi, phi_x
+from .unreachable import eta_triple, phi, phi_parts, phi_x
 
 __all__ = [
     "Grid",
@@ -414,12 +414,11 @@ def _mn_dofs(sys_: _System, length_class: LengthClass) -> np.ndarray:
         eta = eta_triple(pair)
         ph = phi(eta, x)
         dph = phi_x(eta, x) * scale
-        for vals, ders in ((ph.real, dph.real), (ph.imag, dph.imag)):
-            if np.max(np.abs(vals)) > 1e-12 * np.max(np.abs(ph)):
-                dofs = np.empty(sys_.ndof)
-                dofs[0::2] = vals
-                dofs[1::2] = ders
-                cols.append(dofs[sys_.free])
+        for part in phi_parts(ph):
+            dofs = np.empty(sys_.ndof)
+            dofs[0::2] = part(ph)
+            dofs[1::2] = part(dph)
+            cols.append(dofs[sys_.free])
     return np.array(cols).T  # (nfree, dim)
 
 

@@ -28,9 +28,10 @@ hump that can reach exp(hundreds) at small T.  Everything is therefore
 evaluated in (mantissa, log-scale) form: the bump transform by contour
 deformation through its endpoint saddles, H and its derivatives by scaled
 Taylor jets (the steering grid reads them above z = 5 from a log-lattice
-table), and intB by the kernel module's factored numerator (the det Q poles
-cancel exactly against u-hat's H factors, leaving only the two root-collision
-points of Xi, which are bridged by local polynomial fits).
+table), and intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi
+factors come from the root triples of N itself: u-hat's H factors cancel
+exactly, so no det Q pole remains, and the quotient is 0/0 only at the
+root-collision points of Xi, which are bridged by local polynomial fits.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import CaseError, DomainError, ResolutionError, SupportLeak
 from .jets import h_jets_scaled
 from .kernel import interaction_numerator
 from .numbertheory import CriticalPair
-from .spectral import COLLISION_Z, MU, h_scaled, roots, xi
+from .spectral import COLLISION_Z, MU, h_scaled
 from .unreachable import constants
 
 __all__ = [
@@ -649,30 +650,26 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     if abs(denom_const) == 0:
         raise CaseError(f"leading constant vanishes for pair {(pair.k, pair.l)}")
     z = _band_grid(spec, n_side)
-    d = spec.h_order
+    zz = np.concatenate([z, z - p])
 
     # one bump-factor call serves both shifts
-    v1m, v1s = vhat1_scaled(spec.nu, spec.beta, np.concatenate([z, z - p]))
-    v1m_z, v1m_s = np.split(v1m, 2)
-    v1s_z, v1s_s = np.split(v1s, 2)
+    v1 = vhat1_scaled(spec.nu, spec.beta, zz)
+    (v1m_z, v1m_s), (v1s_z, v1s_s) = (np.split(a, 2) for a in v1)
 
-    # factored integrand: vhat(z) conj(vhat(z-p)) NUM / (Xi(z) conj(Xi(z-p)))
-    num_m, num_s = interaction_numerator(pair, z.astype(complex))
-    xi_z = xi(roots(z.astype(complex)))
-    xi_s = xi(roots((z - p).astype(complex)))
+    # u-hat(z) conj(u-hat(z-p)) intB(z): with conj(H(z-p)) = H(p-z) both H
+    # factors cancel against the kernel's m e^s = intB H(z) H(p-z), leaving
+    # vhat(z) conj(vhat(z-p)) m e^s
+    num_m, num_s = interaction_numerator(pair, z)
     phase = np.exp(-1j * spec.beta * p)  # e^{-i b z} conj(e^{-i b (z-p)})
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mant = phase * v1m_z * v1m_s * num_m / (xi_z * np.conj(xi_s) * denom_const)
+    mant = phase * v1m_z * v1m_s * num_m / denom_const
     logs = v1s_z + v1s_s + num_s
     mant, logs = _bridge_fill(z, mant, logs, _bridge_mask(z, p))
     ival_m, ival_s = _scaled_integral(z, mant, logs)
 
-    # normalizers from w-hat on the shifted line, one H^(d) call per shift;
-    # the bump phases of w-hat(z) conj(w-hat(z-p)) give e^{-i beta p} again
-    wm_z, ws_z = _what_scaled(spec, z, (v1m_z, v1s_z), _h_deriv_scaled(pair, spec.gamma, z, d))
-    wm_s, ws_s = _what_scaled(
-        spec, z - p, (v1m_s, v1s_s), _h_deriv_scaled(pair, spec.gamma, z - p, d)
-    )
+    # normalizers from w-hat on the shifted line, one H^(d) call for both
+    # shifts; the bump phases of w-hat(z) conj(w-hat(z-p)) give e^{-i beta p} again
+    wm, ws = _what_scaled(spec, zz, v1, _h_deriv_scaled(pair, spec.gamma, zz, spec.h_order))
+    (wm_z, wm_s), (ws_z, ws_s) = np.split(wm, 2), np.split(ws, 2)
     n_m, n_s = _scaled_integral(z, np.abs(wm_z) ** 2, 2.0 * ws_z)
     c_m, c_s = _scaled_integral(z, phase * wm_z * np.conj(wm_s), ws_z + ws_s)
 

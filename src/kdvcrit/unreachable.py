@@ -38,6 +38,7 @@ __all__ = [
     "eta_triple",
     "phi",
     "phi_x",
+    "phi_parts",
     "psi",
     "constants",
     "e1_over_e",
@@ -108,6 +109,12 @@ def phi_x(eta: EtaTriple, x) -> np.ndarray:
     ep1, ep2 = _cyc(eta.eta)
     x_arr = np.asarray(x, dtype=float)
     return ((ep1 - eta.eta) * ep2 * np.exp(np.multiply.outer(x_arr, ep2))).sum(axis=-1)
+
+
+def phi_parts(ph: np.ndarray) -> list:
+    """The parts (np.real, np.imag) of sampled phi above 1e-12 max|phi|; p_m = 0 zeroes one."""
+    floor = 1e-12 * np.max(np.abs(ph))
+    return [part for part in (np.real, np.imag) if np.max(np.abs(part(ph))) > floor]
 
 
 def psi(eta: EtaTriple, t, x) -> np.ndarray:
@@ -235,9 +242,7 @@ def mn_basis(length_class: LengthClass, n_grid: int = 1025) -> MNBasis:
     for q in length_class.pairs:
         ph = phi(eta_triple(q), x)
         profiles.append(ph)
-        for part in (ph.real, ph.imag):
-            if np.max(np.abs(part)) > 1e-12 * np.max(np.abs(ph)):
-                rows.append(part)
+        rows += [part(ph) for part in phi_parts(ph)]
     b = np.array(rows)
     w = _simpson_weights(n_grid, x[1] - x[0])
     gram = (b * w) @ b.T

@@ -1,7 +1,10 @@
 import cmath
+import importlib.util
+import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ P11 = nt.CriticalPair(1, 1)
 P21 = nt.CriticalPair(2, 1)
 P32 = nt.CriticalPair(3, 2)
 P41 = nt.CriticalPair(4, 1)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +93,20 @@ def test_contour_matches_direct_overlap():
 
 
 def test_contour_matches_mpmath():
+    # 80-digit references committed by tests/data/bump_mpmath.py; the
+    # cheapest entry is recomputed here so the table stays tied to the script
     mp = pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("bump_mpmath", DATA / "bump_mpmath.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = json.loads(script.TABLE.read_text())
+    assert [(r["nu"], r["w"]) for r in rows] == list(script.POINTS)
+    with mp.workdps(script.DIGITS):
+        fresh = mp.mpf(script.reference(3.0, 300.0))
+        assert mp.almosteq(fresh, mp.mpf(rows[1]["v1"]), rel_eps=1e-30)
 
-    def reference(nu, w, dps=80):
-        mp.mp.dps = dps
-
-        def body(t):
-            om = 1 - t * t
-            if om <= 0:
-                return mp.mpf(0)
-            return mp.e ** (-nu / om) * mp.cos(w * t)
-
-        nseg = max(16, int(w / math.pi / 2))
-        pts = [mp.mpf(j) / nseg for j in range(nseg + 1)]
-        return 2 * sum(
-            mp.quad(body, [a, b], maxdegree=8) for a, b in zip(pts[:-1], pts[1:])
-        )
-
-    for nu, w in ((0.4, 900.0), (3.0, 300.0), (10.2, 2000.0)):
-        ref = float(reference(nu, w))
+    for r in rows:
+        nu, w, ref = r["nu"], r["w"], float(r["v1"])
         # the half path the lattice is built from, and the lattice itself
         val, sc, _ = _v1_half_contour(nu, w)
         assert abs(val[0] * math.exp(sc[0]) - ref) <= 1e-10 * abs(ref)
@@ -403,6 +402,15 @@ def test_integral_J_41():
     val = syn.sign_report(spec, n_side=4001).value
     assert 0.9 <= val.real <= 1.1
     assert val.imag < 0.0
+
+
+def test_sign_report_value_21_T25():
+    # at T = 25 the hump sits near z = 45, so the integrand near z = p, where
+    # the shifted roots are purely imaginary and their order is set by
+    # rounding, carries weight: its Xi factors must come from the numerator's
+    # own root triples
+    rep = syn.sign_report(syn.make_spec(P21, 25.0), n_side=2001)
+    assert abs(rep.value - (0.8519300331350661 + 0.5150369226634223j)) <= 1e-9
 
 
 @pytest.mark.slow
