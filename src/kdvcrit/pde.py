@@ -202,15 +202,18 @@ class _System:
     def l2_norm(self, dofs: np.ndarray) -> float:
         return math.sqrt(max(float(dofs @ (self.M @ dofs)), 0.0))
 
-    def h1_semi(self, dofs: np.ndarray) -> float:
-        return math.sqrt(max(float(dofs @ (self.S1 @ dofs)), 0.0))
+    def row_norms(self, mat, dofs: np.ndarray) -> np.ndarray:
+        """sqrt(d . mat d) for each row d of dofs; 64-row blocks keep the temporaries small."""
+        sq = [np.einsum("ij,ji->i", b, mat @ b.T) for b in np.split(dofs, range(64, len(dofs), 64))]
+        return np.sqrt(np.maximum(np.concatenate(sq), 0.0))
 
     def nonlinear_weak(self, dofs: np.ndarray) -> np.ndarray:
         """<w w_x, v> = -(1/2) <w^2, v_x> on the free test functions."""
         wvals = dofs[self.el_dofs] @ self.shape  # w at the Gauss points, (n_el, n_gauss)
         contrib = -0.5 * (self.quad_w * wvals**2) @ self.shape_x.T
         out = np.zeros(self.ndof)
-        np.add.at(out, self.el_dofs, contrib)
+        out[:-2] += contrib[:, :2].ravel()
+        out[2:] += contrib[:, 2:].ravel()
         return out[self.free]
 
 
@@ -252,7 +255,7 @@ class Trajectory:
         return self.dofs[:, 1::2]
 
     def l2_norms(self) -> np.ndarray:
-        return np.array([self.system.l2_norm(d) for d in self.dofs])
+        return self.system.row_norms(self.system.M, self.dofs)
 
     def yx_left(self) -> np.ndarray:
         """Trace y_x(t, 0) (the dissipation observation)."""
@@ -321,8 +324,7 @@ def _assemble_trajectory(sys_: _System, hist, u) -> Trajectory:
     dofs = np.zeros((grid.nt + 1, sys_.ndof))
     dofs[:, sys_.free] = hist
     dofs[:, sys_.i_dN] = u
-    l2 = np.array([sys_.l2_norm(d) for d in dofs])
-    h1 = np.array([sys_.h1_semi(d) for d in dofs])
+    l2, h1 = sys_.row_norms(sys_.M, dofs), sys_.row_norms(sys_.S1, dofs)
     xnorm = float(l2.max() + math.sqrt(np.trapezoid(h1**2, dx=grid.dt)))
     return Trajectory(grid=grid, dofs=dofs, control=u, xnorm=xnorm, system=sys_)
 

@@ -256,6 +256,31 @@ def test_nonlinear_weak_matches_per_element_reference():
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_nonlinear_weak_scatter_matches_add_at():
+    # the two slice adds scatter the element blocks exactly as np.add.at does
+    sys_ = pde._System(pde.Grid(L=PAIR.L, nx=40, T=1.0, nt=1))
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 1.0, 1e3):
+        dofs = scale * rng.standard_normal(sys_.ndof)
+        wvals = dofs[sys_.el_dofs] @ sys_.shape
+        contrib = -0.5 * (sys_.quad_w * wvals**2) @ sys_.shape_x.T
+        ref = np.zeros(sys_.ndof)
+        np.add.at(ref, sys_.el_dofs, contrib)
+        assert np.array_equal(sys_.nonlinear_weak(dofs), ref[sys_.free])
+
+
+def test_row_norms_match_per_row_form():
+    # one sparse product per matrix against one matvec per time node
+    g = pde.Grid(L=PAIR.L, nx=48, T=1.0, nt=60)
+    traj = pde.solve_linear(g, y0=exact_y0(g), u=0.2 * np.sin(3.0 * g.t_nodes))
+    sys_ = traj.system
+    l2 = np.array([sys_.l2_norm(d) for d in traj.dofs])
+    h1 = np.array([math.sqrt(max(float(d @ (sys_.S1 @ d)), 0.0)) for d in traj.dofs])
+    assert np.abs(traj.l2_norms() - l2).max() <= 1e-14 * l2.max()
+    xnorm = l2.max() + math.sqrt(np.trapezoid(h1**2, dx=g.dt))
+    assert abs(traj.xnorm - xnorm) <= 1e-14 * xnorm
+
+
 def test_bad_grid_and_control_raise_domain_error():
     with pytest.raises(DomainError):
         pde.Grid(L=1.0, nx=4, T=1.0, nt=10)

@@ -14,7 +14,7 @@ from kdvcrit import jets
 from kdvcrit import numbertheory as nt
 from kdvcrit import spectral as sp
 from kdvcrit import synthesis as syn
-from kdvcrit.errors import DomainError, SupportLeak
+from kdvcrit.errors import DomainError, ResolutionError, SupportLeak
 
 P11 = nt.CriticalPair(1, 1)
 P21 = nt.CriticalPair(2, 1)
@@ -79,33 +79,56 @@ def _v1_half_contour(nu, w):
     return 2.0 * (np.exp(-1j * w) * c).real, sc, np.abs(c)
 
 
+def _v1_rule(nu, w):
+    return syn.quad(nu, np.exp(-nu / (1.0 - syn._TRAP_T**2)), w)
+
+
 def test_contour_matches_direct_overlap():
-    # sample inside the region where the direct branch still has ~8 clean
-    # digits (w below (nu+17)^2/nu) but the contour geometry is formed
+    # sample inside the region where the trapezoid rule still has ~8 clean
+    # digits (w below (nu+17)^2/nu) but the contour geometry is formed; the
+    # measured worst gap is 1.9e-9, the rule's rounding floor at w = 493
     rng = np.random.default_rng(1)
     for nu in (0.6, 2.0, 8.0):
         for _ in range(6):
             w = float(rng.uniform(62.0, (nu + 17.0) ** 2 / nu))
-            ref = syn._v1_direct(nu, w)
+            ref = _v1_rule(nu, w)
             val, sc, _ = _v1_half_contour(nu, w)
             got = val[0] * math.exp(sc[0])
             assert abs(got - ref) <= 1e-8 * max(abs(ref), math.exp(-math.sqrt(nu * w)))
 
 
-def test_contour_matches_mpmath():
-    # 80-digit references committed by tests/data/bump_mpmath.py; the
-    # cheapest entry is recomputed here so the table stays tied to the script
-    mp = pytest.importorskip("mpmath")
+def test_trapezoid_rule_raises_when_under_resolved():
+    # far above the switch the 2N nodes alias cos(w t): the step-1/N and
+    # step-1/(2N) sums differ by 5.6e8 (T = 25, w = 3,000) and 104 (T = 50,
+    # w = 5,000) times the rounding floor eps (1/N) sum f_i
+    for T, w in ((25.0, 3000.0), (50.0, 5000.0)):
+        nu = syn.make_spec(P21, T).nu
+        assert _v1_rule(nu, 80.0) == syn.BumpTable(nu).eval_w(np.array([80.0]))[0][0]
+        with pytest.raises(ResolutionError):
+            _v1_rule(nu, w)
+
+
+def _mpmath_rows():
+    """The 80-digit references committed by tests/data/bump_mpmath.py, and the script."""
     spec = importlib.util.spec_from_file_location("bump_mpmath", DATA / "bump_mpmath.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     rows = json.loads(script.TABLE.read_text())
     assert [(r["nu"], r["w"]) for r in rows] == list(script.POINTS)
+    return rows, script
+
+
+def test_contour_matches_mpmath():
+    # the cheapest entry above the switch is recomputed here so the table
+    # stays tied to the script
+    mp = pytest.importorskip("mpmath")
+    rows, script = _mpmath_rows()
+    above = [r for r in rows if "T" not in r]
     with mp.workdps(script.DIGITS):
         fresh = mp.mpf(script.reference(3.0, 300.0))
-        assert mp.almosteq(fresh, mp.mpf(rows[1]["v1"]), rel_eps=1e-30)
+        assert mp.almosteq(fresh, mp.mpf(above[1]["v1"]), rel_eps=1e-30)
 
-    for r in rows:
+    for r in above:
         nu, w, ref = r["nu"], r["w"], float(r["v1"])
         # the half path the lattice is built from, and the lattice itself
         val, sc, _ = _v1_half_contour(nu, w)
@@ -135,11 +158,29 @@ def test_vhat1_direct_range_raises_no_warning():
     assert np.all(s == 0.0) and np.all(np.isfinite(m))
 
 
+# below the switch the table is the trapezoid rule, within these multiples of
+# the envelope e^{-sqrt(nu w)} of the 80-digit references; measured 1.9e-10,
+# 4.2e-10, 4.0e-12, 1.7e-14, 1.7e-15 and 7.8e-16, the rounding of the sum
+# at small T (the quadrature it replaced was off by 0.11 at T = 0.01, w = 73)
+_RULE_BOUND = {0.01: 1e-9, 0.05: 2e-9, 0.4: 2e-11, 5.0: 1e-13, 25.0: 1e-14, 50.0: 5e-15}
+
+
 def test_bump_table_matches_pointwise():
-    # below the switch the table is quad itself; above it the lattice is
-    # within 1e-9 of |C| of the exact half contour for w up to 1e6, which
-    # covers the sign-integral grids (the rounding of the phase w itself is
-    # 1.2e-10 of |C| there)
+    rows, _ = _mpmath_rows()
+    for T, bound in _RULE_BOUND.items():
+        nu = syn.make_spec(P21, T).nu
+        below = [r for r in rows if r.get("T") == T]
+        assert len(below) == 6 and all(r["nu"] == nu for r in below)
+        w = np.array([r["w"] for r in below])
+        ref = np.array([float(r["v1"]) for r in below])
+        table = syn.BumpTable(nu)
+        assert np.all(w <= table.w_sw)
+        m, s = table.eval_w(w)
+        assert np.all(s == 0.0)
+        assert np.all(np.abs(m - ref) <= bound * np.exp(-np.sqrt(nu * w)))
+    # above the switch the lattice is within 1e-9 of |C| of the exact half
+    # contour for w up to 1e6, which covers the sign-integral grids (the
+    # rounding of the phase w itself is 1.2e-10 of |C| there)
     w = np.geomspace(1.0, 1e6, 4000)
     for T in (0.05, 0.4, 5.0, 25.0, 50.0):
         nu = syn.make_spec(P21, T).nu
@@ -147,14 +188,14 @@ def test_bump_table_matches_pointwise():
         m, s = table.eval_w(w)
         lo = w <= table.w_sw
         assert np.all(s[lo] == 0.0)
-        assert np.array_equal(m[lo], [syn._v1_direct(nu, x) for x in w[lo]])
         ref, sc, cabs = _v1_half_contour(nu, w[~lo])
         assert np.all(np.abs(m[~lo] * np.exp(s[~lo] - sc) - ref) <= 1e-9 * cabs)
         if T < 0.1:
             continue
         # v1 is continuous in w across the switch: a relative step of 1e-12
-        # moves it by at most 1e-10 of its envelope e^{-sqrt(nu w)}
-        wc = np.geomspace(40.0, 1.05 * (nu + 18.0) ** 2 / nu, 600)
+        # moves it by at most 1e-10 of its envelope e^{-sqrt(nu w)}; w_sw
+        # itself is on the grid, so one step crosses the switch
+        wc = np.append(np.geomspace(40.0, 1.05 * (nu + 18.0) ** 2 / nu, 600), table.w_sw)
         rc = np.sqrt(nu * wc)
         (m0, s0), (m1, s1) = table.eval_w(wc), table.eval_w(wc * (1.0 + 1e-12))
         assert np.all(np.abs(m0 * np.exp(s0 + rc) - m1 * np.exp(s1 + rc)) <= 1e-10)
