@@ -269,13 +269,13 @@ class SpectralFrame:
     H: complex
 
 
-_XI_FALLBACK = 1e-6
+_XI_FALLBACK = 0.1  # below it det Q/Xi's eps/|Xi| error exceeds _dd2's (against mpmath)
 
 
 def _over_xi(lam: np.ndarray, L: float, num, expsign: float):
     """num / Xi in (mantissa, log-scale) form; num is scaled P (expsign +1) or det Q (-1).
 
-    Near root collisions (|Xi| < 1e-6) the divided-difference form
+    Near root collisions (|Xi| < _XI_FALLBACK) the divided-difference form
     -expsign * dd2(expsign) is used, which is finite there by entirety.
     """
     m, s = num

@@ -416,7 +416,7 @@ def _h_factors(spec: ControlSpec, z):
     if not lo.all():
         fi, gi = _lattice_interp((np.log(z[~lo]) - _H_LZ0) / _H_STEP, nodes, "H")
         r = MU[0] * spec.pair.L * np.cbrt(z[~lo])
-        m[:, ~lo], s[:, ~lo] = np.exp(1j * (gi - r.imag)), fi - r.real
+        m[:, ~lo], s[:, ~lo] = _cis(gi - r.imag), fi - r.real
     return (m[0], s[0]), (m[1], s[1])
 
 
@@ -431,6 +431,14 @@ def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, floa
     if beyond.size == 0:
         raise SupportLeak("spectrum cutoff not reached by z = 1e9; raise the probe range")
     return float(z_probe[beyond[0]]), float(peak)
+
+
+def _cis(x):
+    """e^{ix} for real x: cos into .real and sin into .imag of one complex array."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def _mirror(half, sign: int):
@@ -454,8 +462,12 @@ _LEAK_TOL = 1e-6  # largest relative L^2 mass of u outside [0, T]
 def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple:
     """Sample u-hat and w-hat and reconstruct u, w on [-2T, 6T).
 
-    The grid covers [-Z, Z] with Z set by the 1e-14 relative envelope cutoff;
-    the inverse transform u(t) = (1/2pi) int u-hat e^{izt} dz is one FFT.
+    The grid z_k = dz (k - n/2) covers [-Z, Z] with Z set by the 1e-14 relative
+    envelope cutoff.  On t_j = t0 + 2 pi j/(n dz), e^{i z_k t_j} = e^{i z_k t0}
+    (-1)^j e^{2 pi i jk/n}, so u(t) = (1/2pi) int u-hat e^{izt} dz is one FFT:
+    u(t_j) = (n dz/2pi) (-1)^j ifft(u-hat e^{i z t0})_j.  One shift factor serves
+    u and w, and (-1)^j flips the real outputs.  The z factors are evaluated on
+    z >= 0, which holds every |z| of the grid, and the hump check reads them there.
     H(z) and H^(d)(z + i gamma) are exact below z = _H_SW = 5; above it each
     log factor plus mu_1 L z^{1/3} is read by an 8-node Lagrange stencil
     from the nodes z_k = 5 e^{0.03 k} (the BumpTable scheme), which for
@@ -470,46 +482,39 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     z_max, probe_peak = _spectrum_cutoff(spec)
     _check_hump(probe_peak)  # a lower bound on the true peak: fail before the full grid
     t0 = -_WINDOW * spec.T / 4.0
-    t_span = _WINDOW * spec.T
-    dz_needed = 2.0 * math.pi / t_span
+    dz_needed = 2.0 * math.pi / (_WINDOW * spec.T)
     n = n_fft
     while 2.0 * z_max / n > dz_needed and n < (1 << 24):
         n *= 2
     dz = 2.0 * z_max / n
     z = dz * (np.arange(n) - n // 2)
-    # each z factor is evaluated once per |z| and mirrored by the cubic's
-    # conjugation symmetry: v1 is real and even, H(-z) = conj(H(z)), and
-    # H^(d)(-z + i g) = (-1)^d conj(H^(d)(z + i g)); the phase, prefactor and
-    # z factor of the spectra apply on the full grid
+    # mirrored: v1 is real and even, H(-z) = conj H(z), H^(d)(-z + ig) = (-1)^d conj H^(d)(z + ig);
+    # the phase, prefactor and z factor of the spectra apply on the full grid
     zh = dz * np.arange(n // 2 + 1)
-    v1 = _mirror(vhat1_scaled(spec.nu, spec.beta, zh), 1)
+    v1 = vhat1_scaled(spec.nu, spec.beta, zh)
     h, dh = _h_factors(spec, zh)
-    um, us = _uhat_scaled(v1, _mirror(h, 1))
-    wm, ws = _what_scaled(spec, z, v1, _mirror(dh, (-1) ** spec.h_order))
-    del h, dh  # both share one buffer; free it before the transforms
+    um, us = _uhat_scaled(v1, h)
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
-    phase = np.exp(-1j * spec.beta * z)
+    v1 = _mirror(v1, 1)
+    um, us = _mirror((um, us), 1)
+    wm, ws = _what_scaled(spec, z, v1, _mirror(dh, (-1) ** spec.h_order))
+    del h, dh, v1  # h and dh share one buffer; free it before the transforms
+    phase = _cis(-spec.beta * z)
     um *= phase
     wm *= phase
     with np.errstate(under="ignore"):
         uhat = um * np.exp(us)
         what = wm * np.exp(ws)
-
+    del um, us, wm, ws, phase
     t = t0 + (2.0 * math.pi / (n * dz)) * np.arange(n)
-
-    def inverse(spectrum):
-        shifted = spectrum * np.exp(1j * z * t0)
-        series = n * np.fft.ifft(shifted * np.exp(-1j * z[0] * t0))
-        vals = (dz / (2.0 * math.pi)) * np.exp(1j * z[0] * t) * series
-        return vals
-
-    u_t = inverse(uhat)
-    w_t = inverse(what)
+    scale, shift = n * dz / (2.0 * math.pi), _cis(t0 * z)
+    u_t, w_t = (scale * np.fft.ifft(spectrum * shift) for spectrum in (uhat, what))
     im_ratio = np.abs(u_t.imag).max() / max(np.abs(u_t.real).max(), 1e-300)
     if im_ratio > 1e-6:
         raise SupportLeak(f"reconstructed control not real (Im ratio {im_ratio:.2e})")
-    u_t = u_t.real
-    w_t = w_t.real
+    u_t, w_t = u_t.real, w_t.real
+    u_t[1::2] *= -1.0
+    w_t[1::2] *= -1.0
     inside = (t >= 0.0) & (t <= spec.T)
     total = float(np.sum(u_t**2))
     outside_mass = float(np.sum(u_t[~inside] ** 2) / max(total, 1e-300))

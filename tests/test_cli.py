@@ -1,13 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kdvcrit
 from kdvcrit import numbertheory as nt
 from kdvcrit import kernel, pde, spectral
 from kdvcrit.cli import dispatch
 
 DATA = Path(__file__).with_name("data")
+
+
+def test_python_m_kdvcrit_runs_the_cli():
+    src = Path(kdvcrit.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "kdvcrit", "--help"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and "verify-all" in proc.stdout
 
 
 @pytest.mark.parametrize("system", ["linear", "second-order", "nonlinear"])

@@ -418,6 +418,26 @@ def test_steering_spectrum_21():
     assert rep.bound_holds
 
 
+@pytest.mark.parametrize("pair", [P21, P11])
+def test_steering_transform_matches_direct_sum(pair):
+    # u(t_j) = (dz/2pi) sum_k u-hat_k e^{i z_k t_j} summed directly at nodes of
+    # both parities before, at the peak of, inside and after [0, T]; measured
+    # 7.2e-14 (u) and 1.7e-13 (w) of the largest |sum| for (2,1), 3e-15 for (1,1)
+    spec = syn.make_spec(pair, 25.0)
+    trip = syn.steering_spectrum(spec)
+    n = trip.t.size
+    dz = trip.z[n // 2 + 1]
+    inside = np.flatnonzero((trip.t >= 0.0) & (trip.t <= spec.T))
+    peak = int(np.argmax(np.abs(trip.u_time)))
+    mid = (inside[0] + inside[-1]) // 2
+    j = np.array([inside[0] // 2, peak, mid, (inside[-1] + n) // 2])
+    j = np.concatenate([j, j + 1])
+    for spectrum, signal in ((trip.uhat, trip.u_time), (trip.what, trip.w_time)):
+        direct = np.array([np.sum(spectrum * np.exp(1j * trip.z * trip.t[i])) for i in j])
+        direct *= dz / (2.0 * math.pi)
+        assert np.all(np.abs(signal[j] - direct.real) <= 1e-12 * np.abs(direct).max())
+
+
 def test_steering_spectrum_leak_raises_at_small_T():
     spec = syn.make_spec(P32, 0.4)
     with pytest.raises(SupportLeak):
