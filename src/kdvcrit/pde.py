@@ -17,7 +17,8 @@ energy at O(dx^2), far above what the Gramian-collapse and conservation
 checks require.
 
 Each node carries (value, derivative) degrees of freedom; all matrices are
-banded with bandwidth 3 and the step matrix is LU-factored once per `_System`.
+banded with bandwidth 3.  The step matrix gets one banded LU (LAPACK dgbtrf)
+per `_System`, and every Crank-Nicolson step is one dgbtrs solve.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
+# unused here: perfbench/tracer.py and tests/test_tracer_bindings.py bind it
+import scipy.sparse.linalg as sparse_linalg  # noqa: F401
 from scipy.linalg import cholesky
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable
 from .numbertheory import LengthClass
@@ -57,6 +60,8 @@ class Grid:
     nt: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, np.integer)) for v in (self.nx, self.nt)):
+            raise DomainError(f"nx and nt must be integers, got nx = {self.nx!r}, nt = {self.nt!r}")
         if self.nx < 8:
             raise DomainError(f"need nx >= 8 interior nodes, got nx = {self.nx}")
         if self.nt < 1 or not (0 < self.T < math.inf and 0 < self.L < math.inf):
@@ -171,13 +176,16 @@ class _System:
         self.Kc = np.asarray(self.K[self.free, self.i_dN].todense()).ravel()
 
     @cached_property
-    def step_lu(self):
-        """LU factor of the Crank-Nicolson step matrix M + dt/2 K (free DOFs)."""
-        a = (self.Mf + (self.grid.dt / 2.0) * self.Kf).tocsc()
-        try:
-            return sparse_linalg.splu(a)
-        except RuntimeError as exc:  # pragma: no cover - should not happen for dt > 0
-            raise LinearSolveFailure(str(exc)) from exc
+    def step_solve(self):
+        """Solver of the Crank-Nicolson step matrix M + dt/2 K (free DOFs) by banded LU."""
+        dia = (self.Mf + (self.grid.dt / 2.0) * self.Kf).todia()
+        k = int(np.abs(dia.offsets).max())  # kl = ku = k; dgbtrf needs k more rows for fill-in
+        ab = np.zeros((3 * k + 1, dia.shape[0]))
+        ab[2 * k - dia.offsets] = dia.data
+        lu, piv, info = dgbtrf(ab, k, k)
+        if info != 0:
+            raise LinearSolveFailure(f"banded LU of the step matrix failed (dgbtrf info = {info})")
+        return lambda rhs: dgbtrs(lu, k, k, rhs, piv)[0]
 
     @cached_property
     def step_rhs(self):
@@ -268,26 +276,22 @@ class Trajectory:
 def _as_control(u, nt: int, t_nodes: np.ndarray) -> np.ndarray:
     if u is None:
         return np.zeros(nt + 1)
-    if callable(u):
-        return np.array([float(u(t)) for t in t_nodes])
-    u = np.asarray(u, dtype=float)
-    if u.shape != (nt + 1,):
-        raise DomainError(f"control must have nt+1 = {nt + 1} samples, got {u.shape}")
+    u = np.array([float(u(t)) for t in t_nodes]) if callable(u) else np.asarray(u, dtype=float)
+    if u.shape != (nt + 1,) or not np.all(np.isfinite(u)):
+        raise DomainError(f"control must be nt+1 = {nt + 1} finite samples, got shape {u.shape}")
     return u
 
 
 def _initial_dofs(sys_: _System, y0) -> np.ndarray:
     if y0 is None:
         return np.zeros(sys_.ndof)
-    if isinstance(y0, tuple):
-        vals, ders = y0
-        dofs = sys_.interpolate(np.asarray(vals, dtype=float), np.asarray(ders, dtype=float))
-    elif callable(y0):
-        vals = np.array([y0(x) for x in sys_.grid.x_nodes])
-        dofs = sys_.interpolate(vals)
-    else:
-        dofs = sys_.interpolate(np.asarray(y0, dtype=float))
-    return dofs
+    if callable(y0):
+        y0 = np.array([y0(x) for x in sys_.grid.x_nodes])
+    nodal = [np.asarray(v, dtype=float) for v in (y0 if isinstance(y0, tuple) else (y0,))]
+    n = sys_.grid.nx + 2
+    if len(nodal) > 2 or any(v.shape != (n,) or not np.all(np.isfinite(v)) for v in nodal):
+        raise DomainError(f"state data must be {n} finite nodal values (and derivatives)")
+    return sys_.interpolate(*nodal)
 
 
 def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.ndarray:
@@ -299,10 +303,12 @@ def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.nda
 
     on the free DOFs, Mc and Kc being the y_x(L) columns through which the
     control enters.  y and u may carry a trailing column axis, one run per
-    column.  ``step(n, y_n, rhs, solve)``, when given, returns y_{n+1} in place
-    of ``solve(rhs)``; the solvers use it to add a source or iterate the step.
+    column.  ``solve`` is the banded LU solve of ``sys_.step_solve``.
+    ``step(n, states, rhs, solve)``, when given, returns y_{n+1} in place of
+    ``solve(rhs)``, rows 0 .. n of ``states`` holding y_0 .. y_n; the solvers
+    use it to add a source or iterate the step from an extrapolated guess.
     """
-    lu = sys_.step_lu
+    solve = sys_.step_solve
     b_mat = sys_.step_rhs
     runs = (1,) * (y.ndim - 1)  # Mc, Kc broadcast over the run columns
     mc = sys_.Mc.reshape(-1, *runs)
@@ -315,7 +321,7 @@ def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.nda
         rhs = b_mat @ states[n]
         rhs -= mc * du[n]
         rhs -= kc * su[n]
-        states[n + 1] = lu.solve(rhs) if step is None else step(n, states[n], rhs, lu.solve)
+        states[n + 1] = solve(rhs) if step is None else step(n, states, rhs, solve)
     return states
 
 
@@ -353,7 +359,7 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     sys_ = _System(grid)
     y1 = solve_linear(grid, u=u1, system=sys_)
 
-    def source(n, y, rhs, solve):
+    def source(n, states, rhs, solve):
         mid = 0.5 * (y1.dofs[n] + y1.dofs[n + 1])
         return solve(rhs - grid.dt * sys_.nonlinear_weak(mid))
 
@@ -377,11 +383,11 @@ def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
     full_prev = np.zeros(sys_.ndof)
     full_next = np.zeros(sys_.ndof)
 
-    def picard(n, y, base, solve):
-        full_prev[sys_.free] = y
+    def picard(n, states, base, solve):
+        full_prev[sys_.free] = states[n]
         full_prev[sys_.i_dN] = u_arr[n]
         full_next[sys_.i_dN] = u_arr[n + 1]
-        y_next = y
+        y_next = 2.0 * states[n] - states[n - 1] if n else states[n]  # linear extrapolation
         for _ in range(_PICARD_MAX):
             full_next[sys_.free] = y_next
             mid = 0.5 * (full_prev + full_next)
@@ -522,6 +528,8 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     residual stagnates above tolerance, which is exactly what happens for
     targets with a component in M_N at a critical length.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"need a finite tol > 0, got {tol}")
     sys_ = _System(grid)
     g_dofs = _initial_dofs(sys_, target)[sys_.free]
     if not np.any(g_dofs):

@@ -133,20 +133,55 @@ def test_cn_states_two_columns_match_one_column_runs(nx, n_steps, seed):
 
 
 def test_step_matrix_factored_once_per_system(monkeypatch):
-    real = pde.sparse_linalg
+    real = pde.dgbtrf
     factored = []
 
-    class CountingLinalg:
-        def splu(self, a):
-            factored.append(a.shape)
-            return real.splu(a)
+    def counting_dgbtrf(ab, kl, ku):
+        factored.append(ab.shape)
+        return real(ab, kl, ku)
 
-    monkeypatch.setattr(pde, "sparse_linalg", CountingLinalg())
+    monkeypatch.setattr(pde, "dgbtrf", counting_dgbtrf)
     g = pde.Grid(L=PAIR.L, nx=16, T=0.2, nt=10)
     pde.solve_second_order(g, np.sin(g.t_nodes))
     assert len(factored) == 1
     pde.gramian(g, nt.representations(PAIR.N))
     assert len(factored) == 2
+
+
+@pytest.mark.parametrize("nx", [8, 9, 128])
+@pytest.mark.parametrize("columns", [(), (2,)])
+def test_banded_step_solve_matches_dense(nx, columns):
+    sys_ = pde._System(pde.Grid(L=PAIR.L, nx=nx, T=1.0, nt=100))
+    dense = (sys_.Mf + (sys_.grid.dt / 2.0) * sys_.Kf).toarray()
+    rhs = np.random.default_rng(nx).standard_normal((len(sys_.free), *columns))
+    x = sys_.step_solve(rhs)
+    ref = np.linalg.solve(dense, rhs)
+    assert x.shape == rhs.shape
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _count_picard_sweeps(monkeypatch, grid, u):
+    """nonlinear_weak calls made by solve_nonlinear: one per Picard sweep."""
+    calls = []
+    real = pde._System.nonlinear_weak
+
+    def counting(self, dofs):
+        calls.append(1)
+        return real(self, dofs)
+
+    monkeypatch.setattr(pde._System, "nonlinear_weak", counting)
+    pde.solve_nonlinear(grid, u=u)
+    return len(calls)
+
+
+def test_picard_sweeps_per_step(monkeypatch):
+    g = pde.Grid(L=PAIR.L, nx=128, T=1.0, nt=800)
+    assert _count_picard_sweeps(monkeypatch, g, None) == g.nt  # zero data: one sweep a step
+    # the benchmark's simulate input (seed 0); starting each step from y_n took 3.92 sweeps a step
+    t = g.t_nodes
+    amp, width, center = 0.32739233746429086, 7.079146855055481, 0.40819470478723896
+    u = amp * np.sin(2 * math.pi * t) * np.exp(-width * (t - center) ** 2)
+    assert _count_picard_sweeps(monkeypatch, g, u) <= 3.1 * g.nt
 
 
 def test_nonlinear_small_data_scaling():
@@ -290,6 +325,35 @@ def test_bad_grid_and_control_raise_domain_error():
     g = pde.Grid(L=1.0, nx=8, T=1.0, nt=10)
     with pytest.raises(DomainError):
         pde.solve_linear(g, u=np.zeros(g.nt))
+
+
+_G = pde.Grid(L=1.0, nx=8, T=1.0, nt=10)
+_NAN_U = np.where(np.arange(_G.nt + 1) == 3, np.nan, 0.0)
+_ZERO_X = np.zeros(_G.nx + 2)
+_NAN_X = np.where(np.arange(_G.nx + 2) == 4, np.nan, 0.0)
+_BAD_INPUTS = {
+    "linear-nan-control": lambda: pde.solve_linear(_G, u=_NAN_U),
+    "second-order-inf-control": lambda: pde.solve_second_order(_G, np.full(_G.nt + 1, np.inf)),
+    "nonlinear-nan-control": lambda: pde.solve_nonlinear(_G, u=_NAN_U),
+    "linear-nan-y0": lambda: pde.solve_linear(_G, y0=_NAN_X),
+    "nonlinear-inf-derivative-y0": lambda: pde.solve_nonlinear(_G, y0=(_ZERO_X, _ZERO_X + np.inf)),
+    "callable-nan-y0": lambda: pde.solve_linear(_G, y0=lambda x: math.nan),
+    "short-y0": lambda: pde.solve_linear(_G, y0=np.zeros(_G.nx + 1)),
+    "short-derivative-y0": lambda: pde.solve_nonlinear(_G, y0=(_ZERO_X, np.zeros(_G.nx))),
+    "nan-target": lambda: pde.hum_control(_G, _NAN_X),
+    "float-nx": lambda: pde.Grid(L=1.0, nx=8.5, T=1.0, nt=10),
+    "float-nt": lambda: pde.Grid(L=1.0, nx=8, T=1.0, nt=10.0),
+    "str-nx": lambda: pde.Grid(L=1.0, nx="16", T=1.0, nt=10),
+    "zero-tol": lambda: pde.hum_control(_G, _ZERO_X + 1.0, tol=0.0),
+    "negative-tol": lambda: pde.hum_control(_G, _ZERO_X + 1.0, tol=-1e-6),
+    "nan-tol": lambda: pde.hum_control(_G, _ZERO_X + 1.0, tol=math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_pde_input_raises_domain_error(case):
+    with pytest.raises(DomainError):
+        _BAD_INPUTS[case]()
 
 
 @pytest.mark.slow
