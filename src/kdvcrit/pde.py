@@ -387,7 +387,7 @@ def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
         full_prev[sys_.free] = states[n]
         full_prev[sys_.i_dN] = u_arr[n]
         full_next[sys_.i_dN] = u_arr[n + 1]
-        y_next = 2.0 * states[n] - states[n - 1] if n else states[n]  # linear extrapolation
+        y_next = 2.0 * states[n] - states[n - 1] if n else states[n]
         for _ in range(_PICARD_MAX):
             full_next[sys_.free] = y_next
             mid = 0.5 * (full_prev + full_next)
