@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NearPole
+from .errors import NearPole, ResolutionError
 from .numbertheory import CriticalPair
 from .spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots, xi
 from .unreachable import UnreachableData, constants, eta_triple
@@ -204,7 +204,7 @@ def intb_quadrature(pair: CriticalPair, z, tol: float = 1e-10):
             return total
         prev = total
         n *= 2
-    raise RuntimeError(f"quadrature did not converge at z = {z}")
+    raise ResolutionError(f"quadrature did not converge at z = {z}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,12 @@ hump that can reach exp(hundreds) at small T.  Everything is therefore
 evaluated in (mantissa, log-scale) form: the bump transform by a checked
 trapezoid rule below a switch (exponentially convergent: the bump is flat at
 t = +-1) and by contour deformation through its endpoint saddles above it, H
-and its derivatives by scaled Taylor jets (the steering grid reads them above
-z = 5 from a log-lattice table), and intB H(z) H(p-z) by the kernel module's
-N/(Xi Xi~), whose Xi factors come from the root triples of N itself: u-hat's H
-factors cancel exactly, so no det Q pole remains, and the quotient is 0/0 only
-at the root-collision points of Xi, which are bridged by local polynomial fits.
+and H^(d) by scaled Taylor jets below |z| = 5 and from one log-lattice table
+above (read by the steering spectrum and the sign integrals alike), and
+intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi factors come from
+the root triples of N itself: u-hat's H factors cancel exactly, so no det Q
+pole remains, and the quotient is 0/0 only at the root-collision points of Xi,
+which are bridged by local polynomial fits.
 """
 
 from __future__ import annotations
@@ -311,8 +312,8 @@ def _h_deriv_scaled(pair: CriticalPair, gamma: float, z, d: int):
 
 
 def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
-    zs = np.concatenate([np.linspace(-60.0, 60.0, 1201), np.geomspace(60.0, 1e5, 80)])
-    zs = np.concatenate([zs, -np.geomspace(60.0, 1e5, 80)])
+    # |H^(d)(-z + i gamma)| = |H^(d)(z + i gamma)|, so z >= 0 probes the whole line
+    zs = np.concatenate([np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 1e5, 80)])
     m, s = _h_deriv_scaled(pair, gamma, zs, d)
     logmag = np.log(np.abs(m) + 1e-300) + s
     return bool(np.min(logmag) > math.log(1e-10))
@@ -392,12 +393,15 @@ _H_LZ0 = math.log(_H_SW)
 
 
 def _h_factors(spec: ControlSpec, z):
-    """H(z) and H^(d)(z + i gamma), d = h_order, as (m, s) pairs for real z >= 0.
+    """H(z) and H^(d)(z + i gamma), d = h_order, as (m, s) pairs for real z.
 
-    Above _H_SW each log factor plus mu_1 L z^{1/3}, the dominant root's
-    exponent, is read from the lattice (see steering_spectrum).
+    The one H reader of steering_spectrum and sign_report.  Above |z| = _H_SW
+    each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
+    from the lattice (see steering_spectrum); z < 0 mirrors |z| by
+    H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
     """
     z = np.asarray(z, dtype=float)
+    neg, z = z < 0.0, np.abs(z)
     lo = z < _H_SW
 
     def exact(zs):
@@ -417,6 +421,8 @@ def _h_factors(spec: ControlSpec, z):
         fi, gi = _lattice_interp((np.log(z[~lo]) - _H_LZ0) / _H_STEP, nodes, "H")
         r = MU[0] * spec.pair.L * np.cbrt(z[~lo])
         m[:, ~lo], s[:, ~lo] = _cis(gi - r.imag), fi - r.real
+    m[:, neg] = np.conj(m[:, neg])
+    m[1, neg] *= (-1) ** spec.h_order
     return (m[0], s[0]), (m[1], s[1])
 
 
@@ -470,9 +476,9 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     z >= 0, which holds every |z| of the grid, and the hump check reads them there.
     H(z) and H^(d)(z + i gamma) are exact below z = _H_SW = 5; above it each
     log factor plus mu_1 L z^{1/3} is read by an 8-node Lagrange stencil
-    from the nodes z_k = 5 e^{0.03 k} (the BumpTable scheme), which for
-    (2,1) and (1,1) is within 2.2e-13 of the exact factors on [5, 1e5], the
-    rounding of their phase (3.6e-12 at 1e9).
+    from the nodes z_k = 5 e^{0.03 k} (the BumpTable scheme), which is within
+    4e-13 of the exact factors on [5, 1e5] and 1.5e-12 on [1e6, 5e6] for
+    (3,2): up to 2.6 eps L z^{1/3}, the rounding of their phase.
     Raises SupportLeak when the relative L^2 mass of u outside [0, T] exceeds
     _LEAK_TOL - because the grid is too coarse, or because the spectral
     hump exceeds float64 range (exp(~36)), in which case no double-precision
@@ -641,7 +647,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
 
     I = (1/E) int u-hat(z) conj(u-hat(z-p)) intB(z) dz; J uses 1/F and the
     third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
-    SignReport).
+    SignReport).  H and H^(d) come from _h_factors, as in steering_spectrum.
     """
     if n_side < 2:
         raise DomainError(f"sign_report: n_side must be >= 2, got {n_side}")
@@ -668,9 +674,10 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     mant, logs = _bridge_fill(z, mant, logs, _bridge_mask(z, p))
     ival_m, ival_s = _scaled_integral(z, mant, logs)
 
-    # normalizers from w-hat on the shifted line, one H^(d) call for both
-    # shifts; the bump phases of w-hat(z) conj(w-hat(z-p)) give e^{-i beta p} again
-    wm, ws = _what_scaled(spec, zz, v1, _h_deriv_scaled(pair, spec.gamma, zz, spec.h_order))
+    # normalizers from w-hat on the shifted line, one H-factor call for H(z) and both
+    # H^(d) shifts; the bump phases of w-hat(z) conj(w-hat(z-p)) give e^{-i beta p} again
+    h, dh = _h_factors(spec, zz)
+    wm, ws = _what_scaled(spec, zz, v1, dh)
     (wm_z, wm_s), (ws_z, ws_s) = np.split(wm, 2), np.split(ws, 2)
     n_m, n_s = _scaled_integral(z, np.abs(wm_z) ** 2, 2.0 * ws_z)
     c_m, c_s = _scaled_integral(z, phase * wm_z * np.conj(wm_s), ws_z + ws_s)
@@ -678,7 +685,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     # statement-level ratio of the small-time projection result:
     # int u ubar(.-p) intB dz / ||u||_{H^{-s}}^2 -> E (s = 2/3) or F (s = 1)
     sob = 2.0 / 3.0 if spec.case == 1 else 1.0
-    um, us = _uhat_scaled((v1m_z, v1s_z), h_scaled(z, pair.L))
+    um, us = _uhat_scaled((v1m_z, v1s_z), [a[: z.size] for a in h])
     h_m, h_s = _scaled_integral(z, np.abs(um) ** 2 * (1.0 + z**2) ** (-sob), 2.0 * us)
 
     ratio = (ival_m / n_m) * math.exp(ival_s - n_s)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseError, InvariantViolation, ResolutionError
+from .errors import CaseError, DomainError, InvariantViolation, ResolutionError
 from .numbertheory import CriticalPair, LengthClass
 
 __all__ = [
@@ -208,7 +208,7 @@ class MNBasis:
 
 def _simpson_weights(n: int, dx: float) -> np.ndarray:
     if n % 2 == 0 or n < 3:
-        raise ValueError("Simpson rule needs an odd number of points >= 3")
+        raise DomainError("Simpson rule needs an odd number of points >= 3")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
-from kdvcrit.errors import NearPole
+from kdvcrit.errors import NearPole, ResolutionError
 from kdvcrit.unreachable import eta_triple
 
 P21 = nt.CriticalPair(2, 1)
@@ -29,6 +29,13 @@ def test_closed_form_vs_quadrature_random_battery():
             c = kn.intB_closed(pair, float(z))
             q = kn.intb_quadrature(pair, float(z), tol=1e-11)
             assert abs(c - q) <= 1e-9 * max(abs(q), 1e-12)
+
+
+def test_quadrature_out_of_doublings_raises(monkeypatch):
+    # one pass gives no second value to compare with, so the oracle refuses
+    monkeypatch.setattr(kn, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(ResolutionError):
+        kn.intb_quadrature(P21, 10.0)
 
 
 def _intb_mpmath(pair, z):

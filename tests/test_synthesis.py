@@ -227,18 +227,22 @@ def test_vhat1_any_subset_matches_full_call(picks, T):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("pair, order", [(P21, 1), (P11, 3)])
+@pytest.mark.parametrize("pair, order", [(P21, 1), (P11, 3), (P32, 1), (P41, 3)])
 def test_h_table_matches_exact(pair, order):
-    # above the switch the lattice holds H and H^(d) to 1e-12 of their size;
-    # the measured gap is 2.2e-13, the rounding of the exact phase itself
-    spec = syn.make_spec(pair, 25.0)
+    # above the switch the lattice holds H and H^(d) to 1e-12 of their size up
+    # to z = 1e5 (measured 4.0e-13), and beyond to 4 eps L z^{1/3}, the rounding
+    # of the phase mu_1 L z^{1/3}: measured up to 2.6 times it (1.5e-12) by
+    # z = 5e6, the reach of the sign grids at T = 0.4, where 30-digit values put
+    # the exact and the lattice factors each within 6e-13 (H does not depend on T)
+    spec = syn.make_spec(pair, 0.4)
     assert spec.h_order == order
-    z = np.geomspace(syn._H_SW, 1e5, 6000)
+    z = np.geomspace(syn._H_SW, 5e6, 8000)
+    tol = np.maximum(1e-12, 4 * np.finfo(float).eps * pair.L * np.cbrt(z))
     (hm, hs), (dm, ds) = syn._h_factors(spec, z)
     em, es = sp.h_scaled(z, pair.L)
     xm, xs = syn._h_deriv_scaled(pair, spec.gamma, z, order)
-    assert np.all(np.abs(hm * np.exp(hs - es) - em) <= 1e-12 * np.abs(em))
-    assert np.all(np.abs(dm * np.exp(ds - xs) - xm) <= 1e-12 * np.abs(xm))
+    assert np.all(np.abs(hm * np.exp(hs - es) - em) <= tol * np.abs(em))
+    assert np.all(np.abs(dm * np.exp(ds - xs) - xm) <= tol * np.abs(xm))
     # below it both factors are the exact values
     zl = np.linspace(0.0, syn._H_SW, 50, endpoint=False)
     (hm, hs), (dm, ds) = syn._h_factors(spec, zl)
@@ -246,14 +250,14 @@ def test_h_table_matches_exact(pair, order):
     assert np.array_equal(dm, syn._h_deriv_scaled(pair, spec.gamma, zl, order)[0])
 
 
-_ZH = np.linspace(0.0, 3000.0, 2001)
+_ZH = np.linspace(-3000.0, 3000.0, 2401)  # step 2.5: holds 0 and +-_H_SW
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(0, _ZH.size - 1), min_size=1, max_size=30), st.sampled_from([P21, P11]))
-@example(picks=list(range(2000)), pair=P21)
+@example(picks=list(range(_ZH.size - 1)), pair=P21)
 def test_h_factors_any_subset_matches_full_call(picks, pair):
-    # the grid straddles the switch; a value depends on (spec, z) alone
+    # the grid straddles the switch on both sides; a value depends on (spec, z) alone
     spec = syn.make_spec(pair, 25.0)
     full = syn._h_factors(spec, _ZH)
     sub = syn._h_factors(spec, _ZH[picks])
@@ -261,6 +265,12 @@ def test_h_factors_any_subset_matches_full_call(picks, pair):
     for (m, s), (m_sub, s_sub), (m_one, s_one) in zip(full, sub, one):
         assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
         assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[picks[0]], s[picks[0]])
+    # z < 0 mirrors |z| bit for bit, on the exact path and the table alike:
+    # H(-z) = conj H(z) and H^(d)(-z + i g) = (-1)^d conj H^(d)(z + i g)
+    pos = _ZH > 0.0
+    mirror = syn._h_factors(spec, -_ZH[pos])
+    for (m, s), (m_neg, s_neg), sign in zip(full, mirror, (1, (-1) ** spec.h_order)):
+        assert np.array_equal(m_neg, sign * np.conj(m[pos])) and np.array_equal(s_neg, s[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +482,21 @@ def test_sign_report_value_21_T25():
     # own root triples
     rep = syn.sign_report(syn.make_spec(P21, 25.0), n_side=2001)
     assert abs(rep.value - (0.8519300331350661 + 0.5150369226634223j)) <= 1e-9
+
+
+def test_sign_report_reads_h_from_the_table(monkeypatch):
+    # H and H^(d) come from the steering table: jets run only below _H_SW and
+    # at the lattice nodes, not at each of the 2 n_grid points of both shifts
+    spec = syn.make_spec(P32, 0.4)
+    seen = []
+
+    def counting(z0, L, order):
+        seen.append(np.size(z0))
+        return jets.h_jets_scaled(z0, L, order)
+
+    monkeypatch.setattr(syn, "h_jets_scaled", counting)
+    rep = syn.sign_report(spec, n_side=4001)
+    assert 0 < sum(seen) < 2 * rep.n_grid / 10
 
 
 @pytest.mark.slow

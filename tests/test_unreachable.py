@@ -6,7 +6,7 @@ import pytest
 
 from kdvcrit import numbertheory as nt
 from kdvcrit import unreachable as ur
-from kdvcrit.errors import CaseError, InvariantViolation, ResolutionError
+from kdvcrit.errors import CaseError, DomainError, InvariantViolation, ResolutionError
 
 P21 = nt.CriticalPair(2, 1)
 P11 = nt.CriticalPair(1, 1)
@@ -176,6 +176,11 @@ def test_mn_basis_ranks():
 def test_mn_basis_resolution_error():
     with pytest.raises(ResolutionError):
         ur.mn_basis(nt.representations(91), 65)
+
+
+def test_simpson_weights_reject_even_count():
+    with pytest.raises(DomainError):
+        ur._simpson_weights(2, 0.1)
 
 
 def test_lemma_orthogonality():
