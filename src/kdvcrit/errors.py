@@ -46,7 +46,8 @@ class FixedPointDiverged(KdvCritError):
 
 
 class NotReachable(KdvCritError):
-    """Conjugate-gradient residual stagnated above tolerance; target unreachable."""
+    """Conjugate-gradient residual stagnated above tolerance; at a critical
+    length this happens to some reachable targets too (see pde.hum_control)."""
 
 
 class RootDerivativeSingular(KdvCritError):

@@ -163,7 +163,8 @@ def interaction_numerator(pair: CriticalPair, z):
     antisymmetric N and Xi Xi~ share one root order per point.  With the
     det Q det Q~ scale s and H = det Q / Xi, intB = m e^s / (H(z) H(p - z)):
     the synthesis cancels the H factors against u-hat's, so the value stays
-    finite across det Q zeros (0/0 only where z or z - p is +-COLLISION_Z).
+    finite across det Q zeros, and at the floats nearest the collisions z or
+    z - p = +-COLLISION_Z it is ~1e-8 relative off (~1e-14 from 1e-5 away).
     """
     num, _, _, s, lam, lamt = _scaled_parts(pair, z)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -525,8 +525,9 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     Conjugate gradient on the normal equations Phi Phi^T mu = g of the
     L^2-geometry control map (HUM), with u = Phi^T mu.  ``target`` is nodal
     values or a (values, derivatives) pair.  Raises NotReachable when the
-    residual stagnates above tolerance, which is exactly what happens for
-    targets with a component in M_N at a critical length.
+    residual stagnates above tolerance: for targets with a component in M_N at
+    a critical length, but also for reachable ones there (a solve_linear target
+    at L = 2 pi, nx 96 or 128, nt 400, stalls near 2e-5; ROADMAP direction 3).
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"need a finite tol > 0, got {tol}")

@@ -80,8 +80,9 @@ def _cardano(z: np.ndarray) -> np.ndarray:
 def _newton_polish(lam: np.ndarray, z: np.ndarray, steps: int = 2) -> np.ndarray:
     for _ in range(steps):
         d = 3.0 * lam * lam + 1.0
-        d = np.where(np.abs(d) < 1e-8, np.nan, d)
-        lam = lam - (lam**3 + lam + 1j * z[..., None]) / d
+        d = np.where(np.abs(d) < 1e-8, np.nan, d)  # NaN sends the point to roots' fallback
+        with np.errstate(invalid="ignore"):
+            lam = lam - (lam**3 + lam + 1j * z[..., None]) / d
     return lam
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit.errors import NearPole, ResolutionError
+from kdvcrit.spectral import COLLISION_Z
 from kdvcrit.unreachable import eta_triple
 
 P21 = nt.CriticalPair(2, 1)
@@ -39,7 +40,8 @@ def test_quadrature_out_of_doublings_raises(monkeypatch):
 
 
 def _intb_mpmath(pair, z):
-    """60-digit sum of the 27 exponential terms of int f g phi_x / (det Q det Q~)."""
+    """60-digit sum N of the 27 exponential terms of int f g phi_x, as
+    (N / (det Q det Q~), N / (Xi Xi~)): int B and the sign integrand's quotient."""
     with mp.workdps(60):
         L, p = mp.mpf(pair.L), mp.mpf(pair.p)
         lam = mp.polyroots([1, 0, 1, 1j * mp.mpf(z)], maxsteps=200, extraprec=200)
@@ -52,6 +54,9 @@ def _intb_mpmath(pair, z):
         def detq(r):
             return sum((r[(j + 1) % 3] - r[j]) * mp.exp(-r[(j + 2) % 3] * L) for j in range(3))
 
+        def xi(r):
+            return -(r[1] - r[0]) * (r[2] - r[1]) * (r[0] - r[2])
+
         total = 0
         for f, lf in profile(lam):
             for g, lg in profile(mu):
@@ -59,15 +64,36 @@ def _intb_mpmath(pair, z):
                     a = lf + lg + eta[(k + 2) % 3]
                     c = (eta[(k + 1) % 3] - eta[k]) * eta[(k + 2) % 3]
                     total += c * f * g * (mp.exp(a * L) - 1) / a
-        return complex(total / (detq(lam) * detq(mu)))
+        return complex(total / (detq(lam) * detq(mu))), complex(total / (xi(lam) * xi(mu)))
 
 
 @pytest.mark.parametrize("pair", [P41, P21], ids=["41", "21"])
 def test_closed_form_vs_mpmath_large_z(pair):
     # case-2 pairs such as (4,1) cancel int B down to O(z^-2)
     for z in (1e6, -4.98e6):
-        exact = _intb_mpmath(pair, z)
+        exact, _ = _intb_mpmath(pair, z)
         assert abs(kn.intB_closed(pair, z) - exact) <= 1e-8 * abs(exact)
+
+
+# offset from a collision point -> relative bound; offset 0 puts z, or z - p,
+# within 2 ulp of the collision
+_NEAR_COLLISION_BOUNDS = {
+    0.0: 1e-7, 1e-15: 1e-8, -1e-15: 1e-8, 1e-10: 1e-11, 1e-5: 1e-13, 1e-2: 1e-13
+}
+
+
+@pytest.mark.parametrize("pair", [P21, P41], ids=["21", "41"])
+def test_interaction_numerator_near_collision_matches_mpmath(pair):
+    # N and Xi Xi~ vanish together where z or z - p is +-COLLISION_Z; the
+    # sign integrand sums the quotient as computed, so it must stay accurate
+    # there (measured: 7.6e-9 at offset 0, 1.6e-9 at 1e-15, 3.9e-12 at 1e-10
+    # and 1.8e-14 from 1e-5 on)
+    for c in (COLLISION_Z, -COLLISION_Z, pair.p + COLLISION_Z, pair.p - COLLISION_Z):
+        for off, bound in _NEAR_COLLISION_BOUNDS.items():
+            z = c + off
+            m, s = kn.interaction_numerator(pair, z)
+            _, exact = _intb_mpmath(pair, z)
+            assert np.isfinite(m) and abs(m * math.exp(s) - exact) <= bound * abs(exact), (c, off)
 
 
 def test_b_eval_finite_at_x0():

@@ -28,7 +28,7 @@ DATA = Path(__file__).resolve().parent / "data"
 # ---------------------------------------------------------------------------
 
 
-def test_spec_parameters():
+def test_spec_parameters(monkeypatch):
     spec = syn.make_spec(P32, 0.4)
     assert spec.beta == 0.2
     assert spec.nu**2 == pytest.approx(1.617**2 / spec.beta, rel=1e-14)
@@ -41,6 +41,11 @@ def test_spec_parameters():
     for n_side in (0, 1):
         with pytest.raises(DomainError):
             syn.sign_report(spec, n_side=n_side)
+    # gamma is fixed and only checked
+    assert spec.gamma == spec2.gamma == 0.5
+    monkeypatch.setattr(syn, "_gamma_admissible", lambda pair, gamma, d: False)
+    with pytest.raises(DomainError):
+        syn.make_spec(P21, 1.0)
 
 
 def test_vhat_at_zero_positive():
@@ -479,9 +484,10 @@ def test_sign_report_value_21_T25():
     # at T = 25 the hump sits near z = 45, so the integrand near z = p, where
     # the shifted roots are purely imaginary and their order is set by
     # rounding, carries weight: its Xi factors must come from the numerator's
-    # own root triples
+    # own root triples; the value is the trapezoid sum of the samples as
+    # computed, bit-identical with the near-collision samples taken from mpmath
     rep = syn.sign_report(syn.make_spec(P21, 25.0), n_side=2001)
-    assert abs(rep.value - (0.8519300331350661 + 0.5150369226634223j)) <= 1e-9
+    assert abs(rep.value - (0.8519300213096563 + 0.5150369155143343j)) <= 1e-9
 
 
 def test_sign_report_reads_h_from_the_table(monkeypatch):
