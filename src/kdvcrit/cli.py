@@ -420,7 +420,7 @@ def _representations_oracle():
             continue
         cls = numbertheory.representations(n)
         ok &= sorted((q.k, q.l) for q in cls.pairs) == sorted(pairs)
-        ok &= cls.dim_MN == cls.n_L + cls.n_L_pos
+        ok &= cls.dim_MN == len(pairs) + sum(k > l for k, l in pairs)
     return ok, ok
 
 

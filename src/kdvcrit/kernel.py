@@ -44,11 +44,9 @@ __all__ = [
 _SERIES_CUT = 1e-3  # switch (e^{aL}-1)/a to its series below |a|L = 1e-3
 
 
-def _eta_terms(pair: CriticalPair, negate: bool = False):
+def _eta_terms(pair: CriticalPair):
     """(coefficients, exponents) of phi_x = sum eta_{k+2}(eta_{k+1}-eta_k) e^{eta_{k+2} x}."""
     e = eta_triple(pair).eta
-    if negate:
-        e = -e
     ep1, ep2 = np.roll(e, -1), np.roll(e, -2)
     return (ep1 - e) * ep2, ep2
 
@@ -69,29 +67,24 @@ def _check_poles(near, z):
         raise NearPole(f"scaled denominator below {POLE_TOL:g} near z = {zb[:3]}")
 
 
-def B_eval(pair: CriticalPair, z, x, *, negate_eta: bool = False, p=None):
-    """Pointwise kernel B(z, x); vectorized over x for scalar z.
-
-    ``negate_eta``/``p`` exist for the conjugation-symmetry check
-    B(-z, x) = conj(B(z, x) with eta -> -eta, p -> -p); normal calls leave
-    them unset so the pair supplies both.
-    """
+def B_eval(pair: CriticalPair, z, x):
+    """Pointwise kernel B(z, x); vectorized over x for scalar z."""
     L = pair.L
     zc = complex(z)
     lam = roots(zc)
-    lamt = shifted_roots(zc, pair.p if p is None else p)
+    lamt = shifted_roots(zc, pair.p)
     (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
     _check_poles((abs(qm) < POLE_TOL) | (abs(qtm) < POLE_TOL), zc)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     fa = profile_scaled(lam, L, x_arr, qs).sum(axis=-1) / qm
     ga = profile_scaled(lamt, L, x_arr, qts).sum(axis=-1) / qtm
-    ec, ee = _eta_terms(pair, negate=negate_eta)
+    ec, ee = _eta_terms(pair)
     phix = (ec * np.exp(np.multiply.outer(x_arr, ee))).sum(axis=-1)
     out = fa * ga * phix
     return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def _scaled_parts(pair: CriticalPair, z, negate_eta: bool = False, p=None):
+def _scaled_parts(pair: CriticalPair, z):
     """Flattened (numerator mantissa, qm, qtm, qs + qts, lam, lamt) of int B at real z.
 
     int B = num / (qm qtm), because the numerator carries the scale
@@ -100,32 +93,32 @@ def _scaled_parts(pair: CriticalPair, z, negate_eta: bool = False, p=None):
     L = pair.L
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     lam = roots(z_arr)
-    lamt = shifted_roots(z_arr, pair.p if p is None else p)
+    lamt = shifted_roots(z_arr, pair.p)
     qm, qs = detq_scaled(lam, L)
     qtm, qts = detq_scaled(lamt, L)
-    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair, negate=negate_eta))
+    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))
     return num, qm, qtm, qs + qts, lam, lamt
 
 
-def _intB_masked(pair: CriticalPair, z, *, negate_eta: bool = False, p=None):
+def _intB_masked(pair: CriticalPair, z):
     """int_0^L B dx over the flattened z, and the mask of near-pole points.
 
     A masked value is not meaningful; intB_closed raises NearPole instead.
     """
-    num, qm, qtm, *_ = _scaled_parts(pair, z, negate_eta, p)
+    num, qm, qtm, *_ = _scaled_parts(pair, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / (qm * qtm)
     return vals, (np.abs(qm) < POLE_TOL) | (np.abs(qtm) < POLE_TOL)
 
 
-def intB_closed(pair: CriticalPair, z, *, negate_eta: bool = False, p=None):
+def intB_closed(pair: CriticalPair, z):
     """Closed-form int_0^L B(z, x) dx, vectorized over real z.
 
     The 27 exponential terms of f g phi_x are summed against the common
     scale of det Q * det Q~, which keeps every mantissa O(1) for z up to 1e6
     and L up to ~30.
     """
-    vals, near = _intB_masked(pair, z, negate_eta=negate_eta, p=p)
+    vals, near = _intB_masked(pair, z)
     _check_poles(near, z)
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as sparse_linalg  # noqa: F401
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable
+from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable, ResolutionError
 from .numbertheory import LengthClass
 from .unreachable import eta_triple, phi, phi_parts, phi_x
 
@@ -427,7 +427,7 @@ def _mn_dofs(sys_: _System, length_class: LengthClass) -> np.ndarray:
             dofs[0::2] = part(ph)
             dofs[1::2] = part(dph)
             cols.append(dofs[sys_.free])
-    return np.array(cols).T  # (nfree, dim)
+    return np.array(cols).reshape(-1, len(sys_.free)).T  # (nfree, dim), dim may be 0
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,7 @@ class GramianReport:
     T: float
     nx: int
     nt: int
-    dim_mn: int
+    dim_mn: int  # rank of the M_N shapes, checked to equal dim M_N
     singular_values: np.ndarray  # full map, descending
     restricted: np.ndarray  # projection onto the M_N shapes
     complement: np.ndarray
@@ -488,15 +488,24 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     """SVD of the discrete control-to-state map, split along the M_N shapes.
 
     Singular values are with respect to the L^2(0, L) norm on states (mass
-    Cholesky factor applied) and the Euclidean norm on control samples.
+    Cholesky factor applied) and the Euclidean norm on control samples.  The
+    M_N shapes must have rank dim M_N in that norm (singular values above
+    1e-5 sigma_max, the square root of a 1e-10 Gram-eigenvalue cut); a grid
+    whose nodes alias them away raises ResolutionError.
     """
     sys_ = _System(grid)
-    phi_map = _control_map(sys_)
     r = _mass_cholesky(sys_)
-    phi_l2 = r @ phi_map
+    shapes = r @ _mn_dofs(sys_, length_class)
+    sv = np.linalg.svd(shapes, compute_uv=False)
+    rank = int(np.sum(sv > 1e-5 * sv.max(initial=0.0)))
+    if rank != length_class.dim_MN:
+        raise ResolutionError(
+            f"M_N shapes have rank {rank} != dim M_N = {length_class.dim_MN} "
+            f"for N = {length_class.N} at nx = {grid.nx}; refine the grid"
+        )
+    phi_l2 = r @ _control_map(sys_)
     full = np.linalg.svd(phi_l2, compute_uv=False)
-    basis = _mn_dofs(sys_, length_class)
-    qb, _ = np.linalg.qr(r @ basis)  # L2-orthonormal basis of the shapes
+    qb, _ = np.linalg.qr(shapes)  # L2-orthonormal basis of the shapes
     restricted = np.linalg.svd(qb.T @ phi_l2, compute_uv=False)
     complement = np.linalg.svd(phi_l2 - qb @ (qb.T @ phi_l2), compute_uv=False)
     return GramianReport(
@@ -505,7 +514,7 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
         T=grid.T,
         nx=grid.nx,
         nt=grid.nt,
-        dim_mn=basis.shape[1],
+        dim_mn=rank,
         singular_values=full,
         restricted=restricted,
         complement=complement,

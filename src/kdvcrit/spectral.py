@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NearPole
+from .errors import DomainError
 
 __all__ = [
     "MU",
@@ -42,7 +42,6 @@ __all__ = [
     "h_scaled",
     "gh_scaled",
     "frame",
-    "y_hat",
     "paley_wiener_check",
     "PaleyWienerReport",
 ]
@@ -320,8 +319,8 @@ def frame(z, L: float) -> SpectralFrame:
     G and H are computed through the scaled path, so they are exact whenever
     they are representable even if det Q and P themselves overflow.
     """
-    if L <= 0:
-        raise DomainError(f"L must be positive, got {L}")
+    if not 0 < L < np.inf:
+        raise DomainError(f"L must be positive and finite, got {L}")
     zc = complex(z)
     lam = roots(zc)[None, :]  # one root triple serves every field
     p, q = p_scaled(lam, L), detq_scaled(lam, L)
@@ -331,43 +330,6 @@ def frame(z, L: float) -> SpectralFrame:
     # Xi by scalar arithmetic on the triple: array products round differently
     x = complex(xi(lam[0]))
     return SpectralFrame(z=zc, L=L, lam=lam[0], detQ=detq, P=pval, Xi=x, G=g, H=h)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-space solution representation
-# ---------------------------------------------------------------------------
-
-
-def y_hat(z, x, u_hat, L: float):
-    """hat y(z, x) = u_hat * sum_j profile_scaled(x, qs) / qm, with det Q = qm e^{qs}.
-
-    The profile and det Q share the scale e^{qs}, so nothing overflows; raises
-    NearPole when |qm| < POLE_TOL (z too close to the discrete pole set).
-    """
-    if L <= 0:
-        raise DomainError(f"L must be positive, got {L}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < -1e-12) or np.any(x_arr > L * (1 + 1e-12)):
-        raise DomainError("x must lie in [0, L]")
-    lam = roots(complex(z))
-    qm, qs = _detq_off_pole(lam, L, z)
-    val = u_hat * profile_scaled(lam, L, x_arr.reshape(-1), qs).sum(axis=-1) / qm
-    return complex(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
-
-
-def _detq_off_pole(lam: np.ndarray, L: float, z):
-    qm, qs = detq_scaled(lam, L)
-    if abs(qm) < POLE_TOL:
-        raise NearPole(f"scaled det Q mantissa {abs(qm):.3e} at z = {z}")
-    return qm, qs
-
-
-def dx_y_hat0(z, u_hat, L: float):
-    """d/dx hat y at x = 0: u_hat * P / det Q (scaled evaluation)."""
-    lam = roots(complex(z))
-    qm, qs = _detq_off_pole(lam, L, z)
-    pm, ps = p_scaled(lam, L)
-    return complex(u_hat * pm * np.exp(ps - qs) / qm)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseError, DomainError, InvariantViolation, ResolutionError
-from .numbertheory import CriticalPair, LengthClass
+from .errors import CaseError, InvariantViolation
+from .numbertheory import CriticalPair
 
 __all__ = [
     "EtaTriple",
     "UnreachableData",
-    "MNBasis",
     "eta_triple",
     "phi",
     "phi_x",
@@ -42,7 +41,6 @@ __all__ = [
     "psi",
     "constants",
     "e1_over_e",
-    "mn_basis",
 ]
 
 
@@ -187,82 +185,3 @@ def e1_over_e(pair: CriticalPair) -> complex:
     if abs(ratio.imag + pl / 6.0) > 1e-12 * max(1.0, pl):
         raise InvariantViolation(f"Im(E1/E) != -pL/6 for {(pair.k, pair.l)}")
     return ratio
-
-
-# ---------------------------------------------------------------------------
-# sampled basis of M_N
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MNBasis:
-    """Sampled real basis of M_N on a uniform grid, with its Gram matrix."""
-
-    length_class: LengthClass
-    x: np.ndarray
-    phi_m: tuple[np.ndarray, ...]  # complex profiles, one per pair
-    basis: np.ndarray  # (dim, n_x) real rows
-    gram: np.ndarray  # (dim, dim) Simpson Gram matrix
-    rank: int
-
-
-def _simpson_weights(n: int, dx: float) -> np.ndarray:
-    if n % 2 == 0 or n < 3:
-        raise DomainError("Simpson rule needs an odd number of points >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (dx / 3.0)
-
-
-def mn_basis(length_class: LengthClass, n_grid: int = 1025) -> MNBasis:
-    """Sample {Re phi_m, Im phi_m} and form the L^2(0, L) Gram matrix.
-
-    Composite Simpson on a uniform grid (n_grid odd); the grid must resolve
-    the fastest eta frequency with >= 16 points per period, else
-    ResolutionError.  Richardson verification (halved grid) is asserted to
-    move the Gram entries by < 1e-8.  Degenerate components (p_m = 0 makes
-    one of Re/Im phi identically zero) are dropped by rank detection, and the
-    residual rank must equal dim M_N.
-    """
-    L = length_class.L
-    if n_grid % 2 == 0:
-        n_grid += 1
-    max_freq = max(
-        abs(eta_triple(q).eta.imag).max() for q in length_class.pairs
-    )
-    pts_per_period = (2 * math.pi / max_freq) / (L / (n_grid - 1))
-    if pts_per_period < 16:
-        raise ResolutionError(
-            f"{pts_per_period:.1f} points per period < 16; raise n_grid"
-        )
-    x = np.linspace(0.0, L, n_grid)
-    profiles = []
-    rows = []
-    for q in length_class.pairs:
-        ph = phi(eta_triple(q), x)
-        profiles.append(ph)
-        rows += [part(ph) for part in phi_parts(ph)]
-    b = np.array(rows)
-    w = _simpson_weights(n_grid, x[1] - x[0])
-    gram = (b * w) @ b.T
-    # Richardson check on the halved grid
-    b2, w2 = b[:, ::2], _simpson_weights((n_grid + 1) // 2, 2 * (x[1] - x[0]))
-    gram2 = (b2 * w2) @ b2.T
-    scale = np.max(np.abs(gram))
-    if np.max(np.abs(gram - gram2)) > 1e-8 * scale:
-        raise ResolutionError("Simpson Gram not converged; raise n_grid")
-    svals = np.linalg.svd(gram, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    if rank != length_class.dim_MN:
-        raise InvariantViolation(
-            f"Gram rank {rank} != dim M_N = {length_class.dim_MN} for N = {length_class.N}"
-        )
-    return MNBasis(
-        length_class=length_class,
-        x=x,
-        phi_m=tuple(profiles),
-        basis=b,
-        gram=gram,
-        rank=rank,
-    )

@@ -62,6 +62,15 @@ def test_gramian_bad_grid_is_usage_error(tmp_path, capsys):
     assert "nx >= 8" in capsys.readouterr().err
 
 
+def test_gramian_aliased_grid_is_failed_check(tmp_path, capsys):
+    # at nx = 8 every node of L(9,9) sits on a double zero of the M_N profile
+    argv = ["gramian", "--k", "9", "--l", "9", "--T", "1", "--nx", "8", "--nt", "10"]
+    assert dispatch(argv + ["--out", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "rank 0 != dim M_N = 1" in err
+
+
 def test_verify_all_config_overlay(tmp_path):
     # the file fills options the command line left unset, store_true flags included
     cfg = tmp_path / "verify.json"
@@ -83,6 +92,8 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
     "command, cfg, message",
     [
         (["spectral", "--L", "3.6", "--z", "0:3"], None, "bad range '0:3'"),
+        (["spectral", "--L", "nan", "--z", "0:1:2"], None, "L must be positive and finite, got nan"),
+        (["spectral", "--L", "inf", "--z", "0:1:2"], None, "L must be positive and finite, got inf"),
         (["verify-all", "--no-timing"], {"bogus": 1}, "unknown config key: bogus"),
         (["verify-all", "--no-timing"], {"func": 1}, "unknown config key: func"),
         (["verify-all", "--no-timing"], {"only": 5}, "config key only takes a str"),
@@ -126,11 +137,12 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
             "synthesis, unreachable",
         ),
     ],
-    ids=["range", "config-key", "config-argparse-attr", "config-type", "control-type",
-         "run-file-key", "run-file-keys", "config-missing", "config-malformed", "config-list",
-         "run-file-missing", "run-file-malformed", "run-file-list", "run-file-type",
-         "control-list", "control-file-no-path", "control-file-missing", "initial-no-pair",
-         "kernel-points", "tsweep", "tsweep-nan", "n-side", "out-dir-missing", "only-tag"],
+    ids=["range", "spectral-L-nan", "spectral-L-inf", "config-key", "config-argparse-attr",
+         "config-type", "control-type", "run-file-key", "run-file-keys", "config-missing",
+         "config-malformed", "config-list", "run-file-missing", "run-file-malformed",
+         "run-file-list", "run-file-type", "control-list", "control-file-no-path",
+         "control-file-missing", "initial-no-pair", "kernel-points", "tsweep", "tsweep-nan",
+         "n-side", "out-dir-missing", "only-tag"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]

@@ -101,16 +101,31 @@ def test_b_eval_finite_at_x0():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def _conjugate(pair):
+    """The pair forged with k, l, p negated: its eta triple is -eta and its shift -p.
+
+    eta_j is a float multiple of k and l, and IEEE products and sums round
+    symmetrically under a sign flip, so -eta is exact; L is unchanged, and
+    B(-z, x) = conj(B(z, x)) with eta -> -eta, p -> -p becomes
+    B_pair(-z, x) = conj(B_conjugate(z, x)).
+    """
+    q = nt.CriticalPair(pair.k, pair.l)
+    for name in ("k", "l", "p"):
+        object.__setattr__(q, name, -getattr(q, name))
+    return q
+
+
 def test_conjugation_symmetry():
     for pair in (P21, nt.CriticalPair(3, 2)):
+        conj_pair = _conjugate(pair)
         for z in (17.0, 250.0, 4.0e3):
             a = kn.intB_closed(pair, -z)
-            b = np.conj(kn.intB_closed(pair, z, negate_eta=True, p=-pair.p))
+            b = np.conj(kn.intB_closed(conj_pair, z))
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
             # pointwise version
             x = 0.3 * pair.L
             av = kn.B_eval(pair, -z, x)
-            bv = np.conj(kn.B_eval(pair, z, x, negate_eta=True, p=-pair.p))
+            bv = np.conj(kn.B_eval(conj_pair, z, x))
             assert abs(av - bv) <= 1e-12 * max(abs(av), 1e-300)
 
 
@@ -123,13 +138,13 @@ def test_conjugation_symmetry():
 def test_conjugation_symmetry_any_z(pair, log_z, sign):
     z = sign * 10.0**log_z
     a = kn.intB_closed(pair, -z)
-    b = np.conj(kn.intB_closed(pair, z, negate_eta=True, p=-pair.p))
+    b = np.conj(kn.intB_closed(_conjugate(pair), z))
     # the two sides of intB round apart by up to 15 eps |z| (measured on
     # 10 <= |z| <= 1e4), which passes 1e-12 above |z| = 300
     assert abs(a - b) <= max(1e-12, 15.0 * np.finfo(float).eps * abs(z)) * abs(a)
     x = 0.3 * pair.L
     av = kn.B_eval(pair, -z, x)
-    bv = np.conj(kn.B_eval(pair, z, x, negate_eta=True, p=-pair.p))
+    bv = np.conj(kn.B_eval(_conjugate(pair), z, x))
     assert abs(av - bv) <= 1e-12 * max(abs(av), 1e-300)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kdvcrit import numbertheory as nt
 from kdvcrit import pde
 from kdvcrit import unreachable as ur
-from kdvcrit.errors import DomainError, NotReachable
+from kdvcrit.errors import DomainError, NotReachable, ResolutionError
 
 PAIR = nt.CriticalPair(2, 1)
 ETA = ur.eta_triple(PAIR)
@@ -383,6 +383,33 @@ def test_gramian_collapse_rate_multi_pair(N, dim):
     assert ratios[0] >= 10 * ratios[1] and ratios[1] >= 10 * ratios[2]
     free = pde.gramian(pde.Grid(L=1.0, nx=128, T=1.0, nt=650), cls)
     assert free.restricted_min_ratio >= 1e-4
+
+
+def test_mn_shapes_contain_one_minus_cos():
+    # at L = 2 pi (N = 3) M_N is spanned by 1 - cos x: the gramian's shapes
+    # hold its Hermite interpolant in the mass norm
+    cls = nt.representations(3)
+    sys_ = pde._System(pde.Grid(L=2 * math.pi, nx=128, T=1.0, nt=10))
+    x = sys_.grid.x_nodes
+    dofs = np.empty(sys_.ndof)
+    dofs[0::2], dofs[1::2] = 1 - np.cos(x), np.sin(x)
+    r = pde._mass_cholesky(sys_)
+    basis = pde._mn_dofs(sys_, cls)
+    shapes, target = r @ basis, r @ dofs[sys_.free]
+    coef = np.linalg.lstsq(shapes, target, rcond=None)[0]
+    assert np.linalg.norm(target - shapes @ coef) <= 1e-8 * np.linalg.norm(target)
+    assert basis.shape[1] == cls.dim_MN == 1
+
+
+def test_gramian_checks_mn_rank():
+    for n in (3, 7, 91):
+        cls = nt.representations(n)
+        rep = pde.gramian(pde.Grid(L=cls.L, nx=16, T=0.1, nt=10), cls)
+        assert rep.dim_mn == cls.dim_MN
+    # at nx = 8 every node of L(9,9) = 18 pi is a double zero of the profile
+    cls = nt.representations(243)
+    with pytest.raises(ResolutionError):
+        pde.gramian(pde.Grid(L=cls.L, nx=8, T=1.0, nt=10), cls)
 
 
 def test_gramian_zero_time_limit():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdvcrit import spectral as sp
-from kdvcrit.errors import DomainError, NearPole
+from kdvcrit.errors import DomainError
 
 L21 = 2 * math.pi * math.sqrt(7 / 3)
 
@@ -249,34 +249,36 @@ def test_scaled_matches_unscaled_below_overflow():
         assert m[0] * np.exp(s[0]) == pytest.approx(direct, rel=1e-12)
 
 
-def test_y_hat_boundary_and_linearity():
+def _y_hat(z, x, u_hat=1.0):
+    """hat y(z, x) = u_hat f(z, x)/det Q(z) at L21; f and det Q share the scale e^{qs}."""
+    lam = sp.roots(complex(z))
+    qm, qs = sp.detq_scaled(lam, L21)
+    val = u_hat * sp.profile_scaled(lam, L21, np.reshape(x, -1), qs).sum(axis=-1) / qm
+    return complex(val[0])
+
+
+def test_y_hat_boundary_zeros():
     for z in (0.9, 33.0, 812.0):
-        assert abs(sp.y_hat(z, 0.0, 1.3 + 0.4j, L21)) < 1e-12
-        assert abs(sp.y_hat(z, L21, 1.3 + 0.4j, L21)) < 1e-12
-        assert sp.y_hat(z, 0.5 * L21, 0.0, L21) == 0.0
-        one = sp.y_hat(z, 0.37 * L21, 1.0, L21)
-        two = sp.y_hat(z, 0.37 * L21, -2.0 + 1.0j, L21)
-        assert two == pytest.approx((-2 + 1j) * one, rel=1e-13)
+        assert abs(_y_hat(z, 0.0, 1.3 + 0.4j)) < 1e-12
+        assert abs(_y_hat(z, L21, 1.3 + 0.4j)) < 1e-12
 
 
 def test_dx_y_hat_matches_finite_difference():
     h = 1e-5
     for z in (1.7, 54.0):
         # second-order one-sided stencil (x = 0 is the domain edge)
-        fd = (
-            4.0 * sp.y_hat(z, h, 1.0, L21)
-            - sp.y_hat(z, 2 * h, 1.0, L21)
-            - 3.0 * sp.y_hat(z, 0.0, 1.0, L21)
-        ) / (2 * h)
-        an = sp.dx_y_hat0(z, 1.0, L21)
+        fd = (4.0 * _y_hat(z, h) - _y_hat(z, 2 * h) - 3.0 * _y_hat(z, 0.0)) / (2 * h)
+        lam = sp.roots(complex(z))
+        (qm, qs), (pm, ps) = sp.detq_scaled(lam, L21), sp.p_scaled(lam, L21)
+        an = complex(pm * np.exp(ps - qs) / qm)  # P/det Q
         assert abs(fd - an) <= 1e-8 * max(1.0, abs(an))
 
 
-def test_y_hat_near_pole_raises():
+def test_y_hat_pole_at_minus_p():
     # at a critical length det Q vanishes at z = -p (all exp(eta_j L) equal)
     p = 0.20782656212951653
-    with pytest.raises(NearPole):
-        sp.y_hat(-p, 1.0, 1.0, L21)
+    qm, _ = sp.detq_scaled(sp.roots(complex(-p)), L21)
+    assert abs(qm) < sp.POLE_TOL
 
 
 def test_paley_wiener_indicator():

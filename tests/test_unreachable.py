@@ -6,11 +6,19 @@ import pytest
 
 from kdvcrit import numbertheory as nt
 from kdvcrit import unreachable as ur
-from kdvcrit.errors import CaseError, DomainError, InvariantViolation, ResolutionError
+from kdvcrit.errors import CaseError, InvariantViolation
 
 P21 = nt.CriticalPair(2, 1)
 P11 = nt.CriticalPair(1, 1)
 P41 = nt.CriticalPair(4, 1)
+
+
+def _simpson_weights(n: int, dx: float) -> np.ndarray:
+    """Composite Simpson weights on n (odd) uniform points of spacing dx."""
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (dx / 3.0)
 
 
 def test_eta_residuals_and_common_multiplier():
@@ -154,41 +162,12 @@ def test_e1_over_e_caseE0_raises():
         ur.e1_over_e(P41)
 
 
-def test_mn_basis_contains_one_minus_cos():
-    cls = nt.representations(3)
-    b = ur.mn_basis(cls, 513)
-    target = 1 - np.cos(b.x)
-    w = ur._simpson_weights(b.x.size, b.x[1] - b.x[0])
-    coef = np.linalg.solve(b.gram, (b.basis * w) @ target)
-    resid = target - coef @ b.basis
-    rel = math.sqrt((w * resid**2).sum() / (w * target**2).sum())
-    assert rel <= 1e-8
-    assert b.rank == cls.dim_MN == 1
-
-
-def test_mn_basis_ranks():
-    for n in (7, 91):
-        cls = nt.representations(n)
-        b = ur.mn_basis(cls, 2049)
-        assert b.rank == cls.dim_MN
-
-
-def test_mn_basis_resolution_error():
-    with pytest.raises(ResolutionError):
-        ur.mn_basis(nt.representations(91), 65)
-
-
-def test_simpson_weights_reject_even_count():
-    with pytest.raises(DomainError):
-        ur._simpson_weights(2, 0.1)
-
-
 def test_lemma_orthogonality():
     # Psi_1 = Re(c Psi(tau, .)), Psi_2 = Im(...): equal norms, orthogonal
     eta = ur.eta_triple(P21)
     c, tau = 0.3 + 0.7j, 0.9
     x = np.linspace(0, P21.L, 4097)
-    w = ur._simpson_weights(x.size, x[1] - x[0])
+    w = _simpson_weights(x.size, x[1] - x[0])
     vals = c * ur.psi(eta, tau, x)
     p1, p2 = vals.real, vals.imag
     n1 = (w * p1**2).sum()
@@ -202,7 +181,7 @@ def test_norm_time_independence():
     eta = ur.eta_triple(P21)
     c = 1.1 - 0.4j
     x = np.linspace(0, P21.L, 4097)
-    w = ur._simpson_weights(x.size, x[1] - x[0])
+    w = _simpson_weights(x.size, x[1] - x[0])
     norms = []
     for t in np.linspace(0.0, 3 * 2 * math.pi / P21.p, 17):
         vals = (c * ur.psi(eta, t, x)).real
