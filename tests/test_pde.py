@@ -406,6 +406,9 @@ def test_gramian_checks_mn_rank():
         cls = nt.representations(n)
         rep = pde.gramian(pde.Grid(L=cls.L, nx=16, T=0.1, nt=10), cls)
         assert rep.dim_mn == cls.dim_MN
+
+
+def test_gramian_mn_resolution_error():
     # at nx = 8 every node of L(9,9) = 18 pi is a double zero of the profile
     cls = nt.representations(243)
     with pytest.raises(ResolutionError):
