@@ -297,6 +297,8 @@ def _shaped(z, m, s):
 
 def h_scaled(z, L: float):
     """H = det Q / Xi as (hm, hs) with H = hm*exp(hs), valid for arbitrarily large z."""
+    if not 0 < L < np.inf:
+        raise DomainError(f"L must be positive and finite, got {L}")
     lam = np.atleast_2d(roots(z))
     return _shaped(z, *_over_xi(lam, L, detq_scaled(lam, L), -1.0))
 
@@ -307,6 +309,8 @@ def gh_scaled(z, L: float):
     Returns (gm, gs, hm, hs) with G = gm*exp(gs), H = hm*exp(hs); H is the
     h_scaled value, from the same root triple as G.
     """
+    if not 0 < L < np.inf:
+        raise DomainError(f"L must be positive and finite, got {L}")
     lam = np.atleast_2d(roots(z))
     gm, gs = _over_xi(lam, L, p_scaled(lam, L), 1.0)
     hm, hs = _over_xi(lam, L, detq_scaled(lam, L), -1.0)

@@ -34,7 +34,8 @@ intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi factors come from
 the root triples of N itself: u-hat's H factors cancel exactly, so no det Q
 pole remains, and the quotient is summed as computed: N and Xi Xi~ vanish
 together only at the exact root collisions of Xi, which no float hits, and it
-is ~1e-8 accurate within 2 ulp of them (tests/test_kernel.py).
+is ~1e-8 accurate within 2 ulp of them (tests/test_kernel.py).  u(t) and the
+real profile of w(t) are one real inverse FFT each of the z >= 0 half spectra.
 """
 
 from __future__ import annotations
@@ -352,7 +353,11 @@ def bump_vhat(spec: ControlSpec, z):
 
 @dataclass
 class SpectrumTriple:
-    """Sampled spectra and the reconstructed time signals of one spec."""
+    """Sampled spectra and the reconstructed time signals of one spec.
+
+    w-hat = kappa g-hat with g real, kappa = -3i/(mu3 L) (case 1) or 27/(mu3 L)^3 (case 2),
+    |mu3| = 1, and w_time = |kappa| g: w(t) = e^{i arg kappa} w_time, arg kappa = -pi/3 or pi/2.
+    """
 
     spec: ControlSpec
     z: np.ndarray
@@ -442,10 +447,9 @@ def _cis(x):
     return out
 
 
-def _mirror(half, sign: int):
-    """(m, s) on dz*(0..n/2) extended to dz*(-n/2..n/2-1) by f(-z) = sign * conj(f(z))."""
-    m, s = half
-    return np.concatenate([sign * np.conj(m[:0:-1]), m[:-1]]), np.concatenate([s[:0:-1], s[:-1]])
+def _mirror(half: np.ndarray, c) -> np.ndarray:
+    """f on dz*(0..n/2) extended to dz*(-n/2..n/2-1) by f(-z) = c conj(f(z))."""
+    return np.concatenate([c * np.conj(half[:0:-1]), half[:-1]])
 
 
 def _check_hump(s_peak: float) -> None:
@@ -463,12 +467,14 @@ _LEAK_TOL = 1e-6  # largest relative L^2 mass of u outside [0, T]
 def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple:
     """Sample u-hat and w-hat and reconstruct u, w on [-2T, 6T).
 
-    The grid z_k = dz (k - n/2) covers [-Z, Z] with Z set by the 1e-14 relative
-    envelope cutoff.  On t_j = t0 + 2 pi j/(n dz), e^{i z_k t_j} = e^{i z_k t0}
-    (-1)^j e^{2 pi i jk/n}, so u(t) = (1/2pi) int u-hat e^{izt} dz is one FFT:
-    u(t_j) = (n dz/2pi) (-1)^j ifft(u-hat e^{i z t0})_j.  One shift factor serves
-    u and w, and (-1)^j flips the real outputs.  The z factors are evaluated on
-    z >= 0, which holds every |z| of the grid, and the hump check reads them there.
+    The grid z_m = m dz, m = -n/2 .. n/2 - 1, covers [-Z, Z) with Z set by the
+    1e-14 envelope cutoff; n is n_fft (even, >= 2), doubled until dz resolves the
+    window.  Every z factor and the hump check are evaluated on the z >= 0 half
+    grid, and uhat, what are mirrored from it: as u-hat(-z) = conj u-hat(z),
+    u(t_j) = (n dz/2pi) irfft(X)_j on t_j = t0 + 2 pi j/(n dz), X_m = u-hat(z_m)
+    e^{i z_m t0}, m = 0 .. n/2, and w_time is the irfft of w-hat/kappa (see
+    SpectrumTriple).  The unpaired full-grid sample z = -Z would add
+    i (dz/2pi) Im X_{n/2} to u; it raises SupportLeak above 1e-6 max|u|.
     H(z) and H^(d)(z + i gamma) are exact below z = _H_SW = 5; above it each
     log factor plus mu_1 L z^{1/3} is read by an 8-node Lagrange stencil
     from the nodes z_k = 5 e^{0.03 k} (the BumpTable scheme), which is within
@@ -480,6 +486,8 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     quadrature can reconstruct the cancellation and the caller should move to
     a larger T.
     """
+    if isinstance(n_fft, bool) or not isinstance(n_fft, (int, np.integer)) or n_fft < 2 or n_fft % 2:
+        raise DomainError(f"steering_spectrum: n_fft must be an even integer >= 2, got {n_fft!r}")
     z_max, probe_peak = _spectrum_cutoff(spec)
     _check_hump(probe_peak)  # a lower bound on the true peak: fail before the full grid
     t0 = -_WINDOW * spec.T / 4.0
@@ -488,34 +496,26 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     while 2.0 * z_max / n > dz_needed and n < (1 << 24):
         n *= 2
     dz = 2.0 * z_max / n
-    z = dz * (np.arange(n) - n // 2)
-    # mirrored: v1 is real and even, H(-z) = conj H(z), H^(d)(-z + ig) = (-1)^d conj H^(d)(z + ig);
-    # the phase, prefactor and z factor of the spectra apply on the full grid
     zh = dz * np.arange(n // 2 + 1)
     v1 = vhat1_scaled(spec.nu, spec.beta, zh)
     h, dh = _h_factors(spec, zh)
     um, us = _uhat_scaled(v1, h)
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
-    v1 = _mirror(v1, 1)
-    um, us = _mirror((um, us), 1)
-    wm, ws = _what_scaled(spec, z, v1, _mirror(dh, (-1) ** spec.h_order))
+    wm, ws = _what_scaled(spec, zh, v1, dh)
     del h, dh, v1  # h and dh share one buffer; free it before the transforms
-    phase = _cis(-spec.beta * z)
-    um *= phase
-    wm *= phase
+    phase = _cis(-spec.beta * zh)
     with np.errstate(under="ignore"):
-        uhat = um * np.exp(us)
-        what = wm * np.exp(ws)
+        uhat = um * phase * np.exp(us)
+        what = wm * phase * np.exp(ws)
     del um, us, wm, ws, phase
-    t = t0 + (2.0 * math.pi / (n * dz)) * np.arange(n)
-    scale, shift = n * dz / (2.0 * math.pi), _cis(t0 * z)
-    u_t, w_t = (scale * np.fft.ifft(spectrum * shift) for spectrum in (uhat, what))
-    im_ratio = np.abs(u_t.imag).max() / max(np.abs(u_t.real).max(), 1e-300)
+    rot = (-1j if spec.case == 1 else 1.0) * np.conj(MU[2]) ** spec.h_order  # kappa/|kappa|
+    scale, shift = n * dz / (2.0 * math.pi), _cis(t0 * zh)
+    u_t = scale * np.fft.irfft(uhat * shift, n)
+    im_ratio = scale / n * abs((uhat[-1] * shift[-1]).imag) / max(np.abs(u_t).max(), 1e-300)
     if im_ratio > 1e-6:
-        raise SupportLeak(f"reconstructed control not real (Im ratio {im_ratio:.2e})")
-    u_t, w_t = u_t.real, w_t.real
-    u_t[1::2] *= -1.0
-    w_t[1::2] *= -1.0
+        raise SupportLeak(f"reconstructed control not real (Im ratio {im_ratio:.2e} at z = -Z)")
+    w_t = scale * np.fft.irfft(what * shift * np.conj(rot), n)
+    t = t0 + (2.0 * math.pi / (n * dz)) * np.arange(n)
     inside = (t >= 0.0) & (t <= spec.T)
     total = float(np.sum(u_t**2))
     outside_mass = float(np.sum(u_t[~inside] ** 2) / max(total, 1e-300))
@@ -526,9 +526,9 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
         )
     return SpectrumTriple(
         spec=spec,
-        z=z,
-        uhat=uhat,
-        what=what,
+        z=dz * (np.arange(n) - n // 2),
+        uhat=_mirror(uhat, 1),
+        what=_mirror(what, rot * rot),
         t=t,
         u_time=u_t,
         w_time=w_t,

@@ -194,6 +194,13 @@ def test_h_scaled_mirror_on_real_axis():
     assert np.all(err <= 1e-13 * np.abs(hm))
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+def test_scaled_quotients_reject_bad_length(L):
+    for func in (sp.h_scaled, sp.gh_scaled):
+        with pytest.raises(DomainError, match="L must be positive and finite"):
+            func(3.0, L)
+
+
 def test_frame_reads_gh_scaled():
     for z in (0.0, 0.4, sp.COLLISION_Z, -sp.COLLISION_Z + 1e-15, 33.0, -250.0 + 1.5j):
         fr = sp.frame(z, L21)

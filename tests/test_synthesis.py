@@ -433,13 +433,19 @@ def test_steering_spectrum_21():
     assert rep.bound_holds
 
 
+def _w_phase(spec):
+    """e^{i arg kappa}, with w(t) = e^{i arg kappa} w_time (SpectrumTriple)."""
+    return cmath.exp(1j * (-math.pi / 3.0 if spec.case == 1 else math.pi / 2.0))
+
+
 @pytest.mark.parametrize("pair", [P21, P11])
 def test_steering_transform_matches_direct_sum(pair):
     # u(t_j) = (dz/2pi) sum_k u-hat_k e^{i z_k t_j} summed directly at nodes of
     # both parities before, at the peak of, inside and after [0, T]; measured
-    # 7.2e-14 (u) and 1.7e-13 (w) of the largest |sum| for (2,1), 3e-15 for (1,1)
+    # 7.2e-14 (u) and 3.4e-13 (w, complex) of the largest |sum| for (2,1), 3e-15 for (1,1)
     spec = syn.make_spec(pair, 25.0)
     trip = syn.steering_spectrum(spec)
+    rot = _w_phase(spec)
     n = trip.t.size
     dz = trip.z[n // 2 + 1]
     inside = np.flatnonzero((trip.t >= 0.0) & (trip.t <= spec.T))
@@ -447,10 +453,43 @@ def test_steering_transform_matches_direct_sum(pair):
     mid = (inside[0] + inside[-1]) // 2
     j = np.array([inside[0] // 2, peak, mid, (inside[-1] + n) // 2])
     j = np.concatenate([j, j + 1])
-    for spectrum, signal in ((trip.uhat, trip.u_time), (trip.what, trip.w_time)):
+    for spectrum, signal in ((trip.uhat, trip.u_time), (trip.what, rot * trip.w_time)):
         direct = np.array([np.sum(spectrum * np.exp(1j * trip.z * trip.t[i])) for i in j])
         direct *= dz / (2.0 * math.pi)
-        assert np.all(np.abs(signal[j] - direct.real) <= 1e-12 * np.abs(direct).max())
+        assert np.all(np.abs(signal[j] - direct) <= 1e-12 * np.abs(direct).max())
+
+
+@pytest.mark.parametrize(("pair", "T"), [(P21, 5.0), (P21, 25.0), (P11, 25.0)])
+def test_steering_real_transform_matches_full_grid_ifft(pair, T):
+    # the half-grid irfft against a full-grid complex ifft of the mirrored
+    # spectra, u(t_j) = (n dz/2pi) (-1)^j ifft(u-hat e^{i z t0})_j
+    spec = syn.make_spec(pair, T)
+    trip = syn.steering_spectrum(spec)
+    assert np.array_equal(trip.uhat[1:], np.conj(trip.uhat[:0:-1]))
+    n = trip.z.size
+    dz = trip.z[n // 2 + 1]
+    flip = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    rot = _w_phase(spec)
+    for spectrum, signal in ((trip.uhat, trip.u_time), (trip.what, rot * trip.w_time)):
+        ref = n * dz / (2.0 * math.pi) * flip * np.fft.ifft(spectrum * np.exp(1j * trip.z * trip.t[0]))
+        assert np.abs(signal - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_steering_spectrum_unpaired_sample_raises(monkeypatch):
+    # a cutoff inside the hump (peak near z = 81) leaves the unpaired sample
+    # u-hat(-Z), which the real transform drops, far from negligible
+    spec = syn.make_spec(P21, 25.0)
+    peak = syn._spectrum_cutoff(spec)[1]
+    monkeypatch.setattr(syn, "_spectrum_cutoff", lambda spec: (30.0, peak))
+    with pytest.raises(SupportLeak, match="reconstructed control not real"):
+        syn.steering_spectrum(spec, n_fft=1 << 12)
+
+
+@pytest.mark.parametrize("n_fft", [0, -4, 2.5, 1001, True])
+def test_steering_spectrum_rejects_bad_n_fft(n_fft):
+    spec = syn.make_spec(P21, 25.0)
+    with pytest.raises(DomainError, match="n_fft must be an even integer"):
+        syn.steering_spectrum(spec, n_fft=n_fft)
 
 
 def test_steering_spectrum_leak_raises_at_small_T():
