@@ -149,11 +149,14 @@ class _System:
         self.ndof = ndof
         # element e couples DOFs 2e .. 2e+3: (value, derivative) at its two nodes
         self.el_dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
-        s, self.quad_w = _gauss01()
-        self.shape, self.shape_x, shape_xx = _shape_funcs(s, self.h)
-        mass_e, k_e, stiff_e = _element_mats(
-            self.h, self.quad_w, self.shape, self.shape_x, shape_xx
-        )
+        s, quad_w = _gauss01()
+        self.shape, shape_x, shape_xx = _shape_funcs(s, self.h)
+        mass_e, k_e, stiff_e = _element_mats(self.h, quad_w, self.shape, shape_x, shape_xx)
+        # -(1/2) <w^2, v_x> on element e is (w^2 at its Gauss points) @ weak: the
+        # (value, derivative) tests of its left node, then of its right node
+        weak = -0.5 * quad_w[:, None] * shape_x.T
+        self.weak_left = np.ascontiguousarray(weak[:, :2])
+        self.weak_right = np.ascontiguousarray(weak[:, 2:])
         rows = np.repeat(self.el_dofs, 4, axis=1).ravel()
         cols = np.tile(self.el_dofs, 4).ravel()
 
@@ -167,9 +170,7 @@ class _System:
         self.i_v0 = 0
         self.i_vN = 2 * n_el
         self.i_dN = 2 * n_el + 1
-        mask = np.ones(ndof, dtype=bool)
-        mask[[self.i_v0, self.i_vN, self.i_dN]] = False
-        self.free = np.flatnonzero(mask)
+        self.free = np.arange(1, ndof - 2)  # every DOF but i_v0, i_vN and i_dN
         self.Mf = self.M[np.ix_(self.free, self.free)].tocsc()
         self.Kf = self.K[np.ix_(self.free, self.free)].tocsc()
         self.Mc = np.asarray(self.M[self.free, self.i_dN].todense()).ravel()
@@ -217,12 +218,13 @@ class _System:
 
     def nonlinear_weak(self, dofs: np.ndarray) -> np.ndarray:
         """<w w_x, v> = -(1/2) <w^2, v_x> on the free test functions."""
-        wvals = dofs[self.el_dofs] @ self.shape  # w at the Gauss points, (n_el, n_gauss)
-        contrib = -0.5 * (self.quad_w * wvals**2) @ self.shape_x.T
+        wsq = dofs[self.el_dofs] @ self.shape  # w at the Gauss points, (n_el, n_gauss)
+        wsq *= wsq
         out = np.zeros(self.ndof)
-        out[:-2] += contrib[:, :2].ravel()
-        out[2:] += contrib[:, 2:].ravel()
-        return out[self.free]
+        nodes = out.reshape(-1, 2)  # a view of out, one (value, derivative) row per node
+        nodes[:-1] += wsq @ self.weak_left
+        nodes[1:] += wsq @ self.weak_right
+        return out[1:-2]  # the free DOFs
 
 
 def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
@@ -369,38 +371,52 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
 
 
 _PICARD_MAX = 25  # Picard sweeps per CN step before FixedPointDiverged
-_PICARD_TOL = 1e-11  # relative step size that ends the sweeps
+_PICARD_TOL = 1e-11  # relative step size that ends the sweeps; it, not the start, sets the error
+# weights of the last 0 .. 3 sources, newest first: zero, constant, linear, quadratic extrapolation
+_EXTRAPOLATE = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
 def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
     """Full KdV trajectory; y y_x handled by per-step Picard around CN.
 
-    Raises FixedPointDiverged outside the small-data regime.
+    A step's sweeps start from the CN solve with the source dt N(y_mid),
+    y_mid = (y_n + y_{n+1}) / 2, extrapolated from the last three steps.  That
+    source is smooth in time where y_{n+1} is not (CN leaves the dispersive
+    high modes undamped, flipping sign each step), so a step takes two sweeps.
+
+    Raises FixedPointDiverged outside the small-data regime: the sweeps
+    stall (no convergence in _PICARD_MAX sweeps) or blow up (non-finite).
     """
     sys_ = _System(grid)
     u_arr = _as_control(u, grid.nt, grid.t_nodes)
     y = _initial_dofs(sys_, y0)[sys_.free]
-    full_prev = np.zeros(sys_.ndof)
-    full_next = np.zeros(sys_.ndof)
+    mid = np.zeros(sys_.ndof)  # midpoint state, full DOFs
+    free = slice(1, -2)  # sys_.free
+    sources = []  # sources of the last three steps, oldest first
 
     def picard(n, states, base, solve):
-        full_prev[sys_.free] = states[n]
-        full_prev[sys_.i_dN] = u_arr[n]
-        full_next[sys_.i_dN] = u_arr[n + 1]
-        y_next = 2.0 * states[n] - states[n - 1] if n else states[n]
+        mid[sys_.i_dN] = 0.5 * (u_arr[n] + u_arr[n + 1])
+        predicted = sum(c * f for c, f in zip(_EXTRAPOLATE[len(sources)], reversed(sources)))
+        y_next = solve(base - predicted)
         for _ in range(_PICARD_MAX):
-            full_next[sys_.free] = y_next
-            mid = 0.5 * (full_prev + full_next)
-            cand = solve(base - grid.dt * sys_.nonlinear_weak(mid))
-            delta = np.linalg.norm(cand - y_next)
-            y_next = cand
-            if not np.all(np.isfinite(y_next)):
+            mid[free] = 0.5 * (states[n] + y_next)
+            source = grid.dt * sys_.nonlinear_weak(mid)
+            cand = solve(base - source)
+            d = cand - y_next
+            delta = math.sqrt(d @ d)
+            if not math.isfinite(delta):
                 raise FixedPointDiverged(f"Picard blow-up at step {n}")
-            if delta <= _PICARD_TOL * max(1.0, np.linalg.norm(y_next)):
+            y_next = cand
+            if delta <= _PICARD_TOL * max(1.0, math.sqrt(y_next @ y_next)):
+                sources.append(source)
+                del sources[:-3]
                 return y_next
         raise FixedPointDiverged(f"Picard stalled at step {n} (delta = {delta:.3e})")
 
-    return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr, step=picard), u_arr)
+    # overflow and invalid values on the way to a blow-up end in FixedPointDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _cn_states(sys_, y, u_arr, step=picard)
+    return _assemble_trajectory(sys_, states, u_arr)
 
 
 # ---------------------------------------------------------------------------
