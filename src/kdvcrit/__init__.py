@@ -1,11 +1,15 @@
 """kdvcrit: desk-scale numerics for KdV boundary control at critical lengths.
 
-Subpackages map one-to-one onto the analytic layers: integer enumeration of
+The modules map one-to-one onto the analytic layers: integer enumeration of
 critical lengths (`numbertheory`), characteristic roots and entire quotients
 (`spectral`), the unreachable directions and their constants (`unreachable`),
 the quadratic-interaction kernel and its expansions (`kernel`), the
 discretized control system (`pde`), and the bump-based control synthesis
-(`synthesis`).  `cli` exposes everything as subcommands.
+(`synthesis`).  The public functions, in each module's `__all__`, are those
+that the `cli` subcommands or the benchmark (perfbench/workloads.py) call,
+plus three marked there as waiting on a caller; every other function is
+internal.  Public entry points reject bad input with an
+`errors.KdvCritError` subclass.
 """
 
 from . import errors

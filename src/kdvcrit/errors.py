@@ -1,8 +1,15 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the argument checks of its entry points.
 
 Every operation that can refuse an input raises one of these instead of
-returning a sentinel; callers are expected to handle them explicitly.
+returning a sentinel; callers are expected to handle them explicitly.  The
+check_* helpers hold one DomainError message per kind of argument; entry
+points call them, inner functions trust their callers.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class KdvCritError(Exception):
@@ -11,10 +18,6 @@ class KdvCritError(Exception):
 
 class NotCritical(KdvCritError):
     """N admits no representation k^2 + kl + l^2 with k >= l >= 1."""
-
-
-class NoPositiveFrequency(KdvCritError):
-    """Length class has no pair with p > 0, so the rotation time is undefined."""
 
 
 class DomainError(KdvCritError, ValueError):
@@ -56,3 +59,38 @@ class RootDerivativeSingular(KdvCritError):
 
 class SupportLeak(KdvCritError):
     """Reconstructed control has too much mass outside [0, T]."""
+
+
+def check_positive(value, name: str):
+    """value, if it is a real number in (0, inf)."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_int(value, name: str, low: int, *, even: bool = False):
+    """value, if it is an integer >= low (a numpy one too, never a bool), and even if asked."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+        or (even and value % 2)
+    ):
+        kind = "an even integer" if even else "an integer"
+        raise DomainError(f"{name} must be {kind} >= {low}, got {value!r}")
+    return value
+
+
+def check_finite(value, name: str) -> np.ndarray:
+    """value as a float array, if it is non-empty and every entry is finite."""
+    arr = np.asarray(value, dtype=float)
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be non-empty and finite")
+    return arr
+
+
+def check_type(value, cls: type, name: str):
+    """value, if it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got a {type(value).__name__}")
+    return value

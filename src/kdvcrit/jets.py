@@ -23,13 +23,7 @@ import numpy as np
 from .errors import RootDerivativeSingular
 from .spectral import roots
 
-__all__ = [
-    "jet_mul",
-    "jet_div",
-    "jet_exp",
-    "root_jets",
-    "h_jets_scaled",
-]
+__all__: list[str] = []  # internal: synthesis reads H^(d) through h_jets_scaled
 
 _BLOCK = 1 << 13  # points per h_jets_scaled pass; bounds the jet temporaries (~7 MB at order 1)
 

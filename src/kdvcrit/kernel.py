@@ -28,18 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NearPole, ResolutionError
+from .errors import NearPole, check_type
 from .numbertheory import CriticalPair
 from .spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots, xi
 from .unreachable import UnreachableData, constants, eta_triple
 
-__all__ = [
-    "B_eval",
-    "intB_closed",
-    "intb_quadrature",
-    "AsymptoticReport",
-    "verify_expansion",
-]
+# intB_closed waits on ROADMAP direction 4 for a production caller
+__all__ = ["intB_closed", "AsymptoticReport", "verify_expansion"]
 
 _SERIES_CUT = 1e-3  # switch (e^{aL}-1)/a to its series below |a|L = 1e-3
 
@@ -65,23 +60,6 @@ def _check_poles(near, z):
     if np.any(near):
         zb = np.atleast_1d(np.asarray(z))[np.atleast_1d(near)]
         raise NearPole(f"scaled denominator below {POLE_TOL:g} near z = {zb[:3]}")
-
-
-def B_eval(pair: CriticalPair, z, x):
-    """Pointwise kernel B(z, x); vectorized over x for scalar z."""
-    L = pair.L
-    zc = complex(z)
-    lam = roots(zc)
-    lamt = shifted_roots(zc, pair.p)
-    (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
-    _check_poles((abs(qm) < POLE_TOL) | (abs(qtm) < POLE_TOL), zc)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    fa = profile_scaled(lam, L, x_arr, qs).sum(axis=-1) / qm
-    ga = profile_scaled(lamt, L, x_arr, qts).sum(axis=-1) / qtm
-    ec, ee = _eta_terms(pair)
-    phix = (ec * np.exp(np.multiply.outer(x_arr, ee))).sum(axis=-1)
-    out = fa * ga * phix
-    return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def _scaled_parts(pair: CriticalPair, z):
@@ -118,7 +96,7 @@ def intB_closed(pair: CriticalPair, z):
     scale of det Q * det Q~, which keeps every mantissa O(1) for z up to 1e6
     and L up to ~30.
     """
-    vals, near = _intB_masked(pair, z)
+    vals, near = _intB_masked(check_type(pair, CriticalPair, "pair"), z)
     _check_poles(near, z)
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
@@ -165,40 +143,6 @@ def interaction_numerator(pair: CriticalPair, z):
     if np.ndim(z) == 0:
         return m[0], float(s[0])
     return m.reshape(np.shape(z)), s.reshape(np.shape(z))
-
-
-_MAX_DOUBLINGS = 14
-
-
-def intb_quadrature(pair: CriticalPair, z, tol: float = 1e-10):
-    """Adaptive Gauss-Legendre oracle for int_0^L B dx (test use only).
-
-    Panel count doubles until two successive composite values agree to tol
-    relative; the production path never calls this (the integrand oscillates
-    with frequency O(z^{1/3}), so the cost grows with z).
-    """
-    L = pair.L
-    zc = complex(z)
-    # resolve the oscillation: O(|z|^{1/3}) panels
-    n0 = max(8, int(4 * (abs(zc) ** (1 / 3) + 1)))
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    prev = None
-    n = n0
-    for _ in range(_MAX_DOUBLINGS):
-        edges = np.linspace(0.0, L, n + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        vals = B_eval(pair, zc, xs).reshape(n, -1)
-        terms = vals * weights[None, :] * half[:, None]
-        total = complex(terms.sum())
-        # the oscillatory sum cannot converge below roundoff on its own mass
-        floor = 1e-14 * float(np.abs(terms).sum())
-        if prev is not None and abs(total - prev) <= max(tol * abs(total), floor):
-            return total
-        prev = total
-        n *= 2
-    raise ResolutionError(f"quadrature did not converge at z = {z}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Conventions: pairs are normalized to k >= l, and the frequency
 
     p = (2k + l)(k - l)(2l + k) / (3*sqrt(3) * N^(3/2))
 
-vanishes exactly when k = l.
+vanishes exactly when k = l.  The paper's improved-time theorem excludes
+two classes, N = 7 and N = 13.
 """
 
 from __future__ import annotations
@@ -17,16 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NoPositiveFrequency, NotCritical
+from .errors import DomainError, NotCritical, check_int
 
-__all__ = [
-    "CriticalPair",
-    "LengthClass",
-    "enumerate_pairs",
-    "representations",
-    "t_star",
-    "excluded_lengths",
-]
+__all__ = ["CriticalPair", "LengthClass", "enumerate_pairs", "representations"]
 
 
 def _length(n: int) -> float:
@@ -50,7 +44,7 @@ class CriticalPair:
     caseE0: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.l < 1 or self.k < self.l:
+        if check_int(self.k, "k", 1) < check_int(self.l, "l", 1):
             raise DomainError(f"need k >= l >= 1, got (k, l) = ({self.k}, {self.l})")
         n = self.k**2 + self.k * self.l + self.l**2
         object.__setattr__(self, "N", n)
@@ -66,8 +60,10 @@ class LengthClass:
 
     ``p_sorted`` follows the convention p_1 > p_2 > ... > p_{n_pos} > 0; pairs
     are stored in the same order (zero-frequency pair last when present).
-    ``T_star`` is None when no pair has p > 0 (use :func:`t_star` to get the
-    checked value).
+    ``T_star`` is the rotation-synchronization time
+    T^> = pi * sum_m (n^> + 1 - m) / p_m; it is None when no pair has p > 0,
+    never 0, which would claim instant controllability.  The paper's
+    improved-time theorem excludes N = 7 and N = 13.
     """
 
     N: int
@@ -85,8 +81,7 @@ class LengthClass:
 
 def enumerate_pairs(k_max: int) -> list[CriticalPair]:
     """All pairs with 1 <= l <= k <= k_max, ordered by N then k."""
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    check_int(k_max, "k_max", 1)
     pairs = [CriticalPair(k, l) for k in range(1, k_max + 1) for l in range(1, k + 1)]
     pairs.sort(key=lambda q: (q.N, q.k))
     return pairs
@@ -99,7 +94,7 @@ def representations(N: int) -> LengthClass:
     gives k = (r - l) / 2 with r^2 = 4N - 3 l^2, checked exactly in integers.
     Raises NotCritical when N is not of the form k^2 + kl + l^2.
     """
-    if N < 3:
+    if check_int(N, "N", 1) < 3:
         raise NotCritical(f"N = {N} has no representation with k >= l >= 1")
     found = []
     for l in range(math.isqrt(N // 3), 0, -1):  # increasing k
@@ -127,19 +122,3 @@ def representations(N: int) -> LengthClass:
         T_star=t,
     )
 
-
-def t_star(cls: LengthClass) -> float:
-    """Rotation-synchronization time T^> = pi * sum (1/p_m)(n^> + 1 - m).
-
-    Undefined (NoPositiveFrequency) when every pair of the class has k = l.
-    Returning 0 is deliberately forbidden: a zero time would silently claim
-    instant controllability.
-    """
-    if cls.n_L_pos == 0 or cls.T_star is None:
-        raise NoPositiveFrequency(f"class N = {cls.N} has no pair with p > 0")
-    return cls.T_star
-
-
-def excluded_lengths() -> list[LengthClass]:
-    """The two classes excluded from the improved-time theorem: N = 7 and 13."""
-    return [representations(7), representations(13)]

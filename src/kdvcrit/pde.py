@@ -35,6 +35,7 @@ from scipy.linalg import cholesky
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable, ResolutionError
+from .errors import check_finite, check_int, check_positive, check_type
 from .numbertheory import LengthClass
 from .unreachable import eta_triple, phi, phi_parts, phi_x
 
@@ -60,14 +61,10 @@ class Grid:
     nt: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, (int, np.integer)) for v in (self.nx, self.nt)):
-            raise DomainError(f"nx and nt must be integers, got nx = {self.nx!r}, nt = {self.nt!r}")
-        if self.nx < 8:
-            raise DomainError(f"need nx >= 8 interior nodes, got nx = {self.nx}")
-        if self.nt < 1 or not (0 < self.T < math.inf and 0 < self.L < math.inf):
-            raise DomainError(
-                f"need finite T, L > 0 and nt >= 1, got T = {self.T}, L = {self.L}, nt = {self.nt}"
-            )
+        check_int(self.nx, "nx", 8)
+        check_int(self.nt, "nt", 1)
+        check_positive(self.T, "T")
+        check_positive(self.L, "L")
 
     @property
     def dx(self) -> float:
@@ -141,7 +138,7 @@ class _System:
     """Assembled operators and index bookkeeping for one grid."""
 
     def __init__(self, grid: Grid):
-        self.grid = grid
+        self.grid = check_type(grid, Grid, "grid")  # every solver's grid enters here
         n_el = grid.nx + 1
         self.n_el = n_el
         self.h = grid.dx
@@ -278,9 +275,9 @@ class Trajectory:
 def _as_control(u, nt: int, t_nodes: np.ndarray) -> np.ndarray:
     if u is None:
         return np.zeros(nt + 1)
-    u = np.array([float(u(t)) for t in t_nodes]) if callable(u) else np.asarray(u, dtype=float)
-    if u.shape != (nt + 1,) or not np.all(np.isfinite(u)):
-        raise DomainError(f"control must be nt+1 = {nt + 1} finite samples, got shape {u.shape}")
+    u = check_finite([float(u(t)) for t in t_nodes] if callable(u) else u, "control")
+    if u.shape != (nt + 1,):
+        raise DomainError(f"control must be nt+1 = {nt + 1} samples, got shape {u.shape}")
     return u
 
 
@@ -289,10 +286,10 @@ def _initial_dofs(sys_: _System, y0) -> np.ndarray:
         return np.zeros(sys_.ndof)
     if callable(y0):
         y0 = np.array([y0(x) for x in sys_.grid.x_nodes])
-    nodal = [np.asarray(v, dtype=float) for v in (y0 if isinstance(y0, tuple) else (y0,))]
+    nodal = [check_finite(v, "state data") for v in (y0 if isinstance(y0, tuple) else (y0,))]
     n = sys_.grid.nx + 2
-    if len(nodal) > 2 or any(v.shape != (n,) or not np.all(np.isfinite(v)) for v in nodal):
-        raise DomainError(f"state data must be {n} finite nodal values (and derivatives)")
+    if len(nodal) not in (1, 2) or any(v.shape != (n,) for v in nodal):
+        raise DomainError(f"state data must be {n} nodal values (and derivatives)")
     return sys_.interpolate(*nodal)
 
 
@@ -509,6 +506,7 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     1e-5 sigma_max, the square root of a 1e-10 Gram-eigenvalue cut); a grid
     whose nodes alias them away raises ResolutionError.
     """
+    check_type(length_class, LengthClass, "length_class")
     sys_ = _System(grid)
     r = _mass_cholesky(sys_)
     shapes = r @ _mn_dofs(sys_, length_class)
@@ -554,8 +552,7 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     a critical length, but also for reachable ones there (a solve_linear target
     at L = 2 pi, nx 96 or 128, nt 400, stalls near 2e-5; ROADMAP direction 3).
     """
-    if not 0 < tol < math.inf:
-        raise DomainError(f"need a finite tol > 0, got {tol}")
+    check_positive(tol, "tol")
     sys_ = _System(grid)
     g_dofs = _initial_dofs(sys_, target)[sys_.free]
     if not np.any(g_dofs):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_int, check_positive
 
 __all__ = [
     "MU",
@@ -31,18 +31,9 @@ __all__ = [
     "COLLISION_Z",
     "SpectralFrame",
     "roots",
-    "shifted_roots",
     "asymptotic_roots",
-    "vieta_residuals",
-    "exp_sum_scaled",
-    "detq_scaled",
-    "profile_scaled",
-    "p_scaled",
-    "xi",
-    "h_scaled",
-    "gh_scaled",
     "frame",
-    "paley_wiener_check",
+    "paley_wiener_check",  # waits on ROADMAP direction 4 for a production caller
     "PaleyWienerReport",
 ]
 
@@ -133,21 +124,6 @@ def shifted_roots(z, p: float) -> np.ndarray:
     return roots(-(z_arr - p))
 
 
-def vieta_residuals(lam: np.ndarray, z) -> np.ndarray:
-    """Absolute residuals of the three Vieta identities, stacked on axis -1."""
-    z_arr = np.asarray(z, dtype=complex)
-    e1 = lam.sum(axis=-1)
-    e2 = (
-        lam[..., 0] * lam[..., 1]
-        + lam[..., 1] * lam[..., 2]
-        + lam[..., 2] * lam[..., 0]
-    )
-    e3 = lam[..., 0] * lam[..., 1] * lam[..., 2]
-    return np.stack(
-        [np.abs(e1), np.abs(e2 - 1.0), np.abs(e3 + 1j * z_arr)], axis=-1
-    )
-
-
 def asymptotic_roots(z, order: int, p: float = 0.0, shifted: bool = False) -> np.ndarray:
     """Large-z expansions of the (shifted) roots for real z > 0.
 
@@ -159,11 +135,12 @@ def asymptotic_roots(z, order: int, p: float = 0.0, shifted: bool = False) -> np
     3 coincides with order 2 there; the third-order terms are the p-linear
     corrections of the shifted family.
     """
-    if order not in (1, 2, 3):
+    if check_int(order, "order", 1) > 3:
         raise DomainError(f"order must be 1, 2 or 3, got {order}")
-    z_arr = np.asarray(z, dtype=float)
+    z_arr = check_finite(z, "z")
     if np.any(z_arr <= 0):
         raise DomainError("asymptotic root expansions require z > 0")
+    check_finite(p, "p")
     mu = MU_TILDE if shifted else MU
     c = np.cbrt(z_arr)[..., None]
     lam = mu * c
@@ -297,8 +274,7 @@ def _shaped(z, m, s):
 
 def h_scaled(z, L: float):
     """H = det Q / Xi as (hm, hs) with H = hm*exp(hs), valid for arbitrarily large z."""
-    if not 0 < L < np.inf:
-        raise DomainError(f"L must be positive and finite, got {L}")
+    check_positive(L, "L")
     lam = np.atleast_2d(roots(z))
     return _shaped(z, *_over_xi(lam, L, detq_scaled(lam, L), -1.0))
 
@@ -309,8 +285,7 @@ def gh_scaled(z, L: float):
     Returns (gm, gs, hm, hs) with G = gm*exp(gs), H = hm*exp(hs); H is the
     h_scaled value, from the same root triple as G.
     """
-    if not 0 < L < np.inf:
-        raise DomainError(f"L must be positive and finite, got {L}")
+    check_positive(L, "L")
     lam = np.atleast_2d(roots(z))
     gm, gs = _over_xi(lam, L, p_scaled(lam, L), 1.0)
     hm, hs = _over_xi(lam, L, detq_scaled(lam, L), -1.0)
@@ -323,8 +298,7 @@ def frame(z, L: float) -> SpectralFrame:
     G and H are computed through the scaled path, so they are exact whenever
     they are representable even if det Q and P themselves overflow.
     """
-    if not 0 < L < np.inf:
-        raise DomainError(f"L must be positive and finite, got {L}")
+    check_positive(L, "L")
     zc = complex(z)
     lam = roots(zc)[None, :]  # one root triple serves every field
     p, q = p_scaled(lam, L), detq_scaled(lam, L)
@@ -368,7 +342,11 @@ def paley_wiener_check(
     scaled |H| mantissa below _PW_POLE_TOL are excluded and counted), and the
     report carries the fitted constants C = max |f| e^{-T |Im z|}.
     """
-    u = np.asarray(u, dtype=float)
+    u = check_finite(u, "u")
+    check_positive(dt, "dt")
+    check_positive(T, "T")
+    check_positive(z_max, "z_max")
+    check_int(n_z, "n_z", 1)
     t = np.arange(u.size) * dt
     zs = np.linspace(-z_max, z_max, n_z)
     c_u = 0.0

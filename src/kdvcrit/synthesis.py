@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaseError, DomainError, ResolutionError, SupportLeak
+from .errors import check_finite, check_int, check_positive, check_type
 from .jets import h_jets_scaled
 from .kernel import interaction_numerator
 from .numbertheory import CriticalPair
@@ -59,12 +60,9 @@ __all__ = [
     "SignReport",
     "SobolevNorm",
     "make_spec",
-    "bump_vhat",
-    "vhat1_scaled",
-    "h_derivative_on_line",
     "steering_spectrum",
     "sign_report",
-    "fractional_norm",
+    "fractional_norm",  # waits on ROADMAP direction 9 for a production caller
 ]
 
 _GAMMA = 0.5  # the line z + i gamma of H^(d); admissible for every pair with k <= 12
@@ -297,15 +295,6 @@ class ControlSpec:
         return 1 if self.case == 1 else 3
 
 
-def h_derivative_on_line(pair: CriticalPair, gamma: float, z, d: int):
-    """d-th derivative of H at z + i gamma via jets (d in {1, 3})."""
-    if d not in (1, 3):
-        raise DomainError(f"derivative order must be 1 or 3, got {d}")
-    m, s0 = _h_deriv_scaled(pair, gamma, z, d)
-    with np.errstate(over="ignore"):
-        return m * np.exp(s0)
-
-
 def _h_deriv_scaled(pair: CriticalPair, gamma: float, z, d: int):
     z_arr = np.asarray(z, dtype=complex) + 1j * gamma
     jet, s0 = h_jets_scaled(z_arr, pair.L, d)
@@ -326,8 +315,8 @@ def make_spec(pair: CriticalPair, T: float) -> ControlSpec:
     nu^2 = (1.617)^2 / beta exactly; the rounded restatement 5.223/T of the
     same choice is neither used nor recorded.
     """
-    if not 0 < T < math.inf:
-        raise DomainError(f"T must be positive and finite, got {T}")
+    check_type(pair, CriticalPair, "pair")
+    check_positive(T, "T")
     beta = T / 2.0
     nu = 1.617 / math.sqrt(beta)
     case = 2 if pair.caseE0 else 1
@@ -335,15 +324,6 @@ def make_spec(pair: CriticalPair, T: float) -> ControlSpec:
     if not _gamma_admissible(pair, _GAMMA, d):
         raise DomainError(f"gamma = {_GAMMA} is not admissible for pair {(pair.k, pair.l)}")
     return ControlSpec(pair=pair, T=T, beta=beta, nu=nu, gamma=_GAMMA, case=case)
-
-
-def bump_vhat(spec: ControlSpec, z):
-    """v-hat(z) = e^{-i beta z} v1(beta z), unscaled (0.0 once it underflows)."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    m, s = vhat1_scaled(spec.nu, spec.beta, z_arr)
-    with np.errstate(under="ignore"):
-        vals = np.exp(-1j * spec.beta * z_arr) * m * np.exp(s)
-    return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +466,8 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     quadrature can reconstruct the cancellation and the caller should move to
     a larger T.
     """
-    if isinstance(n_fft, bool) or not isinstance(n_fft, (int, np.integer)) or n_fft < 2 or n_fft % 2:
-        raise DomainError(f"steering_spectrum: n_fft must be an even integer >= 2, got {n_fft!r}")
+    check_type(spec, ControlSpec, "spec")
+    check_int(n_fft, "n_fft", 2, even=True)
     z_max, probe_peak = _spectrum_cutoff(spec)
     _check_hump(probe_peak)  # a lower bound on the true peak: fail before the full grid
     t0 = -_WINDOW * spec.T / 4.0
@@ -612,8 +592,8 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
     SignReport).  H and H^(d) come from _h_factors, as in steering_spectrum.
     """
-    if n_side < 2:
-        raise DomainError(f"sign_report: n_side must be >= 2, got {n_side}")
+    check_type(spec, ControlSpec, "spec")
+    check_int(n_side, "n_side", 2)
     pair = spec.pair
     p = pair.p
     data = constants(pair)
@@ -697,7 +677,8 @@ def fractional_norm(u: np.ndarray, s: float, dt: float) -> SobolevNorm:
     """
     if not -2.0 <= s <= 2.0:
         raise DomainError("s outside the supported band [-2, 2]")
-    u = np.asarray(u, dtype=float)
+    u = check_finite(u, "u")
+    check_positive(dt, "dt")
     n = int(_PAD_FACTOR * 2 ** math.ceil(math.log2(max(u.size, 2))))
     spec = dt * np.fft.fft(u, n=n) / math.sqrt(2.0 * math.pi)
     xi_grid = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseError, InvariantViolation
+from .errors import CaseError, InvariantViolation, check_finite, check_type
 from .numbertheory import CriticalPair
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "eta_triple",
     "phi",
     "phi_x",
-    "phi_parts",
     "psi",
     "constants",
     "e1_over_e",
@@ -74,6 +73,7 @@ class UnreachableData:
 
 def eta_triple(pair: CriticalPair) -> EtaTriple:
     """Build the eta triple and assert its defining identities."""
+    check_type(pair, CriticalPair, "pair")
     k, l, L, p = pair.k, pair.l, pair.L, pair.p
     e1 = -2j * math.pi * (2 * k + l) / (3 * L)
     e2 = e1 + 2j * math.pi * k / L
@@ -97,15 +97,15 @@ def _cyc(eta: np.ndarray):
 
 def phi(eta: EtaTriple, x) -> np.ndarray:
     """phi(x) = sum_j (eta_{j+1} - eta_j) e^{eta_{j+2} x}."""
-    ep1, ep2 = _cyc(eta.eta)
-    x_arr = np.asarray(x, dtype=float)
+    ep1, ep2 = _cyc(check_type(eta, EtaTriple, "eta").eta)
+    x_arr = check_finite(x, "x")
     return ((ep1 - eta.eta) * np.exp(np.multiply.outer(x_arr, ep2))).sum(axis=-1)
 
 
 def phi_x(eta: EtaTriple, x) -> np.ndarray:
     """Exact derivative of phi (exponents multiplied analytically)."""
-    ep1, ep2 = _cyc(eta.eta)
-    x_arr = np.asarray(x, dtype=float)
+    ep1, ep2 = _cyc(check_type(eta, EtaTriple, "eta").eta)
+    x_arr = check_finite(x, "x")
     return ((ep1 - eta.eta) * ep2 * np.exp(np.multiply.outer(x_arr, ep2))).sum(axis=-1)
 
 
@@ -117,7 +117,8 @@ def phi_parts(ph: np.ndarray) -> list:
 
 def psi(eta: EtaTriple, t, x) -> np.ndarray:
     """Psi(t, x) = e^{-i t p} phi(x), an exact zero-boundary solution."""
-    return np.exp(-1j * np.asarray(t) * eta.p) * phi(eta, x)
+    ph = phi(eta, x)  # checks eta and x
+    return np.exp(-1j * check_finite(t, "t") * eta.p) * ph
 
 
 def constants(pair: CriticalPair) -> UnreachableData:
@@ -170,7 +171,7 @@ def e1_over_e(pair: CriticalPair) -> complex:
     with sign + for exp(eta_1 L) = exp(2 pi i/3) and - for exp(4 pi i/3);
     both branches are asserted here along with Im(E_1/E) = -pL/6.
     """
-    if pair.caseE0:
+    if check_type(pair, CriticalPair, "pair").caseE0:
         raise CaseError(f"E = 0 for pair {(pair.k, pair.l)}; E1/E undefined")
     data = constants(pair)
     ratio = data.E1 / data.E

@@ -10,6 +10,7 @@ import kdvcrit
 from kdvcrit import numbertheory as nt
 from kdvcrit import kernel, pde, spectral
 from kdvcrit.cli import dispatch
+from kdvcrit.errors import LinearSolveFailure
 
 DATA = Path(__file__).with_name("data")
 
@@ -59,7 +60,7 @@ def test_gramian_json_schema(tmp_path):
 def test_gramian_bad_grid_is_usage_error(tmp_path, capsys):
     argv = ["gramian", "--k", "1", "--l", "1", "--T", "0.5", "--nx", "4", "--nt", "10"]
     assert dispatch(argv + ["--out", str(tmp_path / "g.json")]) == 2
-    assert "nx >= 8" in capsys.readouterr().err
+    assert "nx must be an integer >= 8, got 4" in capsys.readouterr().err
 
 
 def test_gramian_aliased_grid_is_failed_check(tmp_path, capsys):
@@ -69,6 +70,19 @@ def test_gramian_aliased_grid_is_failed_check(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert "rank 0 != dim M_N = 1" in err
+
+
+def test_singular_step_matrix_is_failed_check(tmp_path, capsys, monkeypatch):
+    # dgbtrf reports an exactly zero pivot of the banded LU by info > 0
+    monkeypatch.setattr(pde, "dgbtrf", lambda ab, kl, ku: (ab, None, 1))
+    with pytest.raises(LinearSolveFailure, match=r"dgbtrf info = 1\)$"):
+        pde.solve_linear(pde.Grid(L=3.0, nx=8, T=0.2, nt=6))
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"L": 3.0, "nx": 8, "nt": 6, "T": 0.2}))
+    argv = ["simulate", "--system", "linear", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "usage error" not in err and "dgbtrf info = 1" in err
 
 
 def test_verify_all_config_overlay(tmp_path):
@@ -128,7 +142,7 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
          "--points must be >= 1"),
         (_SIGNS + ["--tsweep", "0.4,abc"], None, "bad --tsweep '0.4,abc'"),
         (_SIGNS + ["--tsweep", "nan"], None, "T must be positive and finite, got nan"),
-        (_SIGNS + ["--tsweep", "0.4", "--n-side", "1"], None, "n_side must be >= 2"),
+        (_SIGNS + ["--tsweep", "0.4", "--n-side", "1"], None, "n_side must be an integer >= 2, got 1"),
         (["lengths", "--nmax", "3", "--out", "{tmp}/missing/out.csv"], None, "cannot write"),
         (
             ["verify-all", "--only", "spectrl"],

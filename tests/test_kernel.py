@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit.errors import NearPole, ResolutionError
@@ -19,7 +20,7 @@ P11 = nt.CriticalPair(1, 1)
 def test_closed_form_vs_quadrature_spot():
     for z in (10.0, 37.0, 1e3):
         c = kn.intB_closed(P21, z)
-        q = kn.intb_quadrature(P21, z, tol=1e-11)
+        q = oracles.intb_quadrature(P21, z, tol=1e-11)
         assert abs(c - q) <= 1e-9 * abs(q)
 
 
@@ -28,15 +29,15 @@ def test_closed_form_vs_quadrature_random_battery():
     for pair in (P21, P41, nt.CriticalPair(3, 2)):
         for z in rng.uniform(10, 1e4, 6):
             c = kn.intB_closed(pair, float(z))
-            q = kn.intb_quadrature(pair, float(z), tol=1e-11)
+            q = oracles.intb_quadrature(pair, float(z), tol=1e-11)
             assert abs(c - q) <= 1e-9 * max(abs(q), 1e-12)
 
 
 def test_quadrature_out_of_doublings_raises(monkeypatch):
     # one pass gives no second value to compare with, so the oracle refuses
-    monkeypatch.setattr(kn, "_MAX_DOUBLINGS", 1)
+    monkeypatch.setattr(oracles, "_MAX_DOUBLINGS", 1)
     with pytest.raises(ResolutionError):
-        kn.intb_quadrature(P21, 10.0)
+        oracles.intb_quadrature(P21, 10.0)
 
 
 def _intb_mpmath(pair, z):
@@ -97,7 +98,7 @@ def test_interaction_numerator_near_collision_matches_mpmath(pair):
 
 
 def test_b_eval_finite_at_x0():
-    val = kn.B_eval(P21, 123.4, 0.0)
+    val = oracles.B_eval(P21, 123.4, 0.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
@@ -124,8 +125,8 @@ def test_conjugation_symmetry():
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
             # pointwise version
             x = 0.3 * pair.L
-            av = kn.B_eval(pair, -z, x)
-            bv = np.conj(kn.B_eval(conj_pair, z, x))
+            av = oracles.B_eval(pair, -z, x)
+            bv = np.conj(oracles.B_eval(conj_pair, z, x))
             assert abs(av - bv) <= 1e-12 * max(abs(av), 1e-300)
 
 
@@ -143,8 +144,8 @@ def test_conjugation_symmetry_any_z(pair, log_z, sign):
     # 10 <= |z| <= 1e4), which passes 1e-12 above |z| = 300
     assert abs(a - b) <= max(1e-12, 15.0 * np.finfo(float).eps * abs(z)) * abs(a)
     x = 0.3 * pair.L
-    av = kn.B_eval(pair, -z, x)
-    bv = np.conj(kn.B_eval(_conjugate(pair), z, x))
+    av = oracles.B_eval(pair, -z, x)
+    bv = np.conj(oracles.B_eval(_conjugate(pair), z, x))
     assert abs(av - bv) <= 1e-12 * max(abs(av), 1e-300)
 
 

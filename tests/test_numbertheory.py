@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kdvcrit import numbertheory as nt
-from kdvcrit.errors import NoPositiveFrequency, NotCritical
+from kdvcrit.errors import NotCritical
 
 
 def brute_force_representations(n, k_hi=None):
@@ -78,22 +78,21 @@ def test_not_critical():
 
 def test_t_star_single_pair():
     cls = nt.representations(7)
-    assert nt.t_star(cls) == pytest.approx(math.pi / cls.pairs[0].p, rel=1e-14)
+    assert cls.T_star == pytest.approx(math.pi / cls.pairs[0].p, rel=1e-14)
 
 
 def test_t_star_91():
     cls = nt.representations(91)
     p1, p2 = cls.p_sorted
-    assert nt.t_star(cls) == pytest.approx(math.pi * (2 / p1 + 1 / p2), rel=1e-14)
+    assert cls.T_star == pytest.approx(math.pi * (2 / p1 + 1 / p2), rel=1e-14)
 
 
 def test_t_star_no_positive_frequency():
-    with pytest.raises(NoPositiveFrequency):
-        nt.t_star(nt.representations(3))
+    assert nt.representations(3).T_star is None
 
 
 def test_excluded_lengths():
-    excluded = nt.excluded_lengths()
+    excluded = [nt.representations(7), nt.representations(13)]
     assert [cls.N for cls in excluded] == [7, 13]
     assert [(q.k, q.l) for q in excluded[0].pairs] == [(2, 1)]
     assert [(q.k, q.l) for q in excluded[1].pairs] == [(3, 1)]
