@@ -3,11 +3,13 @@
 Every operation that can refuse an input raises one of these instead of
 returning a sentinel; callers are expected to handle them explicitly.  The
 check_* helpers hold one DomainError message per kind of argument; entry
-points call them, inner functions trust their callers.
+points call them, inner functions trust their callers.  in_double_range
+turns the float overflow of a finite but extreme argument into DomainError.
 """
 
 import math
 import numbers
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -94,3 +96,18 @@ def check_type(value, cls: type, name: str):
     if not isinstance(value, cls):
         raise DomainError(f"{name} must be a {cls.__name__}, got a {type(value).__name__}")
     return value
+
+
+@contextmanager
+def in_double_range(what: str):
+    """Raise DomainError where a float operation inside overflows, divides by zero or is invalid.
+
+    For finite arguments too extreme for double precision (a grid step whose
+    square underflows, a transform whose square overflows): the numpy warning
+    they would leak becomes the entry point's DomainError.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's
+        raise DomainError(f"{what} leaves double range ({exc})") from None

@@ -35,7 +35,7 @@ from scipy.linalg import cholesky
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, FixedPointDiverged, LinearSolveFailure, NotReachable, ResolutionError
-from .errors import check_finite, check_int, check_positive, check_type
+from .errors import check_finite, check_int, check_positive, check_type, in_double_range
 from .numbertheory import LengthClass
 from .unreachable import eta_triple, phi, phi_parts, phi_x
 
@@ -147,8 +147,9 @@ class _System:
         # element e couples DOFs 2e .. 2e+3: (value, derivative) at its two nodes
         self.el_dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
         s, quad_w = _gauss01()
-        self.shape, shape_x, shape_xx = _shape_funcs(s, self.h)
-        mass_e, k_e, stiff_e = _element_mats(self.h, quad_w, self.shape, shape_x, shape_xx)
+        with in_double_range(f"grid step h = {self.h:g}"):
+            self.shape, shape_x, shape_xx = _shape_funcs(s, self.h)
+            mass_e, k_e, stiff_e = _element_mats(self.h, quad_w, self.shape, shape_x, shape_xx)
         # -(1/2) <w^2, v_x> on element e is (w^2 at its Gauss points) @ weak: the
         # (value, derivative) tests of its left node, then of its right node
         weak = -0.5 * quad_w[:, None] * shape_x.T

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_positive
+from .errors import DomainError, check_finite, check_int, check_positive, in_double_range
 
 __all__ = [
     "MU",
@@ -46,6 +46,9 @@ MU_TILDE = np.exp(1j * np.pi / 6 + 2j * np.pi * np.arange(1, 4) / 3)
 COLLISION_Z = 2.0 / (3.0 * np.sqrt(3.0))
 
 _OMEGA = np.exp(2j * np.pi / 3)
+
+# Largest |z| that roots solves by Cardano: 0.25 z^2 overflows above ~1.3e154.
+_CARDANO_MAX = 1e150
 
 # Scaled det Q mantissas below this mark z as too close to the pole set.
 POLE_TOL = 1e-10
@@ -86,18 +89,22 @@ def roots(z) -> np.ndarray:
     """Three roots of lambda^3 + lambda + i z = 0, sorted by (Re, Im).
 
     Vectorized over z (any shape, real or complex).  Cardano with a two-step
-    Newton polish; points too close to the double-root configuration fall
-    back to companion-matrix eigenvalues.  Non-finite z raise DomainError.
+    Newton polish; points too close to the double-root configuration, and
+    |z| > _CARDANO_MAX, fall back to companion-matrix eigenvalues.  Non-finite
+    z raise DomainError.
     """
     z_arr = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z_arr)):
         raise DomainError("roots: z must be finite")
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
-    lam = _newton_polish(_cardano(z_arr), z_arr)
-    resid = np.abs(lam**3 + lam + 1j * z_arr[..., None])
-    bad = np.any(~np.isfinite(lam), axis=-1) | np.any(
-        resid > 1e-10 * (1.0 + np.abs(z_arr))[..., None], axis=-1
+    # Cardano runs on 0 in place of the z it would overflow on
+    big = np.abs(z_arr) > _CARDANO_MAX
+    z_c = np.where(big, 0.0, z_arr)
+    lam = _newton_polish(_cardano(z_c), z_c)
+    resid = np.abs(lam**3 + lam + 1j * z_c[..., None])
+    bad = big | np.any(~np.isfinite(lam), axis=-1) | np.any(
+        resid > 1e-10 * (1.0 + np.abs(z_c))[..., None], axis=-1
     )
     if np.any(bad):
         flat = z_arr.reshape(-1)
@@ -354,14 +361,15 @@ def paley_wiener_check(
     excluded = 0
     for y in _PW_LINES:
         z = zs + 1j * y
-        uhat = dt * (u[None, :] * np.exp(-1j * np.outer(z, t))).sum(axis=1)
-        c_u = max(c_u, float(np.max(np.abs(uhat) * np.exp(-T * abs(y)))))
-        gm, gs, hm, hs = gh_scaled(z, L)
-        ok = np.abs(hm) > _PW_POLE_TOL
-        excluded += int(np.sum(~ok))
-        ratio = np.abs(uhat[ok]) * np.abs(gm[ok] / hm[ok]) * np.exp(
-            (gs[ok] - hs[ok]) - T * abs(y)
-        )
+        with in_double_range(f"paley_wiener_check at dt = {dt:g}, L = {L:g}, z_max = {z_max:g}"):
+            uhat = dt * (u[None, :] * np.exp(-1j * np.outer(z, t))).sum(axis=1)
+            c_u = max(c_u, float(np.max(np.abs(uhat) * np.exp(-T * abs(y)))))
+            gm, gs, hm, hs = gh_scaled(z, L)
+            ok = np.abs(hm) > _PW_POLE_TOL
+            excluded += int(np.sum(~ok))
+            ratio = np.abs(uhat[ok]) * np.abs(gm[ok] / hm[ok]) * np.exp(
+                (gs[ok] - hs[ok]) - T * abs(y)
+            )
         if ratio.size:
             c_ugh = max(c_ugh, float(np.max(ratio)))
     return PaleyWienerReport(

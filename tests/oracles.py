@@ -9,7 +9,7 @@ import numpy as np
 from kdvcrit.errors import DomainError, ResolutionError
 from kdvcrit.kernel import _check_poles, _eta_terms
 from kdvcrit.spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots
-from kdvcrit.synthesis import _h_deriv_scaled, vhat1_scaled
+from kdvcrit.synthesis import _LAT_C, _LAT_OFFS, _h_deriv_scaled, _wrap, vhat1_scaled
 
 
 def B_eval(pair, z, x):
@@ -94,3 +94,31 @@ def h_derivative_on_line(pair, gamma: float, z, d: int):
     m, s0 = _h_deriv_scaled(pair, gamma, z, d)
     with np.errstate(over="ignore"):
         return m * np.exp(s0)
+
+
+def lattice_interp_whole(x: np.ndarray, nodes):
+    """synthesis._lattice_interp as one whole-array pass, without its phase check.
+
+    The bases and nodes come from np.unique, and each weight C_i prod_{m != i}
+    (t - o_m) is formed factor by factor; the blocked reader must match it bit
+    for bit.
+    """
+    j = np.floor(x)
+    t = x - j
+    base, row = np.unique(j.astype(np.int64), return_inverse=True)
+    k = np.unique(base[:, None] + _LAT_OFFS)
+    f, g = nodes(k)
+    first = np.searchsorted(k, base + _LAT_OFFS[0])
+    cols = first[:, None] + np.arange(_LAT_OFFS.size)
+    g0 = g[..., first - _LAT_OFFS[0], None]
+    tab_f = np.moveaxis(f[..., cols], -1, 0)
+    tab_g = np.moveaxis(g0 + _wrap(g[..., cols] - g0), -1, 0)
+    d = [t - o for o in _LAT_OFFS]
+    fi = gi = 0.0
+    for i in range(_LAT_OFFS.size):
+        wi = _LAT_C[i]
+        for dm in d[:i] + d[i + 1 :]:
+            wi = wi * dm
+        fi = fi + wi * np.take(tab_f[i], row, axis=-1)
+        gi = gi + wi * np.take(tab_g[i], row, axis=-1)
+    return fi, gi

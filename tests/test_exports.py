@@ -153,8 +153,8 @@ BAD_INPUT = {
     "spectral.paley_wiener_check": (
         spectral.paley_wiener_check,
         {"u": SIGNAL, "dt": 0.1, "T": 1.6, "L": 3.0, "z_max": 5.0, "n_z": 5},
-        {"u": ARRAY, "dt": POSITIVE, "T": POSITIVE, "L": POSITIVE, "z_max": POSITIVE,
-         "n_z": bad_ints(1)},
+        {"u": ARRAY, "dt": POSITIVE + (1e300,), "T": POSITIVE, "L": POSITIVE + (1e300,),
+         "z_max": POSITIVE, "n_z": bad_ints(1)},
     ),
     "kernel.intB_closed": (
         kernel.intB_closed, {"pair": P21, "z": 10.0}, {"pair": OBJECT, "z": (math.nan, math.inf)}
@@ -176,7 +176,11 @@ BAD_INPUT = {
     "pde.solve_linear": (
         pde.solve_linear,
         {"grid": GRID, "y0": Y, "u": U},
-        {"grid": OBJECT, "y0": ARRAY + (Y[:-1], (), (Y, Y, Y)), "u": ARRAY + (U[:-1],)},
+        {
+            "grid": OBJECT + tuple(pde.Grid(L=L, nx=8, T=1.0, nt=10) for L in (1e-300, 1e300)),
+            "y0": ARRAY + (Y[:-1], (), (Y, Y, Y)),
+            "u": ARRAY + (U[:-1],),
+        },
     ),
     "pde.solve_second_order": (
         pde.solve_second_order, {"grid": GRID, "u1": U}, {"grid": OBJECT, "u1": ARRAY}
@@ -210,7 +214,7 @@ BAD_INPUT = {
     "synthesis.fractional_norm": (
         synthesis.fractional_norm,
         {"u": SIGNAL, "s": 0.5, "dt": 0.1},
-        {"u": ARRAY, "s": (math.nan, math.inf, 3.0, -3.0), "dt": POSITIVE},
+        {"u": ARRAY, "s": (math.nan, math.inf, 3.0, -3.0), "dt": POSITIVE + (1e-300, 1e300)},
     ),
 }
 

@@ -42,6 +42,17 @@ def test_roots_near_collision():
         assert np.abs(lam**3 + lam + 1j * z).max() < 1e-12
 
 
+def test_roots_huge_z_take_the_fallback_quietly():
+    # Cardano's 0.25 q^2 would overflow above |z| ~ 1.3e154 (the suite turns
+    # the warning into an error); such z go straight to the companion matrix
+    for z in (1e155, 1e300, -1e300, 1e155j):
+        lam = sp.roots(z)
+        assert np.abs(lam**3 + lam + 1j * z).max() <= 1e-10 * (1.0 + abs(z))
+    # a batch keeps the Cardano roots of its ordinary points
+    z = np.array([1e150, 2.5, 1e300])
+    assert np.array_equal(sp.roots(z)[:2], sp.roots(z[:2]))
+
+
 def _h_mpmath(z, L):
     """50-digit H = det Q / Xi at the same float z."""
     with mp.workdps(50):

@@ -86,7 +86,7 @@ def _v1_half_contour(nu, w):
 
 
 def _v1_rule(nu, w):
-    return syn.quad(nu, np.exp(-nu / (1.0 - syn._TRAP_T**2)), w)
+    return syn.quad(nu, np.exp(-nu / (1.0 - syn._TRAP_T**2)), np.array([w]))[0]
 
 
 def test_contour_matches_direct_overlap():
@@ -112,6 +112,37 @@ def test_trapezoid_rule_raises_when_under_resolved():
         assert _v1_rule(nu, 80.0) == syn.BumpTable(nu).eval_w(np.array([80.0]))[0][0]
         with pytest.raises(ResolutionError):
             _v1_rule(nu, w)
+
+
+def _rule_alone(nu, w):
+    """The trapezoid rule at one w as a 1-D pass: the sums a batch row must reproduce."""
+    terms = np.exp(-nu / (1.0 - syn._TRAP_T**2)) * np.cos(w * syn._TRAP_T)
+    terms[0] *= 0.5
+    return terms.sum() / syn._TRAP_N
+
+
+@pytest.mark.parametrize("T", [25.0, 0.4, 0.001])  # nu = 0.457, 3.62, 72.3
+def test_quad_batch_matches_per_w_calls(T):
+    # 700 w cross several row blocks; each row is the rule at its w alone, bit for bit
+    nu = syn.make_spec(P21, T).nu
+    f = np.exp(-nu / (1.0 - syn._TRAP_T**2))
+    w = np.linspace(0.0, syn.BumpTable(nu).w_sw, 700)
+    assert w.size > 2 * syn._QUAD_ROWS
+    batch = syn.quad(nu, f, w)
+    assert np.array_equal(batch, [syn.quad(nu, f, w[i : i + 1])[0] for i in range(w.size)])
+    assert np.array_equal(batch, [_rule_alone(nu, wi) for wi in w])
+    edge = slice(syn._QUAD_ROWS - 3, syn._QUAD_ROWS + 3)
+    assert np.array_equal(syn.quad(nu, f, w[edge]), batch[edge])
+
+
+def test_quad_batch_names_its_aliased_w():
+    # one aliased w in a later row block; the error names it, not the block
+    nu = syn.make_spec(P21, 25.0).nu
+    f = np.exp(-nu / (1.0 - syn._TRAP_T**2))
+    w = np.linspace(0.0, 80.0, 400)
+    w[300] = 3000.0
+    with pytest.raises(ResolutionError, match=r"at w = 3000:"):
+        syn.quad(nu, f, w)
 
 
 def _mpmath_rows():
@@ -277,6 +308,68 @@ def test_h_factors_any_subset_matches_full_call(picks, pair):
     mirror = syn._h_factors(spec, -_ZH[pos])
     for (m, s), (m_neg, s_neg), sign in zip(full, mirror, (1, (-1) ** spec.h_order)):
         assert np.array_equal(m_neg, sign * np.conj(m[pos])) and np.array_equal(s_neg, s[pos])
+
+
+def _half_grid_25():
+    """The z >= 0 half grid of steering_spectrum for (2,1) at T = 25: 131,073 points."""
+    spec = syn.make_spec(P21, 25.0)
+    z_max, _ = syn._spectrum_cutoff(spec)
+    return spec, 2.0 * z_max / (1 << 18) * np.arange((1 << 17) + 1)
+
+
+def _block_edges(n_lattice, first):
+    """Grid indices of the lattice points on both sides of every stencil block boundary."""
+    edges = np.arange(syn._LAT_BLOCK, n_lattice, syn._LAT_BLOCK)
+    assert edges.size >= 2
+    return (first + edges[:, None] + np.arange(-2, 2)).ravel()
+
+
+def test_lattice_blocks_match_the_full_call():
+    # picks straddling each 16,384-point block boundary of the bump and H
+    # lattices, read alone (one block), equal the full call bit for bit
+    spec, zh = _half_grid_25()
+    m, s = syn.vhat1_scaled(spec.nu, spec.beta, zh)
+    n_direct = int(np.sum(spec.beta * zh <= syn.BumpTable(spec.nu).w_sw))
+    picks = _block_edges(zh.size - n_direct, n_direct)
+    m_sub, s_sub = syn.vhat1_scaled(spec.nu, spec.beta, zh[picks])
+    assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
+    full = syn._h_factors(spec, zh)
+    n_exact = int(np.sum(zh < syn._H_SW))
+    picks = _block_edges(zh.size - n_exact, n_exact)
+    for (mf, sf), (m_sub, s_sub) in zip(full, syn._h_factors(spec, zh[picks])):
+        assert np.array_equal(m_sub, mf[picks]) and np.array_equal(s_sub, sf[picks])
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_lattice_reader_matches_whole_array_pass(lead):
+    # 40,000 unsorted points (3 blocks) on tables with and without a leading
+    # axis, as the bump and H lattices use them
+    x = np.random.default_rng(5).uniform(2.0, 600.0, 40000)
+
+    def nodes(k):
+        phase = 0.3 * k + np.sin(0.05 * k)
+        return np.broadcast_to(np.cos(0.02 * k), lead + k.shape), np.broadcast_to(phase, lead + k.shape)
+
+    for got, ref in zip(syn._lattice_interp(x, nodes, "test"), oracles.lattice_interp_whole(x, nodes)):
+        assert got.shape == lead + x.shape and np.array_equal(got, ref)
+
+
+def test_lattice_phase_check_and_sparse_nodes():
+    built = []
+
+    def nodes(k, step=0.1):
+        built.append(k)
+        # f is linear in k, so the stencil reproduces it; g jumps by 2 rad
+        # between the two clusters, which are not adjacent and so not checked
+        return 2.0 * k + 1.0, step * k + 2.0 * (k > 500)
+
+    x = np.array([10.5, 1010.25])
+    fi, gi = syn._lattice_interp(x, nodes, "test")
+    assert np.array_equal(built[0], np.r_[7:15, 1007:1015])
+    assert np.allclose(fi, 2.0 * x + 1.0, rtol=1e-13)
+    assert np.allclose(gi, 0.1 * x + 2.0 * (x > 500), rtol=1e-13)
+    with pytest.raises(ResolutionError, match="test lattice phase step"):
+        syn._lattice_interp(x, lambda k: nodes(k, step=math.pi / 5), "test")
 
 
 # ---------------------------------------------------------------------------
