@@ -51,8 +51,8 @@ class FixedPointDiverged(KdvCritError):
 
 
 class NotReachable(KdvCritError):
-    """Conjugate-gradient residual stagnated above tolerance; at a critical
-    length this happens to some reachable targets too (see pde.hum_control)."""
+    """HUM target not reached: conjugate gradient ended above tolerance, as it
+    does for a target with a component in M_N at a critical length."""
 
 
 class RootDerivativeSingular(KdvCritError):

@@ -127,6 +127,8 @@ SIGNAL = np.ones(16)
 POSITIVE = (math.nan, math.inf, 0.0, -1.0)
 ARRAY = (np.full(3, math.nan), np.array([0.0, math.inf]), np.array([]))
 OBJECT = (3, (2, 1))
+# finite grids whose step is too small for the mass matrix's Cholesky factor
+TINY_GRIDS = tuple(pde.Grid(L=L, nx=8, T=1.0, nt=10) for L in (1e-140, 1e-160))
 
 
 def bad_ints(low):
@@ -193,12 +195,12 @@ BAD_INPUT = {
     "pde.gramian": (
         pde.gramian,
         {"grid": GRID, "length_class": numbertheory.representations(3)},
-        {"grid": OBJECT, "length_class": OBJECT + (P21,)},
+        {"grid": OBJECT + TINY_GRIDS, "length_class": OBJECT + (P21,)},
     ),
     "pde.hum_control": (
         pde.hum_control,
         {"grid": GRID, "target": Y, "tol": 1e-6},
-        {"grid": OBJECT, "target": ARRAY, "tol": POSITIVE},
+        {"grid": OBJECT + TINY_GRIDS, "target": ARRAY, "tol": POSITIVE},
     ),
     "synthesis.make_spec": (
         synthesis.make_spec, {"pair": P21, "T": 1.0}, {"pair": OBJECT, "T": POSITIVE}

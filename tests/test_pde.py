@@ -466,9 +466,7 @@ def test_hum_zero_target():
     assert np.abs(u).max() == 0.0
 
 
-@pytest.mark.slow
-def test_hum_steers_reachable_target():
-    g = pde.Grid(L=1.0, nx=96, T=1.0, nt=400)
+def _assert_hum_reaches_solve_linear_target(g):
     u0 = np.sin(2 * math.pi * g.t_nodes) * np.exp(-10 * (g.t_nodes - 0.5) ** 2)
     tr = pde.solve_linear(g, u=u0)
     target = (tr.states[-1], tr.dstates[-1])
@@ -481,8 +479,21 @@ def test_hum_steers_reachable_target():
 
 
 @pytest.mark.slow
+def test_hum_steers_reachable_target():
+    _assert_hum_reaches_solve_linear_target(pde.Grid(L=1.0, nx=96, T=1.0, nt=400))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", [3, 7])
+def test_hum_steers_reachable_target_at_critical_length(N):
+    # only M_N is out of reach at L_N; a target that solve_linear made is reachable
+    L = nt.representations(N).L
+    _assert_hum_reaches_solve_linear_target(pde.Grid(L=L, nx=128, T=1.0, nt=400))
+
+
+@pytest.mark.slow
 def test_hum_unreachable_target_raises():
     g = pde.Grid(L=2 * math.pi, nx=96, T=1.0, nt=400)
     x = g.x_nodes
-    with pytest.raises(NotReachable):
+    with pytest.raises(NotReachable, match="CG did not converge in .* iterations"):
         pde.hum_control(g, (1 - np.cos(x), np.sin(x)), tol=1e-6)
