@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NearPole, check_type
 from .numbertheory import CriticalPair
-from .spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots, xi
+from .spectral import POLE_TOL, detq_scaled, roots, shifted_roots, xi
 from .unreachable import UnreachableData, constants, eta_triple
 
 # intB_closed waits on ROADMAP direction 4 for a production caller
@@ -62,28 +62,15 @@ def _check_poles(near, z):
         raise NearPole(f"scaled denominator below {POLE_TOL:g} near z = {zb[:3]}")
 
 
-def _scaled_parts(pair: CriticalPair, z):
-    """Flattened (numerator mantissa, qm, qtm, qs + qts, lam, lamt) of int B at real z.
-
-    int B = num / (qm qtm), because the numerator carries the scale
-    e^{qs + qts} of det Q det Q~; lam and lamt are the root triples it is built from.
-    """
-    L = pair.L
-    z_arr = np.asarray(z, dtype=complex).reshape(-1)
-    lam = roots(z_arr)
-    lamt = shifted_roots(z_arr, pair.p)
-    qm, qs = detq_scaled(lam, L)
-    qtm, qts = detq_scaled(lamt, L)
-    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))
-    return num, qm, qtm, qs + qts, lam, lamt
-
-
 def _intB_masked(pair: CriticalPair, z):
     """int_0^L B dx over the flattened z, and the mask of near-pole points.
 
     A masked value is not meaningful; intB_closed raises NearPole instead.
     """
-    num, qm, qtm, *_ = _scaled_parts(pair, z)
+    z_arr, L = np.asarray(z, dtype=complex).reshape(-1), pair.L
+    lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)
+    (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
+    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))  # int B = num / (qm qtm)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / (qm * qtm)
     return vals, (np.abs(qm) < POLE_TOL) | (np.abs(qtm) < POLE_TOL)
@@ -101,17 +88,30 @@ def intB_closed(pair: CriticalPair, z):
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
 
+def _end_profiles(lam, L, s):
+    """Profile terms (e^{l_{j+1} L} - e^{l_j L}) e^{l_{j+2} x - s} at x = 0 and L, last axis j.
+
+    With E0_j = e^{l_j L - s} and EL_j = e^{l_j L + l_{j+2} L - s} they are
+    E0_{j+1} - E0_j and EL_{j+2} - EL_j: one exp per end, bit for bit the two-exp
+    form, as EL_{j+2}'s exponent l_{j+2} L + l_{j+1} L only commutes its sum.
+    """
+    lam_l = lam * L
+    s = s[..., None]
+    e0 = np.exp(lam_l - s)
+    el = np.exp(lam_l + np.roll(lam_l, -2, axis=-1) - s)
+    return np.roll(e0, -1, axis=-1) - e0, np.roll(el, -2, axis=-1) - el
+
+
 def _numerator_scaled(L, lam, lamt, qs, qts, ec, ee):
     """Mantissa of int_0^L f g phi_x dx against the scale e^{qs + qts}.
 
-    f0, fL (g0, gL) are the profile terms at x = 0 and x = L; with
-    w = e^{eta_k L}, common to every k, term (j, m, k) is
+    f0, fL (g0, gL) are the profile terms at x = 0 and x = L (_end_profiles);
+    with w = e^{eta_k L}, common to every k, term (j, m, k) is
     c_k (w fL_j gL_m - f0_j g0_m)/a_jmk, or c_k f0_j g0_m L S(aL) for small aL,
     where a_jmk = l_{j+2} + mu~_{m+2} + eta_{k+2}.  One (j, m) block per k
     keeps the temporaries at 9 values per point.
     """
-    f0, fL = profile_scaled(lam, L, 0.0, qs), profile_scaled(lam, L, L, qs)
-    g0, gL = profile_scaled(lamt, L, 0.0, qts), profile_scaled(lamt, L, L, qts)
+    (f0, fL), (g0, gL) = _end_profiles(lam, L, qs), _end_profiles(lamt, L, qts)
     low = f0[..., :, None] * g0[..., None, :]
     rise = np.exp(ee[0] * L) * fL[..., :, None] * gL[..., None, :] - low
     lm = np.roll(lam, -2, axis=-1)[..., :, None] + np.roll(lamt, -2, axis=-1)[..., None, :]
@@ -137,7 +137,12 @@ def interaction_numerator(pair: CriticalPair, z):
     finite across det Q zeros, and at the floats nearest the collisions z or
     z - p = +-COLLISION_Z it is ~1e-8 relative off (~1e-14 from 1e-5 away).
     """
-    num, _, _, s, lam, lamt = _scaled_parts(pair, z)
+    z_arr, L = np.asarray(z, dtype=complex).reshape(-1), pair.L
+    lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)
+    # the log-scales of detq_scaled; the det Q mantissas are not read here
+    qs, qts = (np.max((-np.roll(r, -2, axis=-1) * L).real, axis=-1) for r in (lam, lamt))
+    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))
+    s = qs + qts
     with np.errstate(divide="ignore", invalid="ignore"):
         m = num / (xi(lam) * xi(lamt))
     if np.ndim(z) == 0:

@@ -182,18 +182,6 @@ def detq_scaled(lam: np.ndarray, L: float):
     return exp_sum_scaled(lp1 - lam, -lp2 * L)
 
 
-def profile_scaled(lam: np.ndarray, L: float, x, s) -> np.ndarray:
-    """Terms (e^{lambda_{j+1} L} - e^{lambda_j L}) e^{lambda_{j+2} x - s}, last axis j.
-
-    Their sum is the solution profile divided by e^s.  x and s broadcast
-    against lam[..., 0]; each exponent is formed whole, so with s the det Q
-    scale nothing overflows for x in [0, L].
-    """
-    lp2x = np.roll(lam, -2, axis=-1) * np.asarray(x)[..., None]
-    s = np.asarray(s)[..., None]
-    return np.exp(np.roll(lam, -1, axis=-1) * L + lp2x - s) - np.exp(lam * L + lp2x - s)
-
-
 def p_scaled(lam: np.ndarray, L: float):
     """P = sum_j lambda_j (e^{lambda_{j+2} L} - e^{lambda_{j+1} L}), scaled."""
     lp1 = np.roll(lam, -1, axis=-1)

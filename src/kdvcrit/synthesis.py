@@ -43,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,15 +189,17 @@ def _wrap(x):
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def vhat1_scaled(nu: float, beta: float, z):
+def vhat1_scaled(nu: float | BumpTable, beta: float, z):
     """The real even factor v1(beta z) of the bump transform, as (m, log-scale).
 
-    v-hat(z) = e^{-i beta z} v1(beta z).  Every call reads BumpTable(nu), so a
-    value depends on (nu, beta z) alone: any subset of a grid, the scalar call
-    included, gives values bit-identical to the full call.
+    v-hat(z) = e^{-i beta z} v1(beta z); nu may be given as its BumpTable, whose
+    nodes the call reuses.  Every call reads a BumpTable of nu, so a value depends
+    on (nu, beta z) alone: any subset of a grid, the scalar call included, gives
+    values bit-identical to the full call.
     """
+    table = nu if isinstance(nu, BumpTable) else BumpTable(nu)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    m, s = BumpTable(nu).eval_w(beta * np.abs(z_arr))
+    m, s = table.eval_w(beta * np.abs(z_arr))
     if np.ndim(z) == 0:
         return float(m[0]), float(s[0])
     return m, s
@@ -218,7 +221,10 @@ class BumpTable:
     q_k = q_0 e^{k h}, with q_0 and h fixed by nu alone, and each point is
     interpolated from its own 8-node Lagrange stencil, its phase unwrapped
     about the stencil's base node.  Only the nodes a request touches are built
-    (found by _lattice_interp's occupancy map, read in blocks of points).
+    (found by _lattice_interp's occupancy map, read in blocks of points) and
+    kept by the instance, so a later request builds only the nodes it lacks; a
+    node is the same built alone.  No store spans instances: ControlSpec.bump is
+    a spec's one table.
     For T in [0.05, 50] and w <= 1e6 the result is within 1.2e-10 of |C| of
     the exact half contour, which is the rounding of the phase w itself.
 
@@ -234,28 +240,42 @@ class BumpTable:
         self.w_sw = min((nu + 18.0) ** 2 / nu, max(80.0, 8.0 * nu))
         # the lowest stencil of a point above the switch starts at node 0
         self._lq0 = 0.5 * math.log(self.w_sw) + _LAT_OFFS[0] * _LAT_H
+        # f and g of the nodes built so far (NaN where not), node k in column
+        # k + 1: rounding may put a point just above w_sw on base 2, whose
+        # stencil starts at node -1
+        self._fg = np.empty((2, 0))
 
     def eval_w(self, w):
+        """(m, log-scale) of v1 at a 1-D w: the lattice read takes every |w| raised
+        to w_sw, and the rule overwrites the points at or below it by index."""
         aw = np.abs(np.asarray(w, dtype=float))
-        m, s = np.empty(aw.shape), np.zeros(aw.shape)
-        direct = aw <= self.w_sw
+        if aw.size and aw.max() > self.w_sw:
+            m, s = self._lattice(np.maximum(aw, self.w_sw))
+        else:
+            m, s = np.empty(aw.shape), np.empty(aw.shape)
+        direct = np.flatnonzero(aw <= self.w_sw)
         # one rule per distinct |w|: symmetric grids repeat each twice
         uw, inv = np.unique(aw[direct], return_inverse=True)
         f = np.exp(-self.nu / (1.0 - _TRAP_T**2))
-        m[direct] = quad(self.nu, f, uw)[inv]
-        if not direct.all():
-            m[~direct], s[~direct] = self._lattice(aw[~direct])
+        m[direct], s[direct] = quad(self.nu, f, uw)[inv], 0.0
         return m, s
 
-    def _lattice(self, w: np.ndarray):
-        def nodes(k):
-            q = np.exp(self._lq0 + k * _LAT_H)
+    def _nodes(self, k):
+        """f and the phase g at the ascending nodes k, building only those not yet held."""
+        col = k + 1
+        grow = max(0, col[-1] + 1 - self._fg.shape[1])
+        self._fg = np.pad(self._fg, ((0, 0), (0, grow)), constant_values=np.nan)
+        new = col[np.isnan(self._fg[0, col])]
+        if new.size:
+            q = np.exp(self._lq0 + (new - 1) * _LAT_H)
             c, cs = _half_contour(self.nu, q * q)
             rq = math.sqrt(self.nu) * q
             # log C + (1 - i) sqrt(nu w) = f + i g, g known modulo 2 pi
-            return np.log(np.abs(c)) + cs + rq, np.angle(c) - rq
+            self._fg[:, new] = np.log(np.abs(c)) + cs + rq, np.angle(c) - rq
+        return self._fg[0, col], self._fg[1, col]
 
-        fi, gi = _lattice_interp((0.5 * np.log(w) - self._lq0) / _LAT_H, nodes, "bump")
+    def _lattice(self, w: np.ndarray):
+        fi, gi = _lattice_interp((0.5 * np.log(w) - self._lq0) / _LAT_H, self._nodes, "bump")
         rw = math.sqrt(self.nu) * np.sqrt(w)
         return 2.0 * np.cos(gi + rw - w), fi - rw
 
@@ -332,6 +352,11 @@ class ControlSpec:
     @property
     def h_order(self) -> int:
         return 1 if self.case == 1 else 3
+
+    @cached_property
+    def bump(self) -> BumpTable:
+        """The spec's one BumpTable(nu): the cutoff probe and the grids share its nodes."""
+        return BumpTable(self.nu)
 
 
 def _h_deriv_scaled(pair: CriticalPair, gamma: float, z, d: int):
@@ -418,10 +443,12 @@ def _h_factors(spec: ControlSpec, z):
     each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
     from the lattice (see steering_spectrum); z < 0 mirrors |z| by
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
+    No boolean mask: the lattice read takes every |z| raised to _H_SW (if any
+    |z| >= _H_SW) straight into the outputs, then the exact values of |z| < _H_SW
+    and the mirror of z < 0 overwrite their points by index.
     """
     z = np.asarray(z, dtype=float)
-    neg, z = z < 0.0, np.abs(z)
-    lo = z < _H_SW
+    az = np.abs(z).reshape(-1)
 
     def exact(zs):
         hm, hs = h_scaled(zs, spec.pair.L)
@@ -434,21 +461,29 @@ def _h_factors(spec: ControlSpec, z):
         rk = MU[0] * spec.pair.L * np.cbrt(zk)
         return np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag
 
-    m, s = np.empty((2,) + z.shape, dtype=complex), np.empty((2,) + z.shape)
-    m[:, lo], s[:, lo] = exact(z[lo])
-    if not lo.all():
-        fi, gi = _lattice_interp((np.log(z[~lo]) - _H_LZ0) / _H_STEP, nodes, "H")
-        r = MU[0] * spec.pair.L * np.cbrt(z[~lo])
-        m[:, ~lo], s[:, ~lo] = _cis(gi - r.imag), fi - r.real
-    m[:, neg] = np.conj(m[:, neg])
-    m[1, neg] *= (-1) ** spec.h_order
+    m, s = np.empty((2, az.size), dtype=complex), np.empty((2, az.size))
+    if az.size and az.max() >= _H_SW:
+        zc = np.maximum(az, _H_SW)
+        fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, nodes, "H")
+        r = MU[0] * spec.pair.L * np.cbrt(zc)
+        gi -= r.imag
+        np.cos(gi, out=m.real)
+        np.sin(gi, out=m.imag)
+        np.subtract(fi, r.real, out=s)
+    lo = np.flatnonzero(az < _H_SW)
+    m[:, lo], s[:, lo] = exact(az[lo])
+    neg = np.flatnonzero(z.reshape(-1) < 0.0)
+    if neg.size:
+        m[:, neg] = np.conj(m[:, neg])
+        m[1, neg] *= (-1) ** spec.h_order
+    m, s = m.reshape((2,) + z.shape), s.reshape((2,) + z.shape)
     return (m[0], s[0]), (m[1], s[1])
 
 
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     z_probe = np.geomspace(1.0, 1e9, 400)
-    v1 = vhat1_scaled(spec.nu, spec.beta, z_probe)
+    v1 = vhat1_scaled(spec.bump, spec.beta, z_probe)
     m, s = _uhat_scaled(v1, h_scaled(z_probe, spec.pair.L))
     logmag = np.log(np.abs(m) + 1e-300) + s
     peak = logmag.max()
@@ -516,7 +551,7 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
         n *= 2
     dz = 2.0 * z_max / n
     zh = dz * np.arange(n // 2 + 1)
-    v1 = vhat1_scaled(spec.nu, spec.beta, zh)
+    v1 = vhat1_scaled(spec.bump, spec.beta, zh)
     h, dh = _h_factors(spec, zh)
     um, us = _uhat_scaled(v1, h)
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
@@ -643,7 +678,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     zz = np.concatenate([z, z - p])
 
     # one bump-factor call serves both shifts
-    v1 = vhat1_scaled(spec.nu, spec.beta, zz)
+    v1 = vhat1_scaled(spec.bump, spec.beta, zz)
     (v1m_z, v1m_s), (v1s_z, v1s_s) = (np.split(a, 2) for a in v1)
 
     # u-hat(z) conj(u-hat(z-p)) intB(z): with conj(H(z-p)) = H(p-z) both H

@@ -8,8 +8,21 @@ import numpy as np
 
 from kdvcrit.errors import DomainError, ResolutionError
 from kdvcrit.kernel import _check_poles, _eta_terms
-from kdvcrit.spectral import POLE_TOL, detq_scaled, profile_scaled, roots, shifted_roots
+from kdvcrit.spectral import POLE_TOL, detq_scaled, roots, shifted_roots
 from kdvcrit.synthesis import _LAT_C, _LAT_OFFS, _h_deriv_scaled, _wrap, vhat1_scaled
+
+
+def profile_scaled(lam: np.ndarray, L: float, x, s) -> np.ndarray:
+    """Terms (e^{lambda_{j+1} L} - e^{lambda_j L}) e^{lambda_{j+2} x - s}, last axis j.
+
+    Their sum is the solution profile divided by e^s.  x and s broadcast
+    against lam[..., 0]; each exponent is formed whole, so with s the det Q
+    scale nothing overflows for x in [0, L].  Two exps a term: the kernel's
+    _end_profiles must match it bit for bit at x = 0 and x = L.
+    """
+    lp2x = np.roll(lam, -2, axis=-1) * np.asarray(x)[..., None]
+    s = np.asarray(s)[..., None]
+    return np.exp(np.roll(lam, -1, axis=-1) * L + lp2x - s) - np.exp(lam * L + lp2x - s)
 
 
 def B_eval(pair, z, x):

@@ -264,6 +264,30 @@ def test_interaction_numerator_consistency():
         assert np.all(np.abs(rebuilt - expect)[~near] <= 1e-12 * np.abs(expect)[~near])
 
 
+@pytest.mark.parametrize("k, l, T", [(3, 2, 0.4), (4, 1, 0.4), (1, 1, 25.0)])
+def test_interaction_numerator_matches_eight_exp_form(monkeypatch, k, l, T):
+    # the end profiles from 4 exps (one per end and triple) are the two-exp
+    # profile terms bit for bit, and the scales are detq_scaled's, on the
+    # band grids of the sign integrals
+    from kdvcrit import synthesis as syn
+    from kdvcrit.spectral import detq_scaled, roots, shifted_roots
+
+    pair = nt.CriticalPair(k, l)
+    z = syn._band_grid(syn.make_spec(pair, T), 4001)
+    m, s = kn.interaction_numerator(pair, z)
+    lam, lamt = roots(z), shifted_roots(z, pair.p)
+    (_, qs), (_, qts) = detq_scaled(lam, pair.L), detq_scaled(lamt, pair.L)
+    assert np.array_equal(s, qs + qts)
+    for r, q in ((lam, qs), (lamt, qts)):
+        ends = kn._end_profiles(r, pair.L, q)
+        for got, x in zip(ends, (0.0, pair.L)):
+            assert np.array_equal(got, oracles.profile_scaled(r, pair.L, x, q))
+    monkeypatch.setattr(
+        kn, "_end_profiles", lambda r, L, q: tuple(oracles.profile_scaled(r, L, x, q) for x in (0.0, L))
+    )
+    assert np.array_equal(m, kn.interaction_numerator(pair, z)[0])
+
+
 def test_report_serializes():
     rep = kn.verify_expansion(P21)
     d = rep.as_dict()

@@ -272,7 +272,7 @@ def _y_hat(z, x, u_hat=1.0):
     """hat y(z, x) = u_hat f(z, x)/det Q(z) at L21; f and det Q share the scale e^{qs}."""
     lam = sp.roots(complex(z))
     qm, qs = sp.detq_scaled(lam, L21)
-    val = u_hat * sp.profile_scaled(lam, L21, np.reshape(x, -1), qs).sum(axis=-1) / qm
+    val = u_hat * oracles.profile_scaled(lam, L21, np.reshape(x, -1), qs).sum(axis=-1) / qm
     return complex(val[0])
 
 

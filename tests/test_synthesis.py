@@ -238,6 +238,56 @@ def test_bump_table_matches_pointwise():
         assert np.all(np.abs(m0 * np.exp(s0 + rc) - m1 * np.exp(s1 + rc)) <= 1e-10)
 
 
+def test_eval_w_at_the_switch_matches_single_reads():
+    # w_sw itself takes the rule and its upper neighbour the lattice; every
+    # value, alone or in an all-rule or all-lattice batch, equals the mixed read
+    nu = syn.make_spec(P21, 0.4).nu
+    w_sw = syn.BumpTable(nu).w_sw
+    edge = np.array([w_sw, np.nextafter(w_sw, 0.0), np.nextafter(w_sw, np.inf)])
+    direct, lattice = np.linspace(0.0, w_sw, 9)[:-1], np.geomspace(w_sw * 1.01, 1e5, 9)
+    w = np.concatenate([lattice[::-1], edge, direct])
+    m, s = syn.BumpTable(nu).eval_w(w)
+    rule = np.r_[9, 10, 12:20]
+    assert np.all(s[rule] == 0.0) and np.all(s[np.r_[0:9, 11]] != 0.0)
+    for i in range(w.size):
+        assert syn.BumpTable(nu).eval_w(w[i : i + 1]) == (m[i], s[i])
+    for part, idx in ((direct, np.r_[12:20]), (lattice[::-1], np.r_[0:9])):
+        m_part, s_part = syn.BumpTable(nu).eval_w(part)
+        assert np.array_equal(m_part, m[idx]) and np.array_equal(s_part, s[idx])
+
+
+def test_bump_table_keeps_its_nodes(monkeypatch):
+    # a second read on one table builds only the nodes the first did not, and
+    # reads the values a fresh table gives, bit for bit
+    built = []
+    half_contour = syn._half_contour
+
+    def counting(nu, w):
+        built.append(w)
+        return half_contour(nu, w)
+
+    monkeypatch.setattr(syn, "_half_contour", counting)
+    nu = syn.make_spec(P21, 0.4).nu
+    w1, w2 = np.geomspace(100.0, 1e3, 50), np.geomspace(300.0, 1e4, 80)
+    table = syn.BumpTable(nu)
+    table.eval_w(w1)
+    got = table.eval_w(w2)
+    first, second = built
+    fresh = syn.BumpTable(nu).eval_w(w2)
+    alone = built[2]
+    assert np.array_equal(got[0], fresh[0]) and np.array_equal(got[1], fresh[1])
+    assert second.size > 0 and np.intersect1d(first, second).size == 0
+    assert np.array_equal(np.union1d(second, np.intersect1d(first, alone)), alone)
+    table.eval_w(w1[::-1])
+    assert len(built) == 3
+    # a spec holds one table: vhat1_scaled reads it like a table of its nu
+    spec = syn.make_spec(P21, 0.4)
+    assert spec.bump is spec.bump and spec.bump.nu == spec.nu
+    ref = syn.vhat1_scaled(spec.nu, spec.beta, _Z21)
+    for got, want in zip(syn.vhat1_scaled(spec.bump, spec.beta, _Z21), ref):
+        assert np.array_equal(got, want)
+
+
 _Z21 = np.linspace(0.0, 3000.0, 2001)
 
 
@@ -308,6 +358,36 @@ def test_h_factors_any_subset_matches_full_call(picks, pair):
     mirror = syn._h_factors(spec, -_ZH[pos])
     for (m, s), (m_neg, s_neg), sign in zip(full, mirror, (1, (-1) ** spec.h_order)):
         assert np.array_equal(m_neg, sign * np.conj(m[pos])) and np.array_equal(s_neg, s[pos])
+
+
+@pytest.mark.parametrize("pair", [P21, P11])
+def test_h_factors_switch_points_match_full_call(pair):
+    # 0, +-_H_SW and their neighbours, in no order: each value, in a batch or
+    # as a 0-d call, is the full call's, and below the switch the exact one
+    spec = syn.make_spec(pair, 25.0)
+    sw = syn._H_SW
+    up, down = np.nextafter(sw, 9.0), np.nextafter(sw, 0.0)
+    edge = np.array([sw, -sw, down, -down, up, 0.0, -up, -1.5, 2.5])
+    z = np.concatenate([_ZH, edge])
+    full = syn._h_factors(spec, z)
+    picks = np.r_[z.size - edge.size : z.size][::-1]
+    sub = syn._h_factors(spec, z[picks])
+    for i, zi in zip(picks, z[picks]):
+        one = syn._h_factors(spec, zi)
+        for (m, s), (m_one, s_one) in zip(full, one):
+            assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[i], s[i])
+    for (m, s), (m_sub, s_sub) in zip(full, sub):
+        assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
+    lo = np.abs(z) < sw
+    hm, hs = sp.h_scaled(np.abs(z[lo]), pair.L)
+    dm, ds = syn._h_deriv_scaled(pair, spec.gamma, np.abs(z[lo]), spec.h_order)
+    sign = np.where(z[lo] < 0.0, -1.0, 1.0) ** spec.h_order
+    (m_h, s_h), (m_d, s_d) = full
+    assert np.array_equal(m_h[lo], np.where(z[lo] < 0.0, np.conj(hm), hm)) and np.array_equal(s_h[lo], hs)
+    assert np.array_equal(m_d[lo], sign * np.where(z[lo] < 0.0, np.conj(dm), dm)) and np.array_equal(s_d[lo], ds)
+    # a call with every point below the switch, where no lattice is read
+    for (m, s), (m_lo, s_lo) in zip(full, syn._h_factors(spec, z[lo])):
+        assert np.array_equal(m_lo, m[lo]) and np.array_equal(s_lo, s[lo])
 
 
 def _half_grid_25():
