@@ -319,6 +319,11 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
+def _sign_passes(rep) -> tuple[bool, bool]:
+    """The sign conditions of verify-signs and verify-all: Re value in [0.7, 1.3], Im value < 0."""
+    return 0.7 <= rep.re_ratio <= 1.3, rep.value.imag < 0.0
+
+
 def cmd_verify_signs(args) -> int:
     pair = _pair(args)
     try:
@@ -331,8 +336,7 @@ def cmd_verify_signs(args) -> int:
         spec = synthesis.make_spec(pair, T)
         rep = synthesis.sign_report(spec, n_side=args.n_side)
         entry = rep.as_dict()
-        entry["pass_re_band"] = bool(0.7 <= rep.re_ratio <= 1.3)
-        entry["pass_im_negative"] = bool(rep.value.imag < 0.0)
+        entry["pass_re_band"], entry["pass_im_negative"] = _sign_passes(rep)
         entry["pass_im_below_minus_p"] = bool(rep.im_ratio < -pair.p)
         out.append(entry)
         failed |= not (entry["pass_re_band"] and entry["pass_im_negative"])
@@ -459,7 +463,7 @@ def _signs_quick():
     spec = synthesis.make_spec(numbertheory.CriticalPair(3, 2), 0.4)
     rep = synthesis.sign_report(spec, n_side=4001)
     vals = {"re": rep.re_ratio, "im": rep.value.imag}
-    return vals, 0.7 <= rep.re_ratio <= 1.3 and rep.value.imag < 0
+    return vals, all(_sign_passes(rep))
 
 
 # (tag, name, check, tolerance); each check returns (measured value, passed)

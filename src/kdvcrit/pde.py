@@ -164,10 +164,8 @@ class _System:
         self.M = assemble(mass_e)
         self.K = assemble(k_e)
         self.S1 = assemble(stiff_e)
-        self.i_v0 = 0
-        self.i_vN = 2 * n_el
         self.i_dN = 2 * n_el + 1
-        self.free = np.arange(1, ndof - 2)  # every DOF but i_v0, i_vN and i_dN
+        self.free = np.arange(1, ndof - 2)  # all but the values y(0), y(L) and the control y_x(L)
         self.Mf = self.M[np.ix_(self.free, self.free)].tocsc()
         self.Kf = self.K[np.ix_(self.free, self.free)].tocsc()
         self.Mc = np.asarray(self.M[self.free, self.i_dN].todense()).ravel()
@@ -330,13 +328,13 @@ def _assemble_trajectory(sys_: _System, hist, u) -> Trajectory:
     return Trajectory(grid=grid, dofs=dofs, control=u, xnorm=xnorm, system=sys_)
 
 
-def solve_linear(grid: Grid, y0=None, u=None, *, system: _System | None = None) -> Trajectory:
+def solve_linear(grid: Grid, y0=None, u=None) -> Trajectory:
     """Crank-Nicolson trajectory of y_t + y_x + y_xxx = 0 with y_x(., L) = u.
 
     y0 may be None, nodal values, a (values, derivatives) pair, or a callable;
     u may be None, an array at the nt+1 time nodes, or a callable of t.
     """
-    sys_ = system if system is not None else _System(grid)
+    sys_ = _System(grid)
     u_arr = _as_control(u, grid.nt, grid.t_nodes)
     y = _initial_dofs(sys_, y0)[sys_.free]
     return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr), u_arr)
@@ -352,7 +350,8 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     which makes the discrete epsilon-expansion exact).
     """
     sys_ = _System(grid)
-    y1 = solve_linear(grid, u=u1, system=sys_)
+    u_arr = _as_control(u1, grid.nt, grid.t_nodes)
+    y1 = _assemble_trajectory(sys_, _cn_states(sys_, np.zeros(len(sys_.free)), u_arr), u_arr)
 
     def source(n, states, rhs, solve):
         mid = 0.5 * (y1.dofs[n] + y1.dofs[n + 1])

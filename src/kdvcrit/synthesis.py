@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -340,14 +341,23 @@ def _lattice_interp(x: np.ndarray, nodes, what: str):
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """Bump parameters and the admissible shift gamma for one pair."""
+    """The bump parameters of one (pair, T), and the shift gamma that make_spec checks admissible."""
 
     pair: CriticalPair
     T: float
-    beta: float
-    nu: float
-    gamma: float
-    case: int  # 1 generic, 2 when exp(eta_1 L) = 1
+    gamma: ClassVar[float] = _GAMMA
+
+    @property
+    def beta(self) -> float:
+        return self.T / 2.0
+
+    @property
+    def nu(self) -> float:  # nu^2 = 1.617^2 / beta exactly; the rounded restatement 5.223/T is not used
+        return 1.617 / math.sqrt(self.beta)
+
+    @property
+    def case(self) -> int:  # 1 generic, 2 when exp(eta_1 L) = 1
+        return 2 if self.pair.caseE0 else 1
 
     @property
     def h_order(self) -> int:
@@ -374,20 +384,13 @@ def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
 
 
 def make_spec(pair: CriticalPair, T: float) -> ControlSpec:
-    """Fix beta, nu and gamma = 0.5, checked admissible (|H^(d)| > 1e-10 on the line).
-
-    nu^2 = (1.617)^2 / beta exactly; the rounded restatement 5.223/T of the
-    same choice is neither used nor recorded.
-    """
+    """The ControlSpec of (pair, T), with gamma = 0.5 checked admissible (|H^(d)| > 1e-10 on the line)."""
     check_type(pair, CriticalPair, "pair")
     check_positive(T, "T")
-    beta = T / 2.0
-    nu = 1.617 / math.sqrt(beta)
-    case = 2 if pair.caseE0 else 1
-    d = 1 if case == 1 else 3
-    if not _gamma_admissible(pair, _GAMMA, d):
-        raise DomainError(f"gamma = {_GAMMA} is not admissible for pair {(pair.k, pair.l)}")
-    return ControlSpec(pair=pair, T=T, beta=beta, nu=nu, gamma=_GAMMA, case=case)
+    spec = ControlSpec(pair, T)
+    if not _gamma_admissible(pair, spec.gamma, spec.h_order):
+        raise DomainError(f"gamma = {spec.gamma} is not admissible for pair {(pair.k, pair.l)}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +400,7 @@ def make_spec(pair: CriticalPair, T: float) -> ControlSpec:
 
 @dataclass
 class SpectrumTriple:
-    """Sampled spectra and the reconstructed time signals of one spec.
+    """The spectral grid and the reconstructed time signals of one spec.
 
     w-hat = kappa g-hat with g real, kappa = -3i/(mu3 L) (case 1) or 27/(mu3 L)^3 (case 2),
     |mu3| = 1, and w_time = |kappa| g: w(t) = e^{i arg kappa} w_time, arg kappa = -pi/3 or pi/2.
@@ -405,8 +408,6 @@ class SpectrumTriple:
 
     spec: ControlSpec
     z: np.ndarray
-    uhat: np.ndarray
-    what: np.ndarray
     t: np.ndarray
     u_time: np.ndarray
     w_time: np.ndarray
@@ -501,11 +502,6 @@ def _cis(x):
     return out
 
 
-def _mirror(half: np.ndarray, c) -> np.ndarray:
-    """f on dz*(0..n/2) extended to dz*(-n/2..n/2-1) by f(-z) = c conj(f(z))."""
-    return np.concatenate([c * np.conj(half[:0:-1]), half[:-1]])
-
-
 def _check_hump(s_peak: float) -> None:
     if s_peak > _HUMP_LOG_LIMIT:
         raise SupportLeak(
@@ -516,15 +512,16 @@ def _check_hump(s_peak: float) -> None:
 
 _WINDOW = 8.0  # the time grid spans _WINDOW * T, from -_WINDOW * T / 4
 _LEAK_TOL = 1e-6  # largest relative L^2 mass of u outside [0, T]
+_N_MIN = 1 << 17  # the fewest grid points; n doubles from here until dz resolves the window
 
 
-def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple:
+def steering_spectrum(spec: ControlSpec) -> SpectrumTriple:
     """Sample u-hat and w-hat and reconstruct u, w on [-2T, 6T).
 
     The grid z_m = m dz, m = -n/2 .. n/2 - 1, covers [-Z, Z) with Z set by the
-    1e-14 envelope cutoff; n is n_fft (even, >= 2), doubled until dz resolves the
-    window.  Every z factor and the hump check are evaluated on the z >= 0 half
-    grid, and uhat, what are mirrored from it: as u-hat(-z) = conj u-hat(z),
+    1e-14 envelope cutoff; n is _N_MIN = 2^17, doubled until dz resolves the
+    window, so n depends on the spec alone.  Every z factor and the hump check
+    are evaluated on the z >= 0 half grid only: as u-hat(-z) = conj u-hat(z),
     u(t_j) = (n dz/2pi) irfft(X)_j on t_j = t0 + 2 pi j/(n dz), X_m = u-hat(z_m)
     e^{i z_m t0}, m = 0 .. n/2, and w_time is the irfft of w-hat/kappa (see
     SpectrumTriple).  The unpaired full-grid sample z = -Z would add
@@ -541,12 +538,11 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     a larger T.
     """
     check_type(spec, ControlSpec, "spec")
-    check_int(n_fft, "n_fft", 2, even=True)
     z_max, probe_peak = _spectrum_cutoff(spec)
     _check_hump(probe_peak)  # a lower bound on the true peak: fail before the full grid
     t0 = -_WINDOW * spec.T / 4.0
     dz_needed = 2.0 * math.pi / (_WINDOW * spec.T)
-    n = n_fft
+    n = _N_MIN
     while 2.0 * z_max / n > dz_needed and n < (1 << 24):
         n *= 2
     dz = 2.0 * z_max / n
@@ -576,13 +572,11 @@ def steering_spectrum(spec: ControlSpec, n_fft: int = 1 << 17) -> SpectrumTriple
     if outside_mass > _LEAK_TOL:
         raise SupportLeak(
             f"outside-[0,T] mass {outside_mass:.3e} > {_LEAK_TOL:g}; "
-            "raise n_fft, or the hump defeats double precision"
+            "the grid does not resolve u, or the hump defeats double precision"
         )
     return SpectrumTriple(
         spec=spec,
         z=dz * (np.arange(n) - n // 2),
-        uhat=_mirror(uhat, 1),
-        what=_mirror(what, rot * rot),
         t=t,
         u_time=u_t,
         w_time=w_t,

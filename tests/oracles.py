@@ -9,7 +9,16 @@ import numpy as np
 from kdvcrit.errors import DomainError, ResolutionError
 from kdvcrit.kernel import _check_poles, _eta_terms
 from kdvcrit.spectral import POLE_TOL, detq_scaled, roots, shifted_roots
-from kdvcrit.synthesis import _LAT_C, _LAT_OFFS, _h_deriv_scaled, _wrap, vhat1_scaled
+from kdvcrit.synthesis import (
+    _LAT_C,
+    _LAT_OFFS,
+    _h_deriv_scaled,
+    _h_factors,
+    _uhat_scaled,
+    _what_scaled,
+    _wrap,
+    vhat1_scaled,
+)
 
 
 def profile_scaled(lam: np.ndarray, L: float, x, s) -> np.ndarray:
@@ -98,6 +107,20 @@ def bump_vhat(spec, z):
     with np.errstate(under="ignore"):
         vals = np.exp(-1j * spec.beta * z_arr) * m * np.exp(s)
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+
+def steering_spectra(spec, z):
+    """u-hat = e^{-i beta z} v1 H and w-hat at every point of a signed grid z.
+
+    Each sample is evaluated where it lies, z < 0 included, so it checks the
+    z >= 0 half grid that steering_spectrum transforms.
+    """
+    v1 = vhat1_scaled(spec.bump, spec.beta, z)
+    h, dh = _h_factors(spec, z)
+    (um, us), (wm, ws) = _uhat_scaled(v1, h), _what_scaled(spec, z, v1, dh)
+    phase = np.exp(-1j * spec.beta * z)
+    with np.errstate(under="ignore"):
+        return um * phase * np.exp(us), wm * phase * np.exp(ws)
 
 
 def h_derivative_on_line(pair, gamma: float, z, d: int):

@@ -278,7 +278,7 @@ def test_gramian_columns_match_solve_linear():
         for i in range(g.nt + 1):
             u = np.zeros(g.nt + 1)
             u[i] = 1.0
-            traj = pde.solve_linear(g, u=u, system=sys_)
+            traj = pde.solve_linear(g, u=u)
             col = traj.final()[sys_.free]
             assert np.allclose(col, phi_map[:, i], rtol=1e-12, atol=1e-13)
 

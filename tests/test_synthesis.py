@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import importlib.util
 import json
 import math
@@ -30,6 +31,12 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_spec_parameters(monkeypatch):
+    # a spec is (pair, T) alone; beta and nu are the construction's expressions, bit for bit
+    assert [f.name for f in dataclasses.fields(syn.ControlSpec)] == ["pair", "T"]
+    for pair, T in ((P32, 0.4), (P21, 26.37), (P41, 0.4274)):
+        spec = syn.make_spec(pair, T)
+        assert spec == syn.ControlSpec(pair, T)
+        assert spec.beta == T / 2.0 and spec.nu == 1.617 / math.sqrt(T / 2.0)
     spec = syn.make_spec(P32, 0.4)
     assert spec.beta == 0.2
     assert spec.nu**2 == pytest.approx(1.617**2 / spec.beta, rel=1e-14)
@@ -584,16 +591,17 @@ def test_what_uhat_pointwise_relation():
 @pytest.mark.slow
 def test_steering_spectrum_21():
     spec = syn.make_spec(P21, 25.0)
-    trip = syn.steering_spectrum(spec, n_fft=1 << 17)
+    trip = syn.steering_spectrum(spec)
     assert trip.outside_mass <= 1e-20
-    # the grid is exactly antisymmetric about z = 0, and the spectrum built
-    # from mirrored z >= 0 factors matches direct evaluation on the full grid
+    # the grid is exactly antisymmetric about z = 0, and the spectrum from the
+    # H lattice matches direct evaluation with the exact H on the full grid
     n = trip.z.size
     assert np.array_equal(trip.z[1:], -trip.z[n - 1 : 0 : -1])
     v1 = syn.vhat1_scaled(spec.nu, spec.beta, trip.z)
     um, us = syn._uhat_scaled(v1, sp.h_scaled(trip.z, P21.L))
     direct = np.exp(-1j * spec.beta * trip.z) * um * np.exp(us)
-    assert np.all(np.abs(trip.uhat - direct) <= 1e-12 * np.abs(direct))
+    uhat = oracles.steering_spectra(spec, trip.z)[0]
+    assert np.all(np.abs(uhat - direct) <= 1e-12 * np.abs(direct))
     # Hermitian spectrum reconstructs a real control (asserted inside, but
     # check the stored signal is real-typed and nontrivial)
     assert trip.u_time.dtype.kind == "f"
@@ -627,7 +635,8 @@ def test_steering_transform_matches_direct_sum(pair):
     mid = (inside[0] + inside[-1]) // 2
     j = np.array([inside[0] // 2, peak, mid, (inside[-1] + n) // 2])
     j = np.concatenate([j, j + 1])
-    for spectrum, signal in ((trip.uhat, trip.u_time), (trip.what, rot * trip.w_time)):
+    uhat, what = oracles.steering_spectra(spec, trip.z)
+    for spectrum, signal in ((uhat, trip.u_time), (what, rot * trip.w_time)):
         direct = np.array([np.sum(spectrum * np.exp(1j * trip.z * trip.t[i])) for i in j])
         direct *= dz / (2.0 * math.pi)
         assert np.all(np.abs(signal[j] - direct) <= 1e-12 * np.abs(direct).max())
@@ -635,16 +644,18 @@ def test_steering_transform_matches_direct_sum(pair):
 
 @pytest.mark.parametrize(("pair", "T"), [(P21, 5.0), (P21, 25.0), (P11, 25.0)])
 def test_steering_real_transform_matches_full_grid_ifft(pair, T):
-    # the half-grid irfft against a full-grid complex ifft of the mirrored
-    # spectra, u(t_j) = (n dz/2pi) (-1)^j ifft(u-hat e^{i z t0})_j
+    # the half-grid irfft against a full-grid complex ifft of spectra evaluated
+    # at every point, u(t_j) = (n dz/2pi) (-1)^j ifft(u-hat e^{i z t0})_j; n is
+    # the spec's own: the 2^17 floor binds for (1,1), the window for (2,1)
     spec = syn.make_spec(pair, T)
     trip = syn.steering_spectrum(spec)
-    assert np.array_equal(trip.uhat[1:], np.conj(trip.uhat[:0:-1]))
     n = trip.z.size
+    assert n == (1 << 17 if pair is P11 else 1 << 18)
     dz = trip.z[n // 2 + 1]
     flip = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     rot = _w_phase(spec)
-    for spectrum, signal in ((trip.uhat, trip.u_time), (trip.what, rot * trip.w_time)):
+    uhat, what = oracles.steering_spectra(spec, trip.z)
+    for spectrum, signal in ((uhat, trip.u_time), (what, rot * trip.w_time)):
         ref = n * dz / (2.0 * math.pi) * flip * np.fft.ifft(spectrum * np.exp(1j * trip.z * trip.t[0]))
         assert np.abs(signal - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -656,20 +667,13 @@ def test_steering_spectrum_unpaired_sample_raises(monkeypatch):
     peak = syn._spectrum_cutoff(spec)[1]
     monkeypatch.setattr(syn, "_spectrum_cutoff", lambda spec: (30.0, peak))
     with pytest.raises(SupportLeak, match="reconstructed control not real"):
-        syn.steering_spectrum(spec, n_fft=1 << 12)
-
-
-@pytest.mark.parametrize("n_fft", [0, -4, 2.5, 1001, True])
-def test_steering_spectrum_rejects_bad_n_fft(n_fft):
-    spec = syn.make_spec(P21, 25.0)
-    with pytest.raises(DomainError, match="n_fft must be an even integer"):
-        syn.steering_spectrum(spec, n_fft=n_fft)
+        syn.steering_spectrum(spec)
 
 
 def test_steering_spectrum_leak_raises_at_small_T():
     spec = syn.make_spec(P32, 0.4)
     with pytest.raises(SupportLeak):
-        syn.steering_spectrum(spec, n_fft=1 << 12)
+        syn.steering_spectrum(spec)
 
 
 # ---------------------------------------------------------------------------
