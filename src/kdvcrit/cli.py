@@ -89,7 +89,7 @@ def _read_json(path, types: dict, what: str) -> dict:
 
 _NUMBER = (int, float)
 # the options a verify-all config file may set; flags win over the file
-_CONFIG_TYPES = {"only": str, "no-timing": bool, "no_timing": bool, "out": str}
+_CONFIG_TYPES = {"only": str, "no-timing": bool, "out": str}
 _RUN_TYPES = {
     "k": int, "l": int, "L": _NUMBER, "nx": int, "nt": int, "T": _NUMBER,
     "control": dict, "initial": dict,

@@ -83,9 +83,17 @@ def check_int(value, name: str, low: int, *, even: bool = False):
     return value
 
 
+def check_numeric(value, name: str, dtype=float) -> np.ndarray:
+    """value as an array of dtype, if numpy can convert it (no string, object or ragged list)."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numeric, got {value!r:.40}") from None
+
+
 def check_finite(value, name: str) -> np.ndarray:
-    """value as a float array, if it is non-empty and every entry is finite."""
-    arr = np.asarray(value, dtype=float)
+    """value as a float array, if it is numeric, non-empty and every entry is finite."""
+    arr = check_numeric(value, name)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be non-empty and finite")
     return arr

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NearPole, check_type
+from .errors import NearPole, check_numeric, check_type
 from .numbertheory import CriticalPair
 from .spectral import POLE_TOL, detq_scaled, roots, shifted_roots, xi
 from .unreachable import UnreachableData, constants, eta_triple
@@ -67,7 +67,7 @@ def _intB_masked(pair: CriticalPair, z):
 
     A masked value is not meaningful; intB_closed raises NearPole instead.
     """
-    z_arr, L = np.asarray(z, dtype=complex).reshape(-1), pair.L
+    z_arr, L = check_numeric(z, "z", complex).reshape(-1), pair.L
     lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)
     (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
     num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))  # int B = num / (qm qtm)

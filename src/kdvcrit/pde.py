@@ -188,16 +188,8 @@ class _System:
         """Right-hand-side matrix M - dt/2 K of the Crank-Nicolson step."""
         return (self.Mf - (self.grid.dt / 2.0) * self.Kf).tocsc()
 
-    def interpolate(self, values, derivs=None) -> np.ndarray:
-        """Full DOF vector of the Hermite interpolant of nodal data.
-
-        When derivatives are not supplied they are taken from the quartic fit
-        through five neighbouring values (keeps the interpolant at the order
-        of the element).
-        """
-        values = np.asarray(values, dtype=float)
-        if derivs is None:
-            derivs = _fd_derivatives(values, self.h)
+    def interpolate(self, values, derivs) -> np.ndarray:
+        """Full DOF vector of the Hermite interpolant of nodal values and derivatives."""
         dofs = np.empty(self.ndof)
         dofs[0::2] = values
         dofs[1::2] = derivs
@@ -220,19 +212,6 @@ class _System:
         nodes[:-1] += wsq @ self.weak_left
         nodes[1:] += wsq @ self.weak_right
         return out[1:-2]  # the free DOFs
-
-
-def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order nodal derivatives from values (one-sided at the ends)."""
-    d = np.empty(values.size)
-    d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)
-    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
-    d[0] = c0 @ values[:5]
-    d[1] = c1 @ values[:5]
-    d[-1] = -(c0 @ values[-5:][::-1])
-    d[-2] = -(c1 @ values[-5:][::-1])
-    return d
 
 
 @dataclass
@@ -266,10 +245,10 @@ class Trajectory:
         return self.dofs[-1]
 
 
-def _as_control(u, nt: int, t_nodes: np.ndarray) -> np.ndarray:
+def _as_control(u, nt: int) -> np.ndarray:
     if u is None:
         return np.zeros(nt + 1)
-    u = check_finite([float(u(t)) for t in t_nodes] if callable(u) else u, "control")
+    u = check_finite(u, "control")
     if u.shape != (nt + 1,):
         raise DomainError(f"control must be nt+1 = {nt + 1} samples, got shape {u.shape}")
     return u
@@ -278,12 +257,10 @@ def _as_control(u, nt: int, t_nodes: np.ndarray) -> np.ndarray:
 def _initial_dofs(sys_: _System, y0) -> np.ndarray:
     if y0 is None:
         return np.zeros(sys_.ndof)
-    if callable(y0):
-        y0 = np.array([y0(x) for x in sys_.grid.x_nodes])
-    nodal = [check_finite(v, "state data") for v in (y0 if isinstance(y0, tuple) else (y0,))]
     n = sys_.grid.nx + 2
-    if len(nodal) not in (1, 2) or any(v.shape != (n,) for v in nodal):
-        raise DomainError(f"state data must be {n} nodal values (and derivatives)")
+    nodal = [check_finite(v, "state data") for v in y0] if isinstance(y0, tuple) else []
+    if len(nodal) != 2 or any(v.shape != (n,) for v in nodal):
+        raise DomainError(f"state data must be a (values, derivatives) pair of {n} nodal arrays")
     return sys_.interpolate(*nodal)
 
 
@@ -331,11 +308,11 @@ def _assemble_trajectory(sys_: _System, hist, u) -> Trajectory:
 def solve_linear(grid: Grid, y0=None, u=None) -> Trajectory:
     """Crank-Nicolson trajectory of y_t + y_x + y_xxx = 0 with y_x(., L) = u.
 
-    y0 may be None, nodal values, a (values, derivatives) pair, or a callable;
-    u may be None, an array at the nt+1 time nodes, or a callable of t.
+    y0 is None (zero) or a (values, derivatives) pair of nx+2 nodal arrays;
+    u is None (zero) or an array of its nt+1 samples at the time nodes.
     """
     sys_ = _System(grid)
-    u_arr = _as_control(u, grid.nt, grid.t_nodes)
+    u_arr = _as_control(u, grid.nt)
     y = _initial_dofs(sys_, y0)[sys_.free]
     return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr), u_arr)
 
@@ -350,7 +327,7 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     which makes the discrete epsilon-expansion exact).
     """
     sys_ = _System(grid)
-    u_arr = _as_control(u1, grid.nt, grid.t_nodes)
+    u_arr = _as_control(u1, grid.nt)
     y1 = _assemble_trajectory(sys_, _cn_states(sys_, np.zeros(len(sys_.free)), u_arr), u_arr)
 
     def source(n, states, rhs, solve):
@@ -380,7 +357,7 @@ def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
     stall (no convergence in _PICARD_MAX sweeps) or blow up (non-finite).
     """
     sys_ = _System(grid)
-    u_arr = _as_control(u, grid.nt, grid.t_nodes)
+    u_arr = _as_control(u, grid.nt)
     y = _initial_dofs(sys_, y0)[sys_.free]
     mid = np.zeros(sys_.ndof)  # midpoint state, full DOFs
     free = slice(1, -2)  # sys_.free
@@ -542,11 +519,11 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
 
     Plain conjugate gradient from mu = 0 on the normal equations
     Phi Phi^T mu = g of the L^2-geometry control map (HUM), with
-    u = Phi^T mu.  ``target`` is nodal values or a (values, derivatives) pair.
-    CG stops once the relative residual |g - Phi Phi^T mu| / |g| is at most
-    ``tol``; a target that does not get there within scipy's 10 n iterations
-    (n free DOFs) raises NotReachable, as a target with a component in M_N at
-    a critical length does.
+    u = Phi^T mu.  ``target`` is a (values, derivatives) pair of nx+2 nodal
+    arrays.  CG stops once the relative residual |g - Phi Phi^T mu| / |g| is
+    at most ``tol``; a target that does not get there within scipy's 10 n
+    iterations (n free DOFs) raises NotReachable, as a target with a
+    component in M_N at a critical length does.
     """
     check_positive(tol, "tol")
     sys_ = _System(grid)

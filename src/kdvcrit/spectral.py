@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_positive, in_double_range
+from .errors import DomainError, check_finite, check_int, check_numeric, check_positive, in_double_range
 
 __all__ = [
     "MU",
@@ -93,7 +93,7 @@ def roots(z) -> np.ndarray:
     |z| > _CARDANO_MAX, fall back to companion-matrix eigenvalues.  Non-finite
     z raise DomainError.
     """
-    z_arr = np.asarray(z, dtype=complex)
+    z_arr = check_numeric(z, "z", complex)
     if not np.all(np.isfinite(z_arr)):
         raise DomainError("roots: z must be finite")
     scalar = z_arr.ndim == 0
@@ -294,7 +294,7 @@ def frame(z, L: float) -> SpectralFrame:
     they are representable even if det Q and P themselves overflow.
     """
     check_positive(L, "L")
-    zc = complex(z)
+    zc = complex(check_numeric(z, "z", complex))
     lam = roots(zc)[None, :]  # one root triple serves every field
     p, q = p_scaled(lam, L), detq_scaled(lam, L)
     parts = (q, p, _over_xi(lam, L, p, 1.0), _over_xi(lam, L, q, -1.0))

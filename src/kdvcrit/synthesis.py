@@ -221,11 +221,11 @@ class BumpTable:
     vary slowly in ln q, q = sqrt(w); they are tabulated at the lattice nodes
     q_k = q_0 e^{k h}, with q_0 and h fixed by nu alone, and each point is
     interpolated from its own 8-node Lagrange stencil, its phase unwrapped
-    about the stencil's base node.  Only the nodes a request touches are built
-    (found by _lattice_interp's occupancy map, read in blocks of points) and
-    kept by the instance, so a later request builds only the nodes it lacks; a
-    node is the same built alone.  No store spans instances: ControlSpec.bump is
-    a spec's one table.
+    about the stencil's base node.  The instance keeps the nodes from -1 up
+    to the highest a request has read (rounding may put a point just above
+    w_sw on base 2, whose stencil starts at node -1), so a later request builds
+    only the nodes past them; a node is the same built alone.  No store spans
+    instances: ControlSpec.bump is a spec's one table.
     For T in [0.05, 50] and w <= 1e6 the result is within 1.2e-10 of |C| of
     the exact half contour, which is the rounding of the phase w itself.
 
@@ -241,10 +241,7 @@ class BumpTable:
         self.w_sw = min((nu + 18.0) ** 2 / nu, max(80.0, 8.0 * nu))
         # the lowest stencil of a point above the switch starts at node 0
         self._lq0 = 0.5 * math.log(self.w_sw) + _LAT_OFFS[0] * _LAT_H
-        # f and g of the nodes built so far (NaN where not), node k in column
-        # k + 1: rounding may put a point just above w_sw on base 2, whose
-        # stencil starts at node -1
-        self._fg = np.empty((2, 0))
+        self._fg = np.empty((2, 0))  # f and g of the nodes built so far, node k in column k + 1
 
     def eval_w(self, w):
         """(m, log-scale) of v1 at a 1-D w: the lattice read takes every |w| raised
@@ -262,18 +259,16 @@ class BumpTable:
         return m, s
 
     def _nodes(self, k):
-        """f and the phase g at the ascending nodes k, building only those not yet held."""
-        col = k + 1
-        grow = max(0, col[-1] + 1 - self._fg.shape[1])
-        self._fg = np.pad(self._fg, ((0, 0), (0, grow)), constant_values=np.nan)
-        new = col[np.isnan(self._fg[0, col])]
-        if new.size:
-            q = np.exp(self._lq0 + (new - 1) * _LAT_H)
+        """f and the phase g at the contiguous ascending nodes k, building those past the last held."""
+        held = self._fg.shape[1]
+        if k[-1] + 2 > held:
+            q = np.exp(self._lq0 + np.arange(held - 1, k[-1] + 1) * _LAT_H)
             c, cs = _half_contour(self.nu, q * q)
             rq = math.sqrt(self.nu) * q
             # log C + (1 - i) sqrt(nu w) = f + i g, g known modulo 2 pi
-            self._fg[:, new] = np.log(np.abs(c)) + cs + rq, np.angle(c) - rq
-        return self._fg[0, col], self._fg[1, col]
+            fg = np.log(np.abs(c)) + cs + rq, np.angle(c) - rq
+            self._fg = np.concatenate([self._fg, fg], axis=1)
+        return self._fg[:, k[0] + 1 : k[-1] + 2]
 
     def _lattice(self, w: np.ndarray):
         fi, gi = _lattice_interp((0.5 * np.log(w) - self._lq0) / _LAT_H, self._nodes, "bump")
@@ -285,36 +280,28 @@ def _lattice_interp(x: np.ndarray, nodes, what: str):
     """(f, g) at lattice coordinates x, each from its 8-node Lagrange stencil.
 
     nodes(k) gives f and the phase g (mod 2 pi; leading axes are tables on
-    one lattice) at the nodes k that the stencils floor(x) - 3 .. floor(x) + 4
-    touch; g is unwrapped about floor(x), so a value depends on x alone.
-
-    The bases floor(x) and the nodes they touch are found by one occupancy
-    pass over [min floor(x) - 3, max floor(x) + 4] (a base mask, its 8-wide
-    dilation, and cumsum for the row and column maps), so only touched nodes
-    are built.  The stencils are evaluated in blocks of _LAT_BLOCK points
-    with the per-point arithmetic of one whole-array pass, so a value does
-    not depend on the blocks either.
+    one lattice) at every node k from min floor(x) - 3 to max floor(x) + 4,
+    so base floor(x) = min floor(x) + b reads columns b .. b + 7; g is
+    unwrapped about floor(x), so a value depends on x alone.  The stencils
+    are evaluated in blocks of _LAT_BLOCK points with the per-point
+    arithmetic of one whole-array pass, so a value does not depend on the
+    blocks either.
     """
     j = np.floor(x)
     t = x - j
     jb = j.astype(np.int64)
     j_lo = jb.min()
-    jb -= j_lo
-    used = np.zeros(jb.max() + 1, dtype=bool)
-    used[jb] = True
-    touched = np.zeros(used.size + _LAT_OFFS.size - 1, dtype=bool)
-    for o in range(_LAT_OFFS.size):  # node j_lo - 3 + n is touched by bases n - 7 .. n
-        touched[o : o + used.size] |= used
-    k = j_lo + _LAT_OFFS[0] + np.flatnonzero(touched)
-    f, g = nodes(k)
+    # a new array, not jb in place: with both, glibc keeps its heap top between
+    # steering_spectrum calls; in place, the spectrum benchmark took 1.75x the page faults
+    row = jb - j_lo
+    n_base = row.max() + 1
+    f, g = nodes(j_lo + np.arange(_LAT_OFFS[0], n_base + _LAT_OFFS[-1]))
     # a stencil spans 7 steps; below pi/7 each the local unwrap is the true phase
-    steps = np.abs(_wrap(np.diff(g)))[..., np.diff(k) == 1]
-    if steps.max() > math.pi / (_LAT_OFFS.size - 1):
-        raise ResolutionError(f"{what} lattice phase step {steps.max():.2f} rad is under-resolved")
-    row = (np.cumsum(used) - 1)[jb]
-    first = (np.cumsum(touched) - 1)[np.flatnonzero(used)]  # column of each base's node base - 3
-    cols = first[:, None] + np.arange(_LAT_OFFS.size)
-    g0 = g[..., first - _LAT_OFFS[0], None]
+    step = np.abs(_wrap(np.diff(g))).max()
+    if step > math.pi / (_LAT_OFFS.size - 1):
+        raise ResolutionError(f"{what} lattice phase step {step:.2f} rad is under-resolved")
+    cols = np.arange(n_base)[:, None] + np.arange(_LAT_OFFS.size)
+    g0 = g[..., -_LAT_OFFS[0] : n_base - _LAT_OFFS[0], None]
     tab_f = np.moveaxis(f[..., cols], -1, 0)
     tab_g = np.moveaxis(g0 + _wrap(g[..., cols] - g0), -1, 0)
     fi, gi = np.zeros(f.shape[:-1] + x.shape), np.zeros(g.shape[:-1] + x.shape)
@@ -341,11 +328,18 @@ def _lattice_interp(x: np.ndarray, nodes, what: str):
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """The bump parameters of one (pair, T), and the shift gamma that make_spec checks admissible."""
+    """The bump parameters of one (pair, T), gamma checked admissible (|H^(d)| > 1e-10 on the line)."""
 
     pair: CriticalPair
     T: float
     gamma: ClassVar[float] = _GAMMA
+
+    def __post_init__(self) -> None:
+        check_type(self.pair, CriticalPair, "pair")
+        check_positive(self.T, "T")
+        if not _gamma_admissible(self.pair, self.gamma, self.h_order):
+            pair = (self.pair.k, self.pair.l)
+            raise DomainError(f"gamma = {self.gamma} is not admissible for pair {pair}")
 
     @property
     def beta(self) -> float:
@@ -384,13 +378,8 @@ def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
 
 
 def make_spec(pair: CriticalPair, T: float) -> ControlSpec:
-    """The ControlSpec of (pair, T), with gamma = 0.5 checked admissible (|H^(d)| > 1e-10 on the line)."""
-    check_type(pair, CriticalPair, "pair")
-    check_positive(T, "T")
-    spec = ControlSpec(pair, T)
-    if not _gamma_admissible(pair, spec.gamma, spec.h_order):
-        raise DomainError(f"gamma = {spec.gamma} is not admissible for pair {(pair.k, pair.l)}")
-    return spec
+    """The ControlSpec of (pair, T)."""
+    return ControlSpec(pair, T)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,7 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
         (["spectral", "--L", "inf", "--z", "0:1:2"], None, "L must be positive and finite, got inf"),
         (["verify-all", "--no-timing"], {"bogus": 1}, "unknown config key: bogus"),
         (["verify-all", "--no-timing"], {"func": 1}, "unknown config key: func"),
+        (["verify-all"], {"no_timing": True}, "unknown config key: no_timing"),
         (["verify-all", "--no-timing"], {"only": 5}, "config key only takes a str"),
         (
             ["simulate", "--system", "linear"],
@@ -152,8 +153,8 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
         ),
     ],
     ids=["range", "spectral-L-nan", "spectral-L-inf", "config-key", "config-argparse-attr",
-         "config-type", "control-type", "run-file-key", "run-file-keys", "config-missing",
-         "config-malformed", "config-list", "run-file-missing", "run-file-malformed",
+         "config-underscore-key", "config-type", "control-type", "run-file-key", "run-file-keys",
+         "config-missing", "config-malformed", "config-list", "run-file-missing", "run-file-malformed",
          "run-file-list", "run-file-type", "control-list", "control-file-no-path",
          "control-file-missing", "initial-no-pair", "kernel-points", "tsweep", "tsweep-nan",
          "n-side", "out-dir-missing", "only-tag"],

@@ -123,9 +123,18 @@ U = np.zeros(GRID.nt + 1)
 Y = np.zeros(GRID.nx + 2)
 SIGNAL = np.ones(16)
 
+
+class Opaque:
+    """A plain object numpy cannot convert, with a repr that is the same in every run."""
+
+    def __repr__(self):
+        return "Opaque()"
+
+
 # bad values of each kind of argument
 POSITIVE = (math.nan, math.inf, 0.0, -1.0)
-ARRAY = (np.full(3, math.nan), np.array([0.0, math.inf]), np.array([]))
+NON_NUMERIC = ("abc", Opaque())
+ARRAY = (np.full(3, math.nan), np.array([0.0, math.inf]), np.array([])) + NON_NUMERIC
 OBJECT = (3, (2, 1))
 # finite grids whose step is too small for the mass matrix's Cholesky factor
 TINY_GRIDS = tuple(pde.Grid(L=L, nx=8, T=1.0, nt=10) for L in (1e-140, 1e-160))
@@ -145,13 +154,17 @@ BAD_INPUT = {
     "numbertheory.representations": (
         numbertheory.representations, {"N": 7}, {"N": bad_ints(1) + (9.0, 2)}
     ),
-    "spectral.roots": (spectral.roots, {"z": 1.0}, {"z": (math.nan, math.inf, complex(0.0, math.nan))}),
+    "spectral.roots": (
+        spectral.roots, {"z": 1.0}, {"z": (math.nan, math.inf, complex(0.0, math.nan)) + NON_NUMERIC}
+    ),
     "spectral.asymptotic_roots": (
         spectral.asymptotic_roots,
         {"z": 1e3, "order": 3, "p": 0.2, "shifted": True},
         {"z": ARRAY + (0.0, -1.0), "order": bad_ints(1) + (4,), "p": (math.nan, math.inf)},
     ),
-    "spectral.frame": (spectral.frame, {"z": 1.0, "L": 3.0}, {"z": (math.nan, math.inf), "L": POSITIVE}),
+    "spectral.frame": (
+        spectral.frame, {"z": 1.0, "L": 3.0}, {"z": (math.nan, math.inf) + NON_NUMERIC, "L": POSITIVE}
+    ),
     "spectral.paley_wiener_check": (
         spectral.paley_wiener_check,
         {"u": SIGNAL, "dt": 0.1, "T": 1.6, "L": 3.0, "z_max": 5.0, "n_z": 5},
@@ -159,7 +172,9 @@ BAD_INPUT = {
          "z_max": POSITIVE, "n_z": bad_ints(1)},
     ),
     "kernel.intB_closed": (
-        kernel.intB_closed, {"pair": P21, "z": 10.0}, {"pair": OBJECT, "z": (math.nan, math.inf)}
+        kernel.intB_closed,
+        {"pair": P21, "z": 10.0},
+        {"pair": OBJECT, "z": (math.nan, math.inf) + NON_NUMERIC},
     ),
     "kernel.verify_expansion": (kernel.verify_expansion, {"pair": P21}, {"pair": OBJECT}),
     "unreachable.eta_triple": (unreachable.eta_triple, {"pair": P21}, {"pair": OBJECT}),
@@ -177,7 +192,7 @@ BAD_INPUT = {
     ),
     "pde.solve_linear": (
         pde.solve_linear,
-        {"grid": GRID, "y0": Y, "u": U},
+        {"grid": GRID, "y0": (Y, Y), "u": U},
         {
             "grid": OBJECT + tuple(pde.Grid(L=L, nx=8, T=1.0, nt=10) for L in (1e-300, 1e300)),
             "y0": ARRAY + (Y[:-1], (), (Y, Y, Y)),
@@ -189,7 +204,7 @@ BAD_INPUT = {
     ),
     "pde.solve_nonlinear": (
         pde.solve_nonlinear,
-        {"grid": GRID, "y0": Y, "u": U},
+        {"grid": GRID, "y0": (Y, Y), "u": U},
         {"grid": OBJECT, "y0": ARRAY + (Y[:-1],), "u": ARRAY + (U[:-1],)},
     ),
     "pde.gramian": (
@@ -199,7 +214,7 @@ BAD_INPUT = {
     ),
     "pde.hum_control": (
         pde.hum_control,
-        {"grid": GRID, "target": Y, "tol": 1e-6},
+        {"grid": GRID, "target": (Y, Y), "tol": 1e-6},
         {"grid": OBJECT + TINY_GRIDS, "target": ARRAY, "tol": POSITIVE},
     ),
     "synthesis.make_spec": (

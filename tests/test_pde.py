@@ -204,7 +204,7 @@ def test_picard_divergence_raises():
     g = pde.Grid(L=2 * math.pi, nx=32, T=1.0, nt=50)
 
     def run(amp):
-        return pde.solve_nonlinear(g, u=lambda t: amp * math.sin(2 * math.pi * t))
+        return pde.solve_nonlinear(g, u=np.array([amp * math.sin(2 * math.pi * t) for t in g.t_nodes]))
 
     # the FixedPointDiverged is the report: no numpy RuntimeWarning leaks on the way
     with warnings.catch_warnings():
@@ -246,7 +246,7 @@ def test_projection_identity_quick():
         s = (t - 0.4) / 1.2
         return 60.0 * math.exp(-1 / (s * (1 - s))) if 0 < s < 1 else 0.0
 
-    y1, y2 = pde.solve_second_order(g, u1)
+    y1, y2 = pde.solve_second_order(g, np.array([u1(t) for t in g.t_nodes]))
     sys_ = y1.system
     s_nodes, w_nodes = pde._gauss01()
     n, _, _ = pde._shape_funcs(s_nodes, g.dx)
@@ -316,7 +316,8 @@ def test_nonlinear_weak_matches_per_element_reference():
     s, w = pde._gauss01()
     n, n1, _ = pde._shape_funcs(s, g.dx)
     rng = np.random.default_rng(3)
-    for dofs in (rng.standard_normal(sys_.ndof), sys_.interpolate(exact_state(0.3, g.x_nodes))):
+    smooth = sys_.interpolate(exact_state(0.3, g.x_nodes), exact_deriv(0.3, g.x_nodes))
+    for dofs in (rng.standard_normal(sys_.ndof), smooth):
         ref = np.zeros(sys_.ndof)
         for e in range(sys_.n_el):
             wvals = dofs[2 * e : 2 * e + 4] @ n
@@ -370,18 +371,21 @@ _BAD_INPUTS = {
     "linear-nan-control": lambda: pde.solve_linear(_G, u=_NAN_U),
     "second-order-inf-control": lambda: pde.solve_second_order(_G, np.full(_G.nt + 1, np.inf)),
     "nonlinear-nan-control": lambda: pde.solve_nonlinear(_G, u=_NAN_U),
-    "linear-nan-y0": lambda: pde.solve_linear(_G, y0=_NAN_X),
+    "linear-nan-y0": lambda: pde.solve_linear(_G, y0=(_NAN_X, _ZERO_X)),
     "nonlinear-inf-derivative-y0": lambda: pde.solve_nonlinear(_G, y0=(_ZERO_X, _ZERO_X + np.inf)),
-    "callable-nan-y0": lambda: pde.solve_linear(_G, y0=lambda x: math.nan),
-    "short-y0": lambda: pde.solve_linear(_G, y0=np.zeros(_G.nx + 1)),
+    "short-y0": lambda: pde.solve_linear(_G, y0=(np.zeros(_G.nx + 1), _ZERO_X)),
     "short-derivative-y0": lambda: pde.solve_nonlinear(_G, y0=(_ZERO_X, np.zeros(_G.nx))),
-    "nan-target": lambda: pde.hum_control(_G, _NAN_X),
+    "values-only-y0": lambda: pde.solve_linear(_G, y0=_ZERO_X),
+    "callable-y0": lambda: pde.solve_linear(_G, y0=lambda x: 0.0),
+    "callable-control": lambda: pde.solve_nonlinear(_G, u=lambda t: 0.0),
+    "nan-target": lambda: pde.hum_control(_G, (_NAN_X, _ZERO_X)),
+    "values-only-target": lambda: pde.hum_control(_G, _ZERO_X),
     "float-nx": lambda: pde.Grid(L=1.0, nx=8.5, T=1.0, nt=10),
     "float-nt": lambda: pde.Grid(L=1.0, nx=8, T=1.0, nt=10.0),
     "str-nx": lambda: pde.Grid(L=1.0, nx="16", T=1.0, nt=10),
-    "zero-tol": lambda: pde.hum_control(_G, _ZERO_X + 1.0, tol=0.0),
-    "negative-tol": lambda: pde.hum_control(_G, _ZERO_X + 1.0, tol=-1e-6),
-    "nan-tol": lambda: pde.hum_control(_G, _ZERO_X + 1.0, tol=math.nan),
+    "zero-tol": lambda: pde.hum_control(_G, (_ZERO_X + 1.0, _ZERO_X), tol=0.0),
+    "negative-tol": lambda: pde.hum_control(_G, (_ZERO_X + 1.0, _ZERO_X), tol=-1e-6),
+    "nan-tol": lambda: pde.hum_control(_G, (_ZERO_X + 1.0, _ZERO_X), tol=math.nan),
 }
 
 
@@ -462,7 +466,7 @@ def test_gramian_zero_time_limit():
 
 def test_hum_zero_target():
     g = pde.Grid(L=1.0, nx=32, T=0.5, nt=40)
-    u = pde.hum_control(g, np.zeros(g.nx + 2))
+    u = pde.hum_control(g, (np.zeros(g.nx + 2), np.zeros(g.nx + 2)))
     assert np.abs(u).max() == 0.0
 
 

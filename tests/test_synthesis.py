@@ -56,6 +56,20 @@ def test_spec_parameters(monkeypatch):
         syn.make_spec(P21, 1.0)
 
 
+def test_control_spec_checks_itself(monkeypatch):
+    # a spec built directly, not through make_spec, is checked on construction
+    with pytest.raises(DomainError, match="T must be positive"):
+        syn.steering_spectrum(syn.ControlSpec(P21, -1.0))
+    with pytest.raises(DomainError, match="pair must be a CriticalPair"):
+        syn.sign_report(syn.ControlSpec((2, 1), 1.0))
+    for T in (0.0, math.nan, math.inf, "1.0"):
+        with pytest.raises(DomainError):
+            syn.ControlSpec(P21, T)
+    monkeypatch.setattr(syn, "_gamma_admissible", lambda pair, gamma, d: False)
+    with pytest.raises(DomainError, match="not admissible"):
+        syn.ControlSpec(P21, 1.0)
+
+
 def test_vhat_at_zero_positive():
     spec = syn.make_spec(P21, 2.0)
     v0 = oracles.bump_vhat(spec, 0.0)
@@ -446,17 +460,20 @@ def test_lattice_phase_check_and_sparse_nodes():
 
     def nodes(k, step=0.1):
         built.append(k)
-        # f is linear in k, so the stencil reproduces it; g jumps by 2 rad
-        # between the two clusters, which are not adjacent and so not checked
+        # f is linear in k, so the stencil reproduces it; g jumps by 2 rad past node 500
         return 2.0 * k + 1.0, step * k + 2.0 * (k > 500)
 
-    x = np.array([10.5, 1010.25])
+    x = np.array([10.5, 12.25])
     fi, gi = syn._lattice_interp(x, nodes, "test")
-    assert np.array_equal(built[0], np.r_[7:15, 1007:1015])
+    assert np.array_equal(built[0], np.r_[7:17])
     assert np.allclose(fi, 2.0 * x + 1.0, rtol=1e-13)
-    assert np.allclose(gi, 0.1 * x + 2.0 * (x > 500), rtol=1e-13)
+    assert np.allclose(gi, 0.1 * x, rtol=1e-13)
     with pytest.raises(ResolutionError, match="test lattice phase step"):
         syn._lattice_interp(x, lambda k: nodes(k, step=math.pi / 5), "test")
+    # sparse x reads every node in between, so the jump between the clusters is checked
+    with pytest.raises(ResolutionError, match="test lattice phase step 2.10 rad"):
+        syn._lattice_interp(np.array([10.5, 1010.25]), nodes, "test")
+    assert np.array_equal(built[-1], np.r_[7:1015])
 
 
 # ---------------------------------------------------------------------------
