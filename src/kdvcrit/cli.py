@@ -18,7 +18,8 @@ import time
 
 import numpy as np
 
-from . import kernel, numbertheory, pde, spectral, synthesis, unreachable
+# pde and its scipy imports load only in simulate, gramian and verify-all's pde checks
+from . import kernel, numbertheory, spectral, synthesis, unreachable
 from .errors import DomainError, KdvCritError
 
 _FMT = "%.17g"
@@ -261,6 +262,7 @@ def _initial_from_spec(spec: dict, pair, x_nodes):
 
 
 def cmd_simulate(args) -> int:
+    from . import pde
     cfg = _read_json(args.config, _RUN_TYPES, "run file")
     paired = "k" in cfg and "l" in cfg
     missing = [key for key in ("nx", "nt", "T") + (() if paired else ("L",)) if key not in cfg]
@@ -293,6 +295,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gramian(args) -> int:
+    from . import pde
     pair = _pair(args)
     length = args.L if args.L is not None else pair.L
     cls = numbertheory.representations(pair.N)
@@ -429,6 +432,7 @@ def _representations_oracle():
 
 
 def _pde_order():
+    from . import pde
     pair = numbertheory.CriticalPair(2, 1)
     eta = unreachable.eta_triple(pair)
     c0 = 0.3 + 0.7j
@@ -449,6 +453,7 @@ def _pde_order():
 
 
 def _gramian_quick():
+    from . import pde
     cls = numbertheory.representations(3)
     crit = pde.gramian(pde.Grid(L=2 * np.pi, nx=128, T=1.0, nt=650), cls)
     free = pde.gramian(pde.Grid(L=1.0, nx=128, T=1.0, nt=650), cls)

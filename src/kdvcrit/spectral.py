@@ -294,7 +294,10 @@ def frame(z, L: float) -> SpectralFrame:
     they are representable even if det Q and P themselves overflow.
     """
     check_positive(L, "L")
-    zc = complex(check_numeric(z, "z", complex))
+    z_arr = check_numeric(z, "z", complex)
+    if z_arr.ndim:
+        raise DomainError(f"z must be one number, got shape {z_arr.shape}")
+    zc = complex(z_arr)
     lam = roots(zc)[None, :]  # one root triple serves every field
     p, q = p_scaled(lam, L), detq_scaled(lam, L)
     parts = (q, p, _over_xi(lam, L, p, 1.0), _over_xi(lam, L, q, -1.0))

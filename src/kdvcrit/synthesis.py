@@ -32,10 +32,12 @@ and H^(d) by scaled Taylor jets below |z| = 5 and from one log-lattice table
 above (read by the steering spectrum and the sign integrals alike), and
 intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi factors come from
 the root triples of N itself: u-hat's H factors cancel exactly, so no det Q
-pole remains, and the quotient is summed as computed: N and Xi Xi~ vanish
-together only at the exact root collisions of Xi, which no float hits, and it
-is ~1e-8 accurate within 2 ulp of them (tests/test_kernel.py).  u(t) and the
-real profile of w(t) are one real inverse FFT each of the z >= 0 half spectra.
+pole remains.  The quotient is exact where |z| or |z - p| is below 5, which
+holds both root collisions of Xi (N and Xi Xi~ vanish together there, no
+float hits them, and it is ~1e-8 accurate within 2 ulp of them,
+tests/test_kernel.py), and read from the H lattice's nodes, one table per
+sign of z, above.  u(t) and the real profile of w(t) are one real inverse FFT
+each of the z >= 0 half spectra.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
@@ -421,9 +423,40 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
     return pref * v1m * dm, v1s + ds
 
 
-# steering H factors: exact below z = _H_SW, from the lattice z_k = exp(_H_LZ0 + k _H_STEP) above
+# the H lattice: exact below |z| = _H_SW, read from the nodes z_k = exp(_H_LZ0 + k _H_STEP) above
 _H_SW, _H_STEP = 5.0, 0.03
 _H_LZ0 = math.log(_H_SW)
+
+
+def _h_lattice(sign: float, az: np.ndarray, exact, rot, lo: np.ndarray, what: str):
+    """exact(sign az) as (m, s) at the 1-D az >= 0: exact at the indices lo, else from the H lattice.
+
+    Node k stores log|m| + s + Re rot(z_k) and arg m + Im rot(z_k), with
+    (m, s) = exact(sign z_k); rot(|z|) takes out the growth, so both vary
+    slowly in ln |z|.  No boolean mask: if any point lies outside lo, the
+    lattice read takes every az raised to _H_SW straight into the outputs,
+    then the exact values overwrite the points lo by index.
+    """
+
+    def nodes(k):
+        zk = np.exp(_H_LZ0 + k * _H_STEP)
+        mk, sk = exact(sign * zk)
+        rk = rot(zk)
+        return np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag
+
+    m_lo, s_lo = exact(sign * az[lo])
+    m = np.empty(m_lo.shape[:-1] + az.shape, dtype=complex)
+    s = np.empty(m.shape)
+    if lo.size < az.size:
+        zc = np.maximum(az, _H_SW)
+        fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, nodes, what)
+        r = rot(zc)
+        gi -= r.imag
+        np.cos(gi, out=m.real)
+        np.sin(gi, out=m.imag)
+        np.subtract(fi, r.real, out=s)
+    m[..., lo], s[..., lo] = m_lo, s_lo
+    return m, s
 
 
 def _h_factors(spec: ControlSpec, z):
@@ -433,41 +466,48 @@ def _h_factors(spec: ControlSpec, z):
     each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
     from the lattice (see steering_spectrum); z < 0 mirrors |z| by
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
-    No boolean mask: the lattice read takes every |z| raised to _H_SW (if any
-    |z| >= _H_SW) straight into the outputs, then the exact values of |z| < _H_SW
-    and the mirror of z < 0 overwrite their points by index.
     """
     z = np.asarray(z, dtype=float)
     az = np.abs(z).reshape(-1)
+    L = spec.pair.L
 
     def exact(zs):
-        hm, hs = h_scaled(zs, spec.pair.L)
+        hm, hs = h_scaled(zs, L)
         dm, ds = _h_deriv_scaled(spec.pair, spec.gamma, zs, spec.h_order)
         return np.stack([hm, dm]), np.stack([hs, ds])
 
-    def nodes(k):
-        zk = np.exp(_H_LZ0 + k * _H_STEP)
-        mk, sk = exact(zk)
-        rk = MU[0] * spec.pair.L * np.cbrt(zk)
-        return np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag
-
-    m, s = np.empty((2, az.size), dtype=complex), np.empty((2, az.size))
-    if az.size and az.max() >= _H_SW:
-        zc = np.maximum(az, _H_SW)
-        fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, nodes, "H")
-        r = MU[0] * spec.pair.L * np.cbrt(zc)
-        gi -= r.imag
-        np.cos(gi, out=m.real)
-        np.sin(gi, out=m.imag)
-        np.subtract(fi, r.real, out=s)
-    lo = np.flatnonzero(az < _H_SW)
-    m[:, lo], s[:, lo] = exact(az[lo])
+    m, s = _h_lattice(1.0, az, exact, lambda a: MU[0] * L * np.cbrt(a), np.flatnonzero(az < _H_SW), "H")
     neg = np.flatnonzero(z.reshape(-1) < 0.0)
     if neg.size:
         m[:, neg] = np.conj(m[:, neg])
         m[1, neg] *= (-1) ** spec.h_order
     m, s = m.reshape((2,) + z.shape), s.reshape((2,) + z.shape)
     return (m[0], s[0]), (m[1], s[1])
+
+
+def _numerator(spec: ControlSpec, z):
+    """N/(Xi Xi~) = intB H(z) H(p - z) as (m, s) for real z, from one H lattice per sign of z.
+
+    The nodes +-z_k and every point with |z| or |z - p| below _H_SW (both
+    root collisions and the samples near z = p) take the exact
+    kernel.interaction_numerator.  Elsewhere each log plus
+    R = mu_1 L |z|^{1/3} + conj(mu_1) L |z - p|^{1/3} (conj R for z < 0), the
+    growth of H(z) H(p - z), is read from the lattice of the point's sign.
+    """
+    z = np.asarray(z, dtype=float)
+    zf, p, L = z.reshape(-1), spec.pair.p, spec.pair.L
+    exact = partial(interaction_numerator, spec.pair)
+    m, s = np.empty(zf.shape, dtype=complex), np.empty(zf.shape)
+    for sign, idx in ((1.0, np.flatnonzero(zf > 0.0)), (-1.0, np.flatnonzero(zf <= 0.0))):
+        mu = MU[0] if sign > 0.0 else np.conj(MU[0])  # conj R is R with conj(mu_1)
+
+        def rot(a, mu=mu, sign=sign):
+            return mu * L * np.cbrt(a) + np.conj(mu) * L * np.cbrt(np.abs(sign * a - p))
+
+        zs = zf[idx]
+        lo = np.flatnonzero((np.abs(zs) < _H_SW) | (np.abs(zs - p) < _H_SW))
+        m[idx], s[idx] = _h_lattice(sign, np.abs(zs), exact, rot, lo, "numerator")
+    return m.reshape(z.shape), s.reshape(z.shape)
 
 
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
@@ -647,7 +687,8 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
 
     I = (1/E) int u-hat(z) conj(u-hat(z-p)) intB(z) dz; J uses 1/F and the
     third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
-    SignReport).  H and H^(d) come from _h_factors, as in steering_spectrum.
+    SignReport).  H and H^(d) come from _h_factors, as in steering_spectrum,
+    and intB H(z) H(p-z) from _numerator; both read the H lattice above |z| = _H_SW.
     """
     check_type(spec, ControlSpec, "spec")
     check_int(n_side, "n_side", 2)
@@ -667,7 +708,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     # u-hat(z) conj(u-hat(z-p)) intB(z): with conj(H(z-p)) = H(p-z) both H
     # factors cancel against the kernel's m e^s = intB H(z) H(p-z), leaving
     # vhat(z) conj(vhat(z-p)) m e^s
-    num_m, num_s = interaction_numerator(pair, z)
+    num_m, num_s = _numerator(spec, z)
     phase = np.exp(-1j * spec.beta * p)  # e^{-i b z} conj(e^{-i b (z-p)})
     mant = phase * v1m_z * v1m_s * num_m / denom_const
     logs = v1s_z + v1s_s + num_s

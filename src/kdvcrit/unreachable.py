@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseError, InvariantViolation, check_finite, check_type
+from .errors import CaseError, DomainError, InvariantViolation, check_finite, check_type
 from .numbertheory import CriticalPair
 
 __all__ = [
@@ -118,7 +118,12 @@ def phi_parts(ph: np.ndarray) -> list:
 def psi(eta: EtaTriple, t, x) -> np.ndarray:
     """Psi(t, x) = e^{-i t p} phi(x), an exact zero-boundary solution."""
     ph = phi(eta, x)  # checks eta and x
-    return np.exp(-1j * check_finite(t, "t") * eta.p) * ph
+    t_arr = check_finite(t, "t")
+    try:
+        np.broadcast_shapes(t_arr.shape, ph.shape)
+    except ValueError:
+        raise DomainError(f"t of shape {t_arr.shape} and x of shape {ph.shape} do not broadcast") from None
+    return np.exp(-1j * t_arr * eta.p) * ph
 
 
 def constants(pair: CriticalPair) -> UnreachableData:

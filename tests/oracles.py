@@ -19,6 +19,7 @@ from kdvcrit.synthesis import (
     _wrap,
     vhat1_scaled,
 )
+from kdvcrit.unreachable import eta_triple
 
 
 def profile_scaled(lam: np.ndarray, L: float, x, s) -> np.ndarray:
@@ -83,6 +84,39 @@ def intb_quadrature(pair, z, tol: float = 1e-10):
         prev = total
         n *= 2
     raise ResolutionError(f"quadrature did not converge at z = {z}")
+
+
+def intb_mp(pair, z):
+    """The 27-term sum N of int f g phi_x at z, with det Q det Q~ and Xi Xi~.
+
+    mpmath values at the caller's working precision: N / (det Q det Q~) is
+    int B and N / (Xi Xi~) the sign integrand's quotient, whose log stays
+    representable where the quotient itself leaves double range.
+    """
+    import mpmath as mp
+
+    L, p = mp.mpf(pair.L), mp.mpf(pair.p)
+    lam = mp.polyroots([1, 0, 1, 1j * mp.mpf(z)], maxsteps=200, extraprec=200)
+    mu = mp.polyroots([1, 0, 1, -1j * (mp.mpf(z) - p)], maxsteps=200, extraprec=200)
+    eta = [mp.mpc(e) for e in eta_triple(pair).eta]
+
+    def profile(r):
+        return [(mp.exp(r[(j + 1) % 3] * L) - mp.exp(r[j] * L), r[(j + 2) % 3]) for j in range(3)]
+
+    def detq(r):
+        return sum((r[(j + 1) % 3] - r[j]) * mp.exp(-r[(j + 2) % 3] * L) for j in range(3))
+
+    def xi(r):
+        return -(r[1] - r[0]) * (r[2] - r[1]) * (r[0] - r[2])
+
+    total = 0
+    for f, lf in profile(lam):
+        for g, lg in profile(mu):
+            for k in range(3):
+                a = lf + lg + eta[(k + 2) % 3]
+                c = (eta[(k + 1) % 3] - eta[k]) * eta[(k + 2) % 3]
+                total += c * f * g * (mp.exp(a * L) - 1) / a
+    return total, detq(lam) * detq(mu), xi(lam) * xi(mu)
 
 
 def vieta_residuals(lam: np.ndarray, z) -> np.ndarray:

@@ -163,7 +163,10 @@ BAD_INPUT = {
         {"z": ARRAY + (0.0, -1.0), "order": bad_ints(1) + (4,), "p": (math.nan, math.inf)},
     ),
     "spectral.frame": (
-        spectral.frame, {"z": 1.0, "L": 3.0}, {"z": (math.nan, math.inf) + NON_NUMERIC, "L": POSITIVE}
+        spectral.frame,
+        {"z": 1.0, "L": 3.0},
+        {"z": (math.nan, math.inf, np.array([1.0, 2.0]), [1.0, 2.0], np.array([1.0])) + NON_NUMERIC,
+         "L": POSITIVE},
     ),
     "spectral.paley_wiener_check": (
         spectral.paley_wiener_check,
@@ -183,7 +186,9 @@ BAD_INPUT = {
     "unreachable.phi": (unreachable.phi, {"eta": ETA, "x": X}, {"eta": OBJECT, "x": ARRAY}),
     "unreachable.phi_x": (unreachable.phi_x, {"eta": ETA, "x": X}, {"eta": OBJECT, "x": ARRAY}),
     "unreachable.psi": (
-        unreachable.psi, {"eta": ETA, "t": 0.5, "x": X}, {"eta": OBJECT, "t": ARRAY, "x": ARRAY}
+        unreachable.psi,
+        {"eta": ETA, "t": 0.5, "x": X},
+        {"eta": OBJECT, "t": ARRAY + (np.array([0.1, 0.2, 0.3]),), "x": ARRAY},
     ),
     "pde.Grid": (
         pde.Grid,

@@ -10,7 +10,6 @@ from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit.errors import NearPole, ResolutionError
 from kdvcrit.spectral import COLLISION_Z
-from kdvcrit.unreachable import eta_triple
 
 P21 = nt.CriticalPair(2, 1)
 P41 = nt.CriticalPair(4, 1)
@@ -44,28 +43,8 @@ def _intb_mpmath(pair, z):
     """60-digit sum N of the 27 exponential terms of int f g phi_x, as
     (N / (det Q det Q~), N / (Xi Xi~)): int B and the sign integrand's quotient."""
     with mp.workdps(60):
-        L, p = mp.mpf(pair.L), mp.mpf(pair.p)
-        lam = mp.polyroots([1, 0, 1, 1j * mp.mpf(z)], maxsteps=200, extraprec=200)
-        mu = mp.polyroots([1, 0, 1, -1j * (mp.mpf(z) - p)], maxsteps=200, extraprec=200)
-        eta = [mp.mpc(e) for e in eta_triple(pair).eta]
-
-        def profile(r):
-            return [(mp.exp(r[(j + 1) % 3] * L) - mp.exp(r[j] * L), r[(j + 2) % 3]) for j in range(3)]
-
-        def detq(r):
-            return sum((r[(j + 1) % 3] - r[j]) * mp.exp(-r[(j + 2) % 3] * L) for j in range(3))
-
-        def xi(r):
-            return -(r[1] - r[0]) * (r[2] - r[1]) * (r[0] - r[2])
-
-        total = 0
-        for f, lf in profile(lam):
-            for g, lg in profile(mu):
-                for k in range(3):
-                    a = lf + lg + eta[(k + 2) % 3]
-                    c = (eta[(k + 1) % 3] - eta[k]) * eta[(k + 2) % 3]
-                    total += c * f * g * (mp.exp(a * L) - 1) / a
-        return complex(total / (detq(lam) * detq(mu))), complex(total / (xi(lam) * xi(mu)))
+        total, detq, xi = oracles.intb_mp(pair, z)
+        return complex(total / detq), complex(total / xi)
 
 
 @pytest.mark.parametrize("pair", [P41, P21], ids=["41", "21"])

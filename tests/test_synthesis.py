@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from kdvcrit import jets
+from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit import spectral as sp
 from kdvcrit import synthesis as syn
@@ -737,6 +738,81 @@ def test_sign_report_reads_h_from_the_table(monkeypatch):
     monkeypatch.setattr(syn, "h_jets_scaled", counting)
     rep = syn.sign_report(spec, n_side=4001)
     assert 0 < sum(seen) < 2 * rep.n_grid / 10
+
+
+def test_sign_report_reads_the_numerator_from_the_table(monkeypatch):
+    # N/(Xi Xi~) comes from the H lattice: the exact kernel runs at the nodes
+    # and where |z| or |z - p| < _H_SW, not at each grid point (1,005 of 8,001)
+    spec = syn.make_spec(P32, 0.4)
+    seen = []
+
+    def counting(pair, z):
+        seen.append(np.size(z))
+        return kn.interaction_numerator(pair, z)
+
+    monkeypatch.setattr(syn, "interaction_numerator", counting)
+    rep = syn.sign_report(spec, n_side=4001)
+    assert 0 < sum(seen) < rep.n_grid / 4
+
+
+def _numerator_grid(pair):
+    """A (pair, T = 0.4) band grid of 1,201 points, with the switch points of |z| and |z - p| appended."""
+    spec = syn.make_spec(pair, 0.4)
+    sw, p = syn._H_SW, pair.p
+    up, down = np.nextafter(sw, 9.0), np.nextafter(sw, 0.0)
+    edge = [sw, -sw, down, -down, up, -up, 0.0, p, p - sw, p + sw]
+    edge += [np.nextafter(p + sw, 0.0), np.nextafter(p + sw, 9.0), p + down, p + up]
+    return spec, np.concatenate([syn._band_grid(spec, 601), edge])
+
+
+_NUM_GRIDS = {k: _numerator_grid(pair) for k, pair in (("32", P32), ("41", P41))}
+_NUM_SIZE = _NUM_GRIDS["32"][1].size  # 1,215 for both pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, _NUM_SIZE - 1), min_size=1, max_size=30), st.sampled_from(["32", "41"]))
+@example(picks=list(range(_NUM_SIZE - 14, _NUM_SIZE))[::-1], key="32")
+def test_numerator_any_subset_matches_full_call(picks, key):
+    # both signs of z and both sides of the |z|, |z - p| = _H_SW switch; a value,
+    # in a batch or as a 0-d call, depends on (spec, z) alone
+    spec, z = _NUM_GRIDS[key]
+    m, s = syn._numerator(spec, z)
+    m_sub, s_sub = syn._numerator(spec, z[picks])
+    assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
+    m_one, s_one = syn._numerator(spec, float(z[picks[0]]))
+    assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[picks[0]], s[picks[0]])
+
+
+@pytest.mark.parametrize("key", ["32", "41"])
+def test_numerator_is_exact_below_the_switch(key):
+    spec, z = _NUM_GRIDS[key]
+    m, s = syn._numerator(spec, z)
+    lo = (np.abs(z) < syn._H_SW) | (np.abs(z - spec.pair.p) < syn._H_SW)
+    assert lo.sum() >= 12 and (~lo).sum() > 1000
+    em, es = kn.interaction_numerator(spec.pair, z[lo])
+    assert np.array_equal(m[lo], em) and np.array_equal(s[lo], es)
+
+
+_NUM_Z = (1e4, -1e4, 1e5, -1e5, 1.5e6, -1.5e6, 5e6)
+
+
+@pytest.mark.parametrize("pair", [P21, P32, P41, nt.CriticalPair(7, 3)], ids=["21", "32", "41", "73"])
+def test_numerator_table_matches_mpmath(pair):
+    # log N/(Xi Xi~) against the 60-digit 27-term sum (80 digits agree to
+    # 1e-52); the exact sum's own rounding grows like |z| and the lattice
+    # smooths it, so both meet one bound: log-magnitude within 4e-15 |z|
+    # (measured: lattice 1.3e-15 |z|, exact 3.2e-15 |z| at (4,1), z = -1e4),
+    # phase within 2e-16 |z| (lattice 7.9e-17 |z|, exact 1.0e-16 |z|)
+    mp = pytest.importorskip("mpmath")
+    spec = syn.make_spec(pair, 0.4)
+    for z in _NUM_Z:
+        with mp.workdps(60):
+            total, _, xi = oracles.intb_mp(pair, z)
+            ref = complex(mp.log(total / xi))
+        for m, s in (syn._numerator(spec, z), kn.interaction_numerator(pair, z)):
+            got = complex(np.log(m)) + s
+            assert abs(got.real - ref.real) <= 4e-15 * abs(z), z
+            assert abs(math.remainder(got.imag - ref.imag, 2.0 * math.pi)) <= 2e-16 * abs(z), z
 
 
 @pytest.mark.slow
