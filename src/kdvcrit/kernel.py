@@ -136,9 +136,10 @@ def interaction_numerator(pair: CriticalPair, z):
     the synthesis cancels the H factors against u-hat's, so the value stays
     finite across det Q zeros, and at the floats nearest the collisions z or
     z - p = +-COLLISION_Z it is ~1e-8 relative off (~1e-14 from 1e-5 away).
-    sign_report reads it from synthesis._numerator's lattice: this function
-    evaluates the lattice nodes and the points with |z| or |z - p| below the
-    lattice's switch, and nothing else.
+    The value is symmetric about z = p/2, as the second profile is the first
+    at p - z, so sign_report reads it from synthesis._numerator's lattice at
+    a = max(z, p - z): this function evaluates the lattice nodes and the a
+    below the lattice's switch, and nothing else.
     """
     z_arr, L = np.asarray(z, dtype=complex).reshape(-1), pair.L
     lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)

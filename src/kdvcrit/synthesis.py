@@ -32,12 +32,12 @@ and H^(d) by scaled Taylor jets below |z| = 5 and from one log-lattice table
 above (read by the steering spectrum and the sign integrals alike), and
 intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi factors come from
 the root triples of N itself: u-hat's H factors cancel exactly, so no det Q
-pole remains.  The quotient is exact where |z| or |z - p| is below 5, which
-holds both root collisions of Xi (N and Xi Xi~ vanish together there, no
-float hits them, and it is ~1e-8 accurate within 2 ulp of them,
-tests/test_kernel.py), and read from the H lattice's nodes, one table per
-sign of z, above.  u(t) and the real profile of w(t) are one real inverse FFT
-each of the z >= 0 half spectra.
+pole remains.  The quotient is symmetric about z = p/2 (the kernel pairs
+the profiles at z and p - z), so it is read at max(z, p - z): exact below 5,
+which holds both root collisions of Xi (N and Xi Xi~ vanish together there,
+no float hits them, and it is ~1e-8 accurate within 2 ulp of them,
+tests/test_kernel.py), and from the H lattice's nodes above.  u(t) and the
+real profile of w(t) are one real inverse FFT each of the z >= 0 half spectra.
 """
 
 from __future__ import annotations
@@ -428,27 +428,30 @@ _H_SW, _H_STEP = 5.0, 0.03
 _H_LZ0 = math.log(_H_SW)
 
 
-def _h_lattice(sign: float, az: np.ndarray, exact, rot, lo: np.ndarray, what: str):
-    """exact(sign az) as (m, s) at the 1-D az >= 0: exact at the indices lo, else from the H lattice.
+def _h_lattice(a: np.ndarray, exact, rot, what: str):
+    """exact(a) as (m, s) at the 1-D a >= 0: exact below _H_SW, else from the H lattice.
 
     Node k stores log|m| + s + Re rot(z_k) and arg m + Im rot(z_k), with
-    (m, s) = exact(sign z_k); rot(|z|) takes out the growth, so both vary
-    slowly in ln |z|.  No boolean mask: if any point lies outside lo, the
-    lattice read takes every az raised to _H_SW straight into the outputs,
-    then the exact values overwrite the points lo by index.
+    (m, s) = exact(z_k); rot(a) takes out the growth, so both vary slowly in
+    ln a.  One positive-abscissa table serves both readers: H mirrors z < 0
+    onto |z|, and the kernel numerator, symmetric about p/2, z < p/2 onto
+    p - z.  No boolean mask: if any a reaches _H_SW, the lattice read takes
+    every a raised to _H_SW straight into the outputs, then the exact values
+    overwrite the points below it by index.
     """
 
     def nodes(k):
         zk = np.exp(_H_LZ0 + k * _H_STEP)
-        mk, sk = exact(sign * zk)
+        mk, sk = exact(zk)
         rk = rot(zk)
         return np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag
 
-    m_lo, s_lo = exact(sign * az[lo])
-    m = np.empty(m_lo.shape[:-1] + az.shape, dtype=complex)
+    lo = np.flatnonzero(a < _H_SW)
+    m_lo, s_lo = exact(a[lo])
+    m = np.empty(m_lo.shape[:-1] + a.shape, dtype=complex)
     s = np.empty(m.shape)
-    if lo.size < az.size:
-        zc = np.maximum(az, _H_SW)
+    if lo.size < a.size:
+        zc = np.maximum(a, _H_SW)
         fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, nodes, what)
         r = rot(zc)
         gi -= r.imag
@@ -468,7 +471,6 @@ def _h_factors(spec: ControlSpec, z):
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
     """
     z = np.asarray(z, dtype=float)
-    az = np.abs(z).reshape(-1)
     L = spec.pair.L
 
     def exact(zs):
@@ -476,7 +478,7 @@ def _h_factors(spec: ControlSpec, z):
         dm, ds = _h_deriv_scaled(spec.pair, spec.gamma, zs, spec.h_order)
         return np.stack([hm, dm]), np.stack([hs, ds])
 
-    m, s = _h_lattice(1.0, az, exact, lambda a: MU[0] * L * np.cbrt(a), np.flatnonzero(az < _H_SW), "H")
+    m, s = _h_lattice(np.abs(z).reshape(-1), exact, lambda a: MU[0] * L * np.cbrt(a), "H")
     neg = np.flatnonzero(z.reshape(-1) < 0.0)
     if neg.size:
         m[:, neg] = np.conj(m[:, neg])
@@ -486,27 +488,22 @@ def _h_factors(spec: ControlSpec, z):
 
 
 def _numerator(spec: ControlSpec, z):
-    """N/(Xi Xi~) = intB H(z) H(p - z) as (m, s) for real z, from one H lattice per sign of z.
+    """N/(Xi Xi~) = intB H(z) H(p - z) as (m, s) for real z, read at a = max(z, p - z).
 
-    The nodes +-z_k and every point with |z| or |z - p| below _H_SW (both
-    root collisions and the samples near z = p) take the exact
-    kernel.interaction_numerator.  Elsewhere each log plus
-    R = mu_1 L |z|^{1/3} + conj(mu_1) L |z - p|^{1/3} (conj R for z < 0), the
-    growth of H(z) H(p - z), is read from the lattice of the point's sign.
+    The kernel pairs the profiles at z and p - z, so the quotient is symmetric
+    about p/2.  It is the exact kernel.interaction_numerator at a below _H_SW
+    (both root collisions, and z near p as p < 0.39) and at the nodes; above,
+    each log plus R = mu_1 L a^{1/3} + conj(mu_1) L (a - p)^{1/3}, the growth
+    of H(a) H(p - a), is read from the H lattice.
     """
     z = np.asarray(z, dtype=float)
-    zf, p, L = z.reshape(-1), spec.pair.p, spec.pair.L
-    exact = partial(interaction_numerator, spec.pair)
-    m, s = np.empty(zf.shape, dtype=complex), np.empty(zf.shape)
-    for sign, idx in ((1.0, np.flatnonzero(zf > 0.0)), (-1.0, np.flatnonzero(zf <= 0.0))):
-        mu = MU[0] if sign > 0.0 else np.conj(MU[0])  # conj R is R with conj(mu_1)
+    p, L = spec.pair.p, spec.pair.L
 
-        def rot(a, mu=mu, sign=sign):
-            return mu * L * np.cbrt(a) + np.conj(mu) * L * np.cbrt(np.abs(sign * a - p))
+    def rot(a):
+        return MU[0] * L * np.cbrt(a) + np.conj(MU[0]) * L * np.cbrt(a - p)
 
-        zs = zf[idx]
-        lo = np.flatnonzero((np.abs(zs) < _H_SW) | (np.abs(zs - p) < _H_SW))
-        m[idx], s[idx] = _h_lattice(sign, np.abs(zs), exact, rot, lo, "numerator")
+    a = np.maximum(z, p - z).reshape(-1)
+    m, s = _h_lattice(a, partial(interaction_numerator, spec.pair), rot, "numerator")
     return m.reshape(z.shape), s.reshape(z.shape)
 
 
@@ -519,7 +516,7 @@ def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, floa
     peak = logmag.max()
     beyond = np.flatnonzero((logmag < peak - drop) & (z_probe > z_probe[np.argmax(logmag)]))
     if beyond.size == 0:
-        raise SupportLeak("spectrum cutoff not reached by z = 1e9; raise the probe range")
+        raise SupportLeak("spectrum cutoff not reached by z = 1e9; u-hat decays too slowly at this T, use a larger T")
     return float(z_probe[beyond[0]]), float(peak)
 
 

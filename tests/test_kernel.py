@@ -243,6 +243,30 @@ def test_interaction_numerator_consistency():
         assert np.all(np.abs(rebuilt - expect)[~near] <= 1e-12 * np.abs(expect)[~near])
 
 
+_REFLECT_G = np.geomspace(1e-3, 5e6, 3000)
+_REFLECT_Z = np.concatenate([-_REFLECT_G[::-1], _REFLECT_G, np.linspace(-50.0, 50.0, 2000)])
+
+
+@pytest.mark.parametrize("k, l", [(2, 1), (3, 2), (4, 1), (5, 1), (7, 3)])
+def test_interaction_numerator_is_symmetric_about_half_p(k, l):
+    # the kernel pairs the profile at z with the one at p - z, so
+    # N/(Xi Xi~) at p - z is its value at z, the one table synthesis reads;
+    # in log form within 1e-12 max(1, |z|) in magnitude and 5e-13 max(1, |z|)
+    # in phase (measured 5.4e-13 at (4,1), z = -0.23, and 2.3e-13 at (7,3),
+    # z = -0.14; at large |z| the exact sum's own rounding, ~2e-16 |z|),
+    # 1e-3 or more from the four collision points
+    pair = nt.CriticalPair(k, l)
+    cols = np.array([COLLISION_Z, -COLLISION_Z, pair.p + COLLISION_Z, pair.p - COLLISION_Z])
+    z = _REFLECT_Z[np.min(np.abs(_REFLECT_Z[:, None] - cols), axis=1) >= 1e-3]
+    assert z.size >= 7990
+    m, s = kn.interaction_numerator(pair, z)
+    mr, sr = kn.interaction_numerator(pair, pair.p - z)
+    gap = np.log(m) + s - (np.log(mr) + sr)
+    scale = np.maximum(1.0, np.abs(z))
+    assert np.all(np.abs(gap.real) <= 1e-12 * scale)
+    assert np.all(np.abs(np.remainder(gap.imag + math.pi, 2.0 * math.pi) - math.pi) <= 5e-13 * scale)
+
+
 @pytest.mark.parametrize("k, l, T", [(3, 2, 0.4), (4, 1, 0.4), (1, 1, 25.0)])
 def test_interaction_numerator_matches_eight_exp_form(monkeypatch, k, l, T):
     # the end profiles from 4 exps (one per end and triple) are the two-exp

@@ -694,6 +694,14 @@ def test_steering_spectrum_leak_raises_at_small_T():
         syn.steering_spectrum(spec)
 
 
+def test_cutoff_probe_names_a_larger_T():
+    # at (12,1), T = 0.4 log|u-hat| peaks near z = 8.6e8 and has fallen only
+    # 23 of the 32.2 by z = 1e9, the probe's fixed end, so the remedy open to
+    # a caller is a larger T
+    with pytest.raises(SupportLeak, match="cutoff not reached by z = 1e9.*use a larger T"):
+        syn.sign_report(syn.make_spec(nt.CriticalPair(12, 1), 0.4), n_side=2001)
+
+
 # ---------------------------------------------------------------------------
 # sign integrals
 # ---------------------------------------------------------------------------
@@ -741,40 +749,44 @@ def test_sign_report_reads_h_from_the_table(monkeypatch):
 
 
 def test_sign_report_reads_the_numerator_from_the_table(monkeypatch):
-    # N/(Xi Xi~) comes from the H lattice: the exact kernel runs at the nodes
-    # and where |z| or |z - p| < _H_SW, not at each grid point (1,005 of 8,001)
+    # N/(Xi Xi~) comes from one H lattice read at max(z, p - z): the exact
+    # kernel runs at the nodes and where max(z, p - z) < _H_SW, not at each
+    # grid point (546 of 8,001), and never at an abscissa below p/2
     spec = syn.make_spec(P32, 0.4)
     seen = []
 
     def counting(pair, z):
-        seen.append(np.size(z))
+        seen.append(np.atleast_1d(z).copy())
         return kn.interaction_numerator(pair, z)
 
     monkeypatch.setattr(syn, "interaction_numerator", counting)
     rep = syn.sign_report(spec, n_side=4001)
-    assert 0 < sum(seen) < rep.n_grid / 4
+    z = np.concatenate(seen)
+    assert 0 < z.size < rep.n_grid / 10
+    assert np.all(z >= P32.p / 2.0)
 
 
 def _numerator_grid(pair):
-    """A (pair, T = 0.4) band grid of 1,201 points, with the switch points of |z| and |z - p| appended."""
+    """A (pair, T = 0.4) band grid of 1,201 points, with the switch points of z, -z, z - p and p - z appended."""
     spec = syn.make_spec(pair, 0.4)
     sw, p = syn._H_SW, pair.p
     up, down = np.nextafter(sw, 9.0), np.nextafter(sw, 0.0)
     edge = [sw, -sw, down, -down, up, -up, 0.0, p, p - sw, p + sw]
     edge += [np.nextafter(p + sw, 0.0), np.nextafter(p + sw, 9.0), p + down, p + up]
+    edge += [np.nextafter(p - sw, 0.0), np.nextafter(p - sw, -9.0)]
     return spec, np.concatenate([syn._band_grid(spec, 601), edge])
 
 
 _NUM_GRIDS = {k: _numerator_grid(pair) for k, pair in (("32", P32), ("41", P41))}
-_NUM_SIZE = _NUM_GRIDS["32"][1].size  # 1,215 for both pairs
+_NUM_SIZE = _NUM_GRIDS["32"][1].size  # 1,217 for both pairs
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(0, _NUM_SIZE - 1), min_size=1, max_size=30), st.sampled_from(["32", "41"]))
-@example(picks=list(range(_NUM_SIZE - 14, _NUM_SIZE))[::-1], key="32")
+@example(picks=list(range(_NUM_SIZE - 16, _NUM_SIZE))[::-1], key="32")
 def test_numerator_any_subset_matches_full_call(picks, key):
-    # both signs of z and both sides of the |z|, |z - p| = _H_SW switch; a value,
-    # in a batch or as a 0-d call, depends on (spec, z) alone
+    # both signs of z and both sides of the max(z, p - z) = _H_SW switch; a
+    # value, in a batch or as a 0-d call, depends on (spec, z) alone
     spec, z = _NUM_GRIDS[key]
     m, s = syn._numerator(spec, z)
     m_sub, s_sub = syn._numerator(spec, z[picks])
@@ -785,12 +797,32 @@ def test_numerator_any_subset_matches_full_call(picks, key):
 
 @pytest.mark.parametrize("key", ["32", "41"])
 def test_numerator_is_exact_below_the_switch(key):
+    # the exact kernel at a = max(z, p - z), wherever a < _H_SW
     spec, z = _NUM_GRIDS[key]
     m, s = syn._numerator(spec, z)
-    lo = (np.abs(z) < syn._H_SW) | (np.abs(z - spec.pair.p) < syn._H_SW)
+    a = np.maximum(z, spec.pair.p - z)
+    lo = a < syn._H_SW
     assert lo.sum() >= 12 and (~lo).sum() > 1000
-    em, es = kn.interaction_numerator(spec.pair, z[lo])
+    em, es = kn.interaction_numerator(spec.pair, a[lo])
     assert np.array_equal(m[lo], em) and np.array_equal(s[lo], es)
+
+
+@pytest.mark.parametrize("k, l, T", [(3, 2, 0.4), (4, 1, 0.4), (2, 1, 1.0), (5, 1, 5.0)])
+def test_numerator_reads_p_minus_z_at_the_mirror(k, l, T):
+    # z and p - z read one abscissa, bit for bit, unless p - (p - z) rounds
+    # away from z; then the two abscissae are one ulp apart and the values
+    # within 64 eps (measured 32 eps at (5,1), T = 5, on the exact path below
+    # _H_SW, where the kernel sum moves that much over one ulp)
+    pair = nt.CriticalPair(k, l)
+    spec = syn.make_spec(pair, T)
+    z = syn._band_grid(spec, 2001)
+    zr = pair.p - z
+    m, s = syn._numerator(spec, z)
+    mr, sr = syn._numerator(spec, zr)
+    same = np.maximum(z, pair.p - z) == np.maximum(zr, pair.p - zr)
+    assert same.sum() >= z.size - 10
+    assert np.array_equal(m[same], mr[same]) and np.array_equal(s[same], sr[same])
+    assert np.all(np.abs(m * np.exp(s - sr) - mr) <= 64 * np.finfo(float).eps * np.abs(mr))
 
 
 _NUM_Z = (1e4, -1e4, 1e5, -1e5, 1.5e6, -1.5e6, 5e6)
