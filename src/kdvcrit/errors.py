@@ -70,16 +70,10 @@ def check_positive(value, name: str):
     return value
 
 
-def check_int(value, name: str, low: int, *, even: bool = False):
-    """value, if it is an integer >= low (a numpy one too, never a bool), and even if asked."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < low
-        or (even and value % 2)
-    ):
-        kind = "an even integer" if even else "an integer"
-        raise DomainError(f"{name} must be {kind} >= {low}, got {value!r}")
+def check_int(value, name: str, low: int):
+    """value, if it is an integer >= low (a numpy one too, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return value
 
 

@@ -71,7 +71,6 @@ def root_jets(z0) -> np.ndarray:
     RootDerivativeSingular if 3 lambda^2 + 1 nearly vanishes (root collision
     at the base point, where the root map is not differentiable).
     """
-    z0 = np.asarray(z0, dtype=complex)
     lam = roots(z0)  # (..., 3)
     d = 3.0 * lam * lam + 1.0
     if np.any(np.abs(d) < _SINGULAR_TOL):
@@ -84,22 +83,20 @@ def root_jets(z0) -> np.ndarray:
     return np.stack([lam, d1, d2, d3], axis=-1)
 
 
-def h_jets_scaled(z0, L: float, order: int):
-    """Jet of H(z) e^{-s0} to ``order`` (at most 3) at base points z0, plus s0.
+def h_jets_scaled(z0: np.ndarray, L: float, order: int):
+    """Jet of H(z) e^{-s0} to ``order`` (at most 3) at the 1-D base points z0, plus s0.
 
     H = det Q / Xi explodes like exp(c |z|^{1/3} L) along the real axis, so
     the jet is computed for the rescaled function: the true derivatives are
-    H^{(d)}(z0) = d! * jet[..., d] * exp(s0) for d <= order.  s0 has shape
-    z0.shape.  Evaluated in blocks of _BLOCK points.
+    H^{(d)}(z0) = d! * jet[:, d] * exp(s0) for d <= order.  Evaluated in
+    blocks of _BLOCK points.
     """
-    z0 = np.asarray(z0, dtype=complex)
-    flat = z0.reshape(-1)
-    jet = np.empty(flat.shape + (order + 1,), dtype=complex)
-    s0 = np.empty(flat.shape)
-    for i in range(0, flat.size, _BLOCK):
+    jet = np.empty((z0.size, order + 1), dtype=complex)
+    s0 = np.empty(z0.size)
+    for i in range(0, z0.size, _BLOCK):
         sl = slice(i, i + _BLOCK)
-        jet[sl], s0[sl] = _h_jets_block(flat[sl], L, order)
-    return jet.reshape(z0.shape + (order + 1,)), s0.reshape(z0.shape)
+        jet[sl], s0[sl] = _h_jets_block(z0[sl], L, order)
+    return jet, s0
 
 
 def _h_jets_block(z0: np.ndarray, L: float, order: int):

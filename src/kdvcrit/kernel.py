@@ -24,14 +24,14 @@ whose constants come from the unreachable-direction module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NearPole, check_numeric, check_type
 from .numbertheory import CriticalPair
 from .spectral import POLE_TOL, detq_scaled, roots, shifted_roots, xi
-from .unreachable import UnreachableData, constants, eta_triple
+from .unreachable import constants, eta_triple
 
 # intB_closed waits on ROADMAP direction 4 for a production caller
 __all__ = ["intB_closed", "AsymptoticReport", "verify_expansion"]
@@ -127,8 +127,8 @@ def _numerator_scaled(L, lam, lamt, qs, qts, ec, ee):
     return acc
 
 
-def interaction_numerator(pair: CriticalPair, z):
-    """N / (Xi(lambda) Xi(lambda~)) as (mantissa, log-scale), no pole exclusion.
+def interaction_numerator(pair: CriticalPair, z: np.ndarray):
+    """N / (Xi(lambda) Xi(lambda~)) at the 1-D z as (mantissa, log-scale), no pole exclusion.
 
     N = int_0^L f g phi_x dx; both Xi come from N's own root triples, so the
     antisymmetric N and Xi Xi~ share one root order per point.  With the
@@ -141,17 +141,15 @@ def interaction_numerator(pair: CriticalPair, z):
     a = max(z, p - z): this function evaluates the lattice nodes and the a
     below the lattice's switch, and nothing else.
     """
-    z_arr, L = np.asarray(z, dtype=complex).reshape(-1), pair.L
-    lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)
+    L = pair.L
+    lam, lamt = roots(z), shifted_roots(z, pair.p)
     # the log-scales of detq_scaled; the det Q mantissas are not read here
     qs, qts = (np.max((-np.roll(r, -2, axis=-1) * L).real, axis=-1) for r in (lam, lamt))
     num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))
     s = qs + qts
     with np.errstate(divide="ignore", invalid="ignore"):
         m = num / (xi(lam) * xi(lamt))
-    if np.ndim(z) == 0:
-        return m[0], float(s[0])
-    return m.reshape(np.shape(z)), s.reshape(np.shape(z))
+    return m, s
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,6 @@ class AsymptoticReport:
     z_grid: np.ndarray
     slopes: tuple[float, float, float]  # after subtracting 0, 1, 2 terms
     expected: tuple[float, float, float]
-    constants: UnreachableData = field(repr=False)
     excluded: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
@@ -224,6 +221,5 @@ def verify_expansion(pair: CriticalPair) -> AsymptoticReport:
         z_grid=z,
         slopes=slopes,
         expected=expected,
-        constants=data,
         excluded=tuple(z_grid[near]),
     )

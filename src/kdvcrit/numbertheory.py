@@ -58,10 +58,10 @@ class CriticalPair:
 class LengthClass:
     """All pairs sharing one N, with the multiplicity data of the class.
 
-    ``p_sorted`` follows the convention p_1 > p_2 > ... > p_{n_pos} > 0; pairs
-    are stored in the same order (zero-frequency pair last when present).
-    ``T_star`` is the rotation-synchronization time
-    T^> = pi * sum_m (n^> + 1 - m) / p_m; it is None when no pair has p > 0,
+    ``pairs`` are ordered by frequency, p_1 > p_2 > ... > p_{n_pos} > 0, with
+    the zero-frequency pair last when present.  ``T_star`` is the
+    rotation-synchronization time T^> = pi * sum_m (n^> + 1 - m) / p_m over
+    that order; it is None when no pair has p > 0,
     never 0, which would claim instant controllability.  The paper's
     improved-time theorem excludes N = 7 and N = 13.
     """
@@ -71,7 +71,6 @@ class LengthClass:
     n_L: int
     n_L_pos: int
     dim_MN: int
-    p_sorted: tuple[float, ...]
     T_star: float | None
 
     @property
@@ -108,17 +107,15 @@ def representations(N: int) -> LengthClass:
     found.sort(key=lambda q: -q.p)
     n_l = len(found)
     n_pos = sum(1 for q in found if q.k > q.l)
-    p_sorted = tuple(q.p for q in found if q.k > q.l)
     t = None
     if n_pos:
-        t = math.pi * sum((n_pos + 1 - m) / p for m, p in enumerate(p_sorted, start=1))
+        t = math.pi * sum((n_pos + 1 - m) / q.p for m, q in enumerate(found[:n_pos], start=1))
     return LengthClass(
         N=N,
         pairs=tuple(found),
         n_L=n_l,
         n_L_pos=n_pos,
         dim_MN=n_l + n_pos,
-        p_sorted=p_sorted,
         T_star=t,
     )
 

@@ -89,8 +89,8 @@ class Grid:
 _GAUSS_N = 5  # exact for the degree <= 9 element integrands used here
 
 
-def _gauss01(n=_GAUSS_N):
-    xs, ws = np.polynomial.legendre.leggauss(n)
+def _gauss01():
+    xs, ws = np.polynomial.legendre.leggauss(_GAUSS_N)
     return 0.5 * (xs + 1.0), 0.5 * ws
 
 

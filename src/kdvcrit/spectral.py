@@ -27,7 +27,6 @@ from .errors import DomainError, check_finite, check_int, check_numeric, check_p
 
 __all__ = [
     "MU",
-    "MU_TILDE",
     "COLLISION_Z",
     "SpectralFrame",
     "roots",
@@ -37,10 +36,9 @@ __all__ = [
     "PaleyWienerReport",
 ]
 
-# Cube-root directions of -i (mu_j^3 = -i) and their conjugates, ordered so
-# that Re mu_1 < Re mu_2 < Re mu_3, matching the large-z root ordering.
+# Cube-root directions of -i (mu_j^3 = -i), ordered so that
+# Re mu_1 < Re mu_2 < Re mu_3, matching the large-z root ordering.
 MU = np.exp(-1j * np.pi / 6 - 2j * np.pi * np.arange(1, 4) / 3)
-MU_TILDE = np.exp(1j * np.pi / 6 + 2j * np.pi * np.arange(1, 4) / 3)
 
 # Real double-root points of the cubic: z = +/- 2/(3 sqrt 3).
 COLLISION_Z = 2.0 / (3.0 * np.sqrt(3.0))
@@ -70,8 +68,8 @@ def _cardano(z: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _newton_polish(lam: np.ndarray, z: np.ndarray, steps: int = 2) -> np.ndarray:
-    for _ in range(steps):
+def _newton_polish(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    for _ in range(2):
         d = 3.0 * lam * lam + 1.0
         d = np.where(np.abs(d) < 1e-8, np.nan, d)  # NaN sends the point to roots' fallback
         with np.errstate(invalid="ignore"):
@@ -131,30 +129,24 @@ def shifted_roots(z, p: float) -> np.ndarray:
     return roots(-(z_arr - p))
 
 
-def asymptotic_roots(z, order: int, p: float = 0.0, shifted: bool = False) -> np.ndarray:
-    """Large-z expansions of the (shifted) roots for real z > 0.
+def asymptotic_roots(z, order: int) -> np.ndarray:
+    """Large-z expansions of the roots for real z > 0, shape z.shape + (3,).
 
     order 1: mu_j z^{1/3}
     order 2: + (-1/(3 mu_j)) z^{-1/3}
-    order 3: + the shifted corrections -(1/3) mu~_j p z^{-2/3} - p z^{-4/3}/(9 mu~_j)
 
-    For the plain roots the z^{-1} coefficient vanishes identically, so order
-    3 coincides with order 2 there; the third-order terms are the p-linear
-    corrections of the shifted family.
+    The z^{-1} coefficient vanishes identically, so order 2 is accurate to
+    O(z^{-5/3}).
     """
-    if check_int(order, "order", 1) > 3:
-        raise DomainError(f"order must be 1, 2 or 3, got {order}")
+    if check_int(order, "order", 1) > 2:
+        raise DomainError(f"order must be 1 or 2, got {order}")
     z_arr = check_finite(z, "z")
     if np.any(z_arr <= 0):
         raise DomainError("asymptotic root expansions require z > 0")
-    check_finite(p, "p")
-    mu = MU_TILDE if shifted else MU
     c = np.cbrt(z_arr)[..., None]
-    lam = mu * c
-    if order >= 2:
-        lam = lam - 1.0 / (3.0 * mu * c)
-    if order >= 3 and shifted:
-        lam = lam - mu * p / (3.0 * c**2) - p / (9.0 * mu * c**4)
+    lam = MU * c
+    if order == 2:
+        lam = lam - 1.0 / (3.0 * MU * c)
     return lam
 
 
@@ -198,12 +190,11 @@ def xi(lam: np.ndarray) -> np.ndarray:
 
 
 def _dd2(expsign: float, lam: np.ndarray, L: float) -> np.ndarray:
-    """Second divided difference of t -> exp(expsign * t * L) at the roots.
+    """Second divided difference of t -> exp(expsign * t * L) at the (n, 3) root triples.
 
     Uses expm1 on the closest pair so the value stays finite through root
     collisions (the quotient det Q / Xi is entire; the raw ratio is 0/0).
     """
-    lam = np.atleast_2d(lam)
     d01 = np.abs(lam[..., 0] - lam[..., 1])
     d12 = np.abs(lam[..., 1] - lam[..., 2])
     d02 = np.abs(lam[..., 0] - lam[..., 2])
@@ -261,30 +252,22 @@ def _over_xi(lam: np.ndarray, L: float, num, expsign: float):
     return m, s
 
 
-def _shaped(z, m, s):
-    if np.ndim(z) == 0:
-        return m[0], float(np.atleast_1d(s)[0])
-    return m.reshape(np.shape(z)), s.reshape(np.shape(z))
-
-
 def h_scaled(z, L: float):
-    """H = det Q / Xi as (hm, hs) with H = hm*exp(hs), valid for arbitrarily large z."""
+    """H = det Q / Xi at the 1-D z as (hm, hs) with H = hm*exp(hs), valid for arbitrarily large z."""
     check_positive(L, "L")
-    lam = np.atleast_2d(roots(z))
-    return _shaped(z, *_over_xi(lam, L, detq_scaled(lam, L), -1.0))
+    lam = roots(z)
+    return _over_xi(lam, L, detq_scaled(lam, L), -1.0)
 
 
 def gh_scaled(z, L: float):
-    """G and H in (mantissa, log-scale) form, valid for arbitrarily large z.
+    """G and H at the 1-D z in (mantissa, log-scale) form, valid for arbitrarily large z.
 
     Returns (gm, gs, hm, hs) with G = gm*exp(gs), H = hm*exp(hs); H is the
     h_scaled value, from the same root triple as G.
     """
     check_positive(L, "L")
-    lam = np.atleast_2d(roots(z))
-    gm, gs = _over_xi(lam, L, p_scaled(lam, L), 1.0)
-    hm, hs = _over_xi(lam, L, detq_scaled(lam, L), -1.0)
-    return _shaped(z, gm, gs) + _shaped(z, hm, hs)
+    lam = roots(z)
+    return _over_xi(lam, L, p_scaled(lam, L), 1.0) + _over_xi(lam, L, detq_scaled(lam, L), -1.0)
 
 
 def frame(z, L: float) -> SpectralFrame:

@@ -192,20 +192,16 @@ def _wrap(x):
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def vhat1_scaled(nu: float | BumpTable, beta: float, z):
-    """The real even factor v1(beta z) of the bump transform, as (m, log-scale).
+def vhat1_scaled(nu: float | BumpTable, beta: float, z: np.ndarray):
+    """The real even factor v1(beta z) of the bump transform at the 1-D z, as (m, log-scale).
 
     v-hat(z) = e^{-i beta z} v1(beta z); nu may be given as its BumpTable, whose
     nodes the call reuses.  Every call reads a BumpTable of nu, so a value depends
-    on (nu, beta z) alone: any subset of a grid, the scalar call included, gives
-    values bit-identical to the full call.
+    on (nu, beta z) alone: any subset of a grid gives values bit-identical to
+    the full call.
     """
     table = nu if isinstance(nu, BumpTable) else BumpTable(nu)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    m, s = table.eval_w(beta * np.abs(z_arr))
-    if np.ndim(z) == 0:
-        return float(m[0]), float(s[0])
-    return m, s
+    return table.eval_w(beta * np.abs(z))
 
 
 class BumpTable:
@@ -365,10 +361,9 @@ class ControlSpec:
         return BumpTable(self.nu)
 
 
-def _h_deriv_scaled(pair: CriticalPair, gamma: float, z, d: int):
-    z_arr = np.asarray(z, dtype=complex) + 1j * gamma
-    jet, s0 = h_jets_scaled(z_arr, pair.L, d)
-    return jet[..., d] * math.factorial(d), s0
+def _h_deriv_scaled(pair: CriticalPair, gamma: float, z: np.ndarray, d: int):
+    jet, s0 = h_jets_scaled(z + 1j * gamma, pair.L, d)
+    return jet[:, d] * math.factorial(d), s0
 
 
 def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
@@ -397,7 +392,6 @@ class SpectrumTriple:
     |mu3| = 1, and w_time = |kappa| g: w(t) = e^{i arg kappa} w_time, arg kappa = -pi/3 or pi/2.
     """
 
-    spec: ControlSpec
     z: np.ndarray
     t: np.ndarray
     u_time: np.ndarray
@@ -462,15 +456,14 @@ def _h_lattice(a: np.ndarray, exact, rot, what: str):
     return m, s
 
 
-def _h_factors(spec: ControlSpec, z):
-    """H(z) and H^(d)(z + i gamma), d = h_order, as (m, s) pairs for real z.
+def _h_factors(spec: ControlSpec, z: np.ndarray):
+    """H(z) and H^(d)(z + i gamma), d = h_order, as (m, s) pairs at the 1-D real z.
 
     The one H reader of steering_spectrum and sign_report.  Above |z| = _H_SW
     each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
     from the lattice (see steering_spectrum); z < 0 mirrors |z| by
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
     """
-    z = np.asarray(z, dtype=float)
     L = spec.pair.L
 
     def exact(zs):
@@ -478,17 +471,16 @@ def _h_factors(spec: ControlSpec, z):
         dm, ds = _h_deriv_scaled(spec.pair, spec.gamma, zs, spec.h_order)
         return np.stack([hm, dm]), np.stack([hs, ds])
 
-    m, s = _h_lattice(np.abs(z).reshape(-1), exact, lambda a: MU[0] * L * np.cbrt(a), "H")
-    neg = np.flatnonzero(z.reshape(-1) < 0.0)
+    m, s = _h_lattice(np.abs(z), exact, lambda a: MU[0] * L * np.cbrt(a), "H")
+    neg = np.flatnonzero(z < 0.0)
     if neg.size:
         m[:, neg] = np.conj(m[:, neg])
         m[1, neg] *= (-1) ** spec.h_order
-    m, s = m.reshape((2,) + z.shape), s.reshape((2,) + z.shape)
     return (m[0], s[0]), (m[1], s[1])
 
 
-def _numerator(spec: ControlSpec, z):
-    """N/(Xi Xi~) = intB H(z) H(p - z) as (m, s) for real z, read at a = max(z, p - z).
+def _numerator(spec: ControlSpec, z: np.ndarray):
+    """N/(Xi Xi~) = intB H(z) H(p - z) as (m, s) at the 1-D real z, read at a = max(z, p - z).
 
     The kernel pairs the profiles at z and p - z, so the quotient is symmetric
     about p/2.  It is the exact kernel.interaction_numerator at a below _H_SW
@@ -496,21 +488,20 @@ def _numerator(spec: ControlSpec, z):
     each log plus R = mu_1 L a^{1/3} + conj(mu_1) L (a - p)^{1/3}, the growth
     of H(a) H(p - a), is read from the H lattice.
     """
-    z = np.asarray(z, dtype=float)
     p, L = spec.pair.p, spec.pair.L
 
     def rot(a):
         return MU[0] * L * np.cbrt(a) + np.conj(MU[0]) * L * np.cbrt(a - p)
 
-    a = np.maximum(z, p - z).reshape(-1)
-    m, s = _h_lattice(a, partial(interaction_numerator, spec.pair), rot, "numerator")
-    return m.reshape(z.shape), s.reshape(z.shape)
+    return _h_lattice(np.maximum(z, p - z), partial(interaction_numerator, spec.pair), rot, "numerator")
 
 
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     z_probe = np.geomspace(1.0, 1e9, 400)
-    v1 = vhat1_scaled(spec.bump, spec.beta, z_probe)
+    # both entry points read the bump here first; from T ~ 1e135 its saddle or beta z overflow
+    with in_double_range(f"the spectrum cutoff probe at T = {spec.T:g}"):
+        v1 = vhat1_scaled(spec.bump, spec.beta, z_probe)
     m, s = _uhat_scaled(v1, h_scaled(z_probe, spec.pair.L))
     logmag = np.log(np.abs(m) + 1e-300) + s
     peak = logmag.max()
@@ -601,7 +592,6 @@ def steering_spectrum(spec: ControlSpec) -> SpectrumTriple:
             "the grid does not resolve u, or the hump defeats double precision"
         )
     return SpectrumTriple(
-        spec=spec,
         z=dz * (np.arange(n) - n // 2),
         t=t,
         u_time=u_t,

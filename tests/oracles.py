@@ -8,7 +8,7 @@ import numpy as np
 
 from kdvcrit.errors import DomainError, ResolutionError
 from kdvcrit.kernel import _check_poles, _eta_terms
-from kdvcrit.spectral import POLE_TOL, detq_scaled, roots, shifted_roots
+from kdvcrit.spectral import MU, POLE_TOL, detq_scaled, roots, shifted_roots
 from kdvcrit.synthesis import (
     _LAT_C,
     _LAT_OFFS,
@@ -117,6 +117,24 @@ def intb_mp(pair, z):
                 c = (eta[(k + 1) % 3] - eta[k]) * eta[(k + 2) % 3]
                 total += c * f * g * (mp.exp(a * L) - 1) / a
     return total, detq(lam) * detq(mu), xi(lam) * xi(mu)
+
+
+def shifted_asymptotic_roots(z: np.ndarray, order: int, p: float) -> np.ndarray:
+    """Large-z expansions of the roots of mu^3 + mu - i(z - p) = 0 for real z > 0.
+
+    With mu~_j = conj(mu_j):
+    order 1: mu~_j z^{1/3}
+    order 2: + (-1/(3 mu~_j)) z^{-1/3}
+    order 3: + the p-linear corrections -(1/3) mu~_j p z^{-2/3} - p z^{-4/3}/(9 mu~_j)
+    """
+    mu = np.conj(MU)
+    c = np.cbrt(z)[:, None]
+    lam = mu * c
+    if order >= 2:
+        lam = lam - 1.0 / (3.0 * mu * c)
+    if order >= 3:
+        lam = lam - mu * p / (3.0 * c**2) - p / (9.0 * mu * c**4)
+    return lam
 
 
 def vieta_residuals(lam: np.ndarray, z) -> np.ndarray:

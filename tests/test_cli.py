@@ -106,6 +106,8 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
     "command, cfg, message",
     [
         (["spectral", "--L", "3.6", "--z", "0:3"], None, "bad range '0:3'"),
+        (["spectral", "--L", "3.6", "--z", "1e400:1:3"], None, "bad range '1e400:1:3'"),
+        (["spectral", "--L", "3.6", "--z=-1e308:1e308:3"], None, "bad range '-1e308:1e308:3'"),
         (["spectral", "--L", "nan", "--z", "0:1:2"], None, "L must be positive and finite, got nan"),
         (["spectral", "--L", "inf", "--z", "0:1:2"], None, "L must be positive and finite, got inf"),
         (["verify-all", "--no-timing"], {"bogus": 1}, "unknown config key: bogus"),
@@ -143,6 +145,7 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
          "--points must be >= 1"),
         (_SIGNS + ["--tsweep", "0.4,abc"], None, "bad --tsweep '0.4,abc'"),
         (_SIGNS + ["--tsweep", "nan"], None, "T must be positive and finite, got nan"),
+        (_SIGNS + ["--tsweep", "1e300"], None, "T = 1e+300 leaves double range"),
         (_SIGNS + ["--tsweep", "0.4", "--n-side", "1"], None, "n_side must be an integer >= 2, got 1"),
         (["lengths", "--nmax", "3", "--out", "{tmp}/missing/out.csv"], None, "cannot write"),
         (
@@ -152,12 +155,13 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
             "synthesis, unreachable",
         ),
     ],
-    ids=["range", "spectral-L-nan", "spectral-L-inf", "config-key", "config-argparse-attr",
-         "config-underscore-key", "config-type", "control-type", "run-file-key", "run-file-keys",
-         "config-missing", "config-malformed", "config-list", "run-file-missing", "run-file-malformed",
-         "run-file-list", "run-file-type", "control-list", "control-file-no-path",
-         "control-file-missing", "initial-no-pair", "kernel-points", "tsweep", "tsweep-nan",
-         "n-side", "out-dir-missing", "only-tag"],
+    ids=["range", "range-inf", "range-span-overflow", "spectral-L-nan", "spectral-L-inf",
+         "config-key", "config-argparse-attr", "config-underscore-key", "config-type",
+         "control-type", "run-file-key", "run-file-keys", "config-missing", "config-malformed",
+         "config-list", "run-file-missing", "run-file-malformed", "run-file-list", "run-file-type",
+         "control-list", "control-file-no-path", "control-file-missing", "initial-no-pair",
+         "kernel-points", "tsweep", "tsweep-nan", "tsweep-extreme", "n-side", "out-dir-missing",
+         "only-tag"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]

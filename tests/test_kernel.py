@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
+from kdvcrit import unreachable as ur
 from kdvcrit.errors import NearPole, ResolutionError
 from kdvcrit.spectral import COLLISION_Z
 
@@ -197,7 +198,7 @@ def test_expansion_all_pairs_k_le_6():
             assert abs(s0 + 4 / 3) < 0.05
             assert abs(s1 + 2) < 0.05
             assert s2 <= -1.6
-        d = rep.constants
+        d = ur.constants(q)
         for z_top in (1e4, 6.4e4):
             val = kn.intB_closed(q, z_top)
             if q.caseE0:

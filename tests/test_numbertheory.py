@@ -56,8 +56,8 @@ def test_representations_91():
     cls = nt.representations(91)
     assert sorted((q.k, q.l) for q in cls.pairs) == [(6, 5), (9, 1)]
     assert (cls.n_L, cls.n_L_pos, cls.dim_MN) == (2, 2, 4)
-    # convention p_1 > p_2 > 0
-    assert cls.p_sorted[0] > cls.p_sorted[1] > 0
+    # convention p_1 > p_2 > 0, the pairs in that order
+    assert cls.pairs[0].p > cls.pairs[1].p > 0
 
 
 def test_representations_small():
@@ -83,7 +83,7 @@ def test_t_star_single_pair():
 
 def test_t_star_91():
     cls = nt.representations(91)
-    p1, p2 = cls.p_sorted
+    p1, p2 = (q.p for q in cls.pairs)
     assert cls.T_star == pytest.approx(math.pi * (2 / p1 + 1 / p2), rel=1e-14)
 
 

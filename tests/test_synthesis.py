@@ -328,7 +328,8 @@ def test_vhat1_any_subset_matches_full_call(picks, T):
     z = np.array([sign * _Z21[i] for i, sign in picks])
     m_sub, s_sub = syn.vhat1_scaled(spec.nu, spec.beta, z)
     assert np.array_equal(m_sub, m[idx]) and np.array_equal(s_sub, s[idx])
-    assert syn.vhat1_scaled(spec.nu, spec.beta, z[0]) == (m[idx[0]], s[idx[0]])
+    m_one, s_one = syn.vhat1_scaled(spec.nu, spec.beta, z[:1])
+    assert (m_one[0], s_one[0]) == (m[idx[0]], s[idx[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +371,10 @@ def test_h_factors_any_subset_matches_full_call(picks, pair):
     spec = syn.make_spec(pair, 25.0)
     full = syn._h_factors(spec, _ZH)
     sub = syn._h_factors(spec, _ZH[picks])
-    one = syn._h_factors(spec, float(_ZH[picks[0]]))
+    one = syn._h_factors(spec, _ZH[picks[:1]])
     for (m, s), (m_sub, s_sub), (m_one, s_one) in zip(full, sub, one):
         assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
-        assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[picks[0]], s[picks[0]])
+        assert m_one.shape == (1,) and (m_one[0], s_one[0]) == (m[picks[0]], s[picks[0]])
     # z < 0 mirrors |z| bit for bit, on the exact path and the table alike:
     # H(-z) = conj H(z) and H^(d)(-z + i g) = (-1)^d conj H^(d)(z + i g)
     pos = _ZH > 0.0
@@ -385,7 +386,7 @@ def test_h_factors_any_subset_matches_full_call(picks, pair):
 @pytest.mark.parametrize("pair", [P21, P11])
 def test_h_factors_switch_points_match_full_call(pair):
     # 0, +-_H_SW and their neighbours, in no order: each value, in a batch or
-    # as a 0-d call, is the full call's, and below the switch the exact one
+    # as a one-point call, is the full call's, and below the switch the exact one
     spec = syn.make_spec(pair, 25.0)
     sw = syn._H_SW
     up, down = np.nextafter(sw, 9.0), np.nextafter(sw, 0.0)
@@ -395,9 +396,9 @@ def test_h_factors_switch_points_match_full_call(pair):
     picks = np.r_[z.size - edge.size : z.size][::-1]
     sub = syn._h_factors(spec, z[picks])
     for i, zi in zip(picks, z[picks]):
-        one = syn._h_factors(spec, zi)
+        one = syn._h_factors(spec, np.array([zi]))
         for (m, s), (m_one, s_one) in zip(full, one):
-            assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[i], s[i])
+            assert m_one.shape == (1,) and (m_one[0], s_one[0]) == (m[i], s[i])
     for (m, s), (m_sub, s_sub) in zip(full, sub):
         assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
     lo = np.abs(z) < sw
@@ -493,7 +494,7 @@ def test_h_derivative_against_contour_oracle():
     gamma = 1.0
     for d in (1, 3):
         for z in rng.uniform(-40, 40, 8):
-            got = oracles.h_derivative_on_line(P21, gamma, z, d)
+            (got,) = oracles.h_derivative_on_line(P21, gamma, np.array([z]), d)
             ref = cauchy_derivative(lambda w: sp.frame(w, P21.L).H, z + 1j * gamma, d)
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
@@ -581,8 +582,8 @@ def test_h_mirror_symmetry_on_line():
     # shifted line H^{(d)}(-z + i g) = (-1)^d conj(H^{(d)}(z + i g))
     for d in (1, 3):
         for z in (3.7, -11.0):
-            a = oracles.h_derivative_on_line(P21, 1.0, -z, d)
-            b = (-1) ** d * np.conj(oracles.h_derivative_on_line(P21, 1.0, z, d))
+            (a,) = oracles.h_derivative_on_line(P21, 1.0, np.array([-z]), d)
+            (b,) = (-1) ** d * np.conj(oracles.h_derivative_on_line(P21, 1.0, np.array([z]), d))
             assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -786,13 +787,13 @@ _NUM_SIZE = _NUM_GRIDS["32"][1].size  # 1,217 for both pairs
 @example(picks=list(range(_NUM_SIZE - 16, _NUM_SIZE))[::-1], key="32")
 def test_numerator_any_subset_matches_full_call(picks, key):
     # both signs of z and both sides of the max(z, p - z) = _H_SW switch; a
-    # value, in a batch or as a 0-d call, depends on (spec, z) alone
+    # value, in a batch or as a one-point call, depends on (spec, z) alone
     spec, z = _NUM_GRIDS[key]
     m, s = syn._numerator(spec, z)
     m_sub, s_sub = syn._numerator(spec, z[picks])
     assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
-    m_one, s_one = syn._numerator(spec, float(z[picks[0]]))
-    assert np.ndim(m_one) == 0 and (m_one, s_one) == (m[picks[0]], s[picks[0]])
+    m_one, s_one = syn._numerator(spec, z[picks[:1]])
+    assert m_one.shape == (1,) and (m_one[0], s_one[0]) == (m[picks[0]], s[picks[0]])
 
 
 @pytest.mark.parametrize("key", ["32", "41"])
@@ -841,7 +842,8 @@ def test_numerator_table_matches_mpmath(pair):
         with mp.workdps(60):
             total, _, xi = oracles.intb_mp(pair, z)
             ref = complex(mp.log(total / xi))
-        for m, s in (syn._numerator(spec, z), kn.interaction_numerator(pair, z)):
+        za = np.array([z])
+        for (m,), (s,) in (syn._numerator(spec, za), kn.interaction_numerator(pair, za)):
             got = complex(np.log(m)) + s
             assert abs(got.real - ref.real) <= 4e-15 * abs(z), z
             assert abs(math.remainder(got.imag - ref.imag, 2.0 * math.pi)) <= 2e-16 * abs(z), z
