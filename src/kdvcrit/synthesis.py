@@ -38,6 +38,9 @@ which holds both root collisions of Xi (N and Xi Xi~ vanish together there,
 no float hits them, and it is ~1e-8 accurate within 2 ulp of them,
 tests/test_kernel.py), and from the H lattice's nodes above.  u(t) and the
 real profile of w(t) are one real inverse FFT each of the z >= 0 half spectra.
+Only the bump depends on T: the H and numerator lattice nodes, the gamma check
+and the cutoff probe's H are held once per critical pair (_PairTables), so a
+sweep in T builds them once.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -222,8 +225,10 @@ class BumpTable:
     about the stencil's base node.  The instance keeps the nodes from -1 up
     to the highest a request has read (rounding may put a point just above
     w_sw on base 2, whose stencil starts at node -1), so a later request builds
-    only the nodes past them; a node is the same built alone.  No store spans
-    instances: ControlSpec.bump is a spec's one table.
+    only the nodes past them; a node is the same built alone.  The bump store
+    is per spec (ControlSpec.bump): its nodes depend on T through nu, so a T
+    sweep would not reuse them.  The H and numerator stores are per pair
+    (_pair_tables).
     For T in [0.05, 50] and w <= 1e6 the result is within 1.2e-10 of |C| of
     the exact half contour, which is the rounding of the phase w itself.
 
@@ -239,7 +244,7 @@ class BumpTable:
         self.w_sw = min((nu + 18.0) ** 2 / nu, max(80.0, 8.0 * nu))
         # the lowest stencil of a point above the switch starts at node 0
         self._lq0 = 0.5 * math.log(self.w_sw) + _LAT_OFFS[0] * _LAT_H
-        self._fg = np.empty((2, 0))  # f and g of the nodes built so far, node k in column k + 1
+        self._nodes = _NodeStore(self._node_values, -1)
 
     def eval_w(self, w):
         """(m, log-scale) of v1 at a 1-D w: the lattice read takes every |w| raised
@@ -256,22 +261,41 @@ class BumpTable:
         m[direct], s[direct] = quad(self.nu, f, uw)[inv], 0.0
         return m, s
 
-    def _nodes(self, k):
-        """f and the phase g at the contiguous ascending nodes k, building those past the last held."""
-        held = self._fg.shape[1]
-        if k[-1] + 2 > held:
-            q = np.exp(self._lq0 + np.arange(held - 1, k[-1] + 1) * _LAT_H)
-            c, cs = _half_contour(self.nu, q * q)
-            rq = math.sqrt(self.nu) * q
-            # log C + (1 - i) sqrt(nu w) = f + i g, g known modulo 2 pi
-            fg = np.log(np.abs(c)) + cs + rq, np.angle(c) - rq
-            self._fg = np.concatenate([self._fg, fg], axis=1)
-        return self._fg[:, k[0] + 1 : k[-1] + 2]
+    def _node_values(self, k):
+        """f and the phase g at the nodes k."""
+        q = np.exp(self._lq0 + k * _LAT_H)
+        c, cs = _half_contour(self.nu, q * q)
+        rq = math.sqrt(self.nu) * q
+        # log C + (1 - i) sqrt(nu w) = f + i g, g known modulo 2 pi
+        return np.stack([np.log(np.abs(c)) + cs + rq, np.angle(c) - rq])
 
     def _lattice(self, w: np.ndarray):
         fi, gi = _lattice_interp((0.5 * np.log(w) - self._lq0) / _LAT_H, self._nodes, "bump")
         rw = math.sqrt(self.nu) * np.sqrt(w)
         return 2.0 * np.cos(gi + rw - w), fi - rw
+
+
+class _NodeStore:
+    """The nodes first, first + 1, ... of one lattice, held contiguously from first.
+
+    build(k) gives the values at the ascending nodes k on the last axis, each
+    from its k alone.  A request builds only the nodes past the highest held,
+    so what it reads is what a fresh store gives, bit for bit.
+    """
+
+    def __init__(self, build, first: int):
+        self._build, self._first = build, first
+        self._held = None
+
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        """The values at the contiguous ascending nodes k, k[0] >= first."""
+        n = 0 if self._held is None else self._held.shape[-1]
+        end = k[-1] + 1 - self._first
+        if end > n:
+            new = self._build(self._first + np.arange(n, end))
+            self._held = new if self._held is None else np.concatenate([self._held, new], axis=-1)
+            self._held.flags.writeable = False  # readers share the held nodes
+        return self._held[..., k[0] - self._first : end]
 
 
 def _lattice_interp(x: np.ndarray, nodes, what: str):
@@ -326,7 +350,10 @@ def _lattice_interp(x: np.ndarray, nodes, what: str):
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """The bump parameters of one (pair, T), gamma checked admissible (|H^(d)| > 1e-10 on the line)."""
+    """The bump parameters of one (pair, T), gamma checked admissible (|H^(d)| > 1e-10 on the line).
+
+    The verdict depends on the pair alone: its record (_PairTables) probes it once.
+    """
 
     pair: CriticalPair
     T: float
@@ -335,7 +362,7 @@ class ControlSpec:
     def __post_init__(self) -> None:
         check_type(self.pair, CriticalPair, "pair")
         check_positive(self.T, "T")
-        if not _gamma_admissible(self.pair, self.gamma, self.h_order):
+        if not _pair_tables(self.pair).gamma_ok:
             pair = (self.pair.k, self.pair.l)
             raise DomainError(f"gamma = {self.gamma} is not admissible for pair {pair}")
 
@@ -420,40 +447,89 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
 # the H lattice: exact below |z| = _H_SW, read from the nodes z_k = exp(_H_LZ0 + k _H_STEP) above
 _H_SW, _H_STEP = 5.0, 0.03
 _H_LZ0 = math.log(_H_SW)
+_PROBE_Z = np.geomspace(1.0, 1e9, 400)  # the spectrum cutoff probe's fixed points
 
 
-def _h_lattice(a: np.ndarray, exact, rot, what: str):
+class _HLattice:
     """exact(a) as (m, s) at the 1-D a >= 0: exact below _H_SW, else from the H lattice.
 
     Node k stores log|m| + s + Re rot(z_k) and arg m + Im rot(z_k), with
     (m, s) = exact(z_k); rot(a) takes out the growth, so both vary slowly in
     ln a.  One positive-abscissa table serves both readers: H mirrors z < 0
     onto |z|, and the kernel numerator, symmetric about p/2, z < p/2 onto
-    p - z.  No boolean mask: if any a reaches _H_SW, the lattice read takes
-    every a raised to _H_SW straight into the outputs, then the exact values
-    overwrite the points below it by index.
+    p - z.  Neither exact nor rot depends on T, so a pair's record
+    (_PairTables) holds one lattice for all its specs, its nodes kept from one
+    below the lowest stencil as in BumpTable.  No boolean mask: if any a
+    reaches _H_SW, the lattice read takes every a raised to _H_SW straight
+    into the outputs, then the exact values overwrite the points below it by
+    index.
     """
 
-    def nodes(k):
-        zk = np.exp(_H_LZ0 + k * _H_STEP)
-        mk, sk = exact(zk)
-        rk = rot(zk)
-        return np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag
+    def __init__(self, exact, rot, what: str):
+        self.exact, self.rot, self.what = exact, rot, what
+        self._nodes = _NodeStore(self._node_values, _LAT_OFFS[0] - 1)
 
-    lo = np.flatnonzero(a < _H_SW)
-    m_lo, s_lo = exact(a[lo])
-    m = np.empty(m_lo.shape[:-1] + a.shape, dtype=complex)
-    s = np.empty(m.shape)
-    if lo.size < a.size:
-        zc = np.maximum(a, _H_SW)
-        fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, nodes, what)
-        r = rot(zc)
-        gi -= r.imag
-        np.cos(gi, out=m.real)
-        np.sin(gi, out=m.imag)
-        np.subtract(fi, r.real, out=s)
-    m[..., lo], s[..., lo] = m_lo, s_lo
-    return m, s
+    def _node_values(self, k):
+        zk = np.exp(_H_LZ0 + k * _H_STEP)
+        mk, sk = self.exact(zk)
+        rk = self.rot(zk)
+        return np.stack([np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag])
+
+    def __call__(self, a: np.ndarray):
+        lo = np.flatnonzero(a < _H_SW)
+        m_lo, s_lo = self.exact(a[lo])
+        m = np.empty(m_lo.shape[:-1] + a.shape, dtype=complex)
+        s = np.empty(m.shape)
+        if lo.size < a.size:
+            zc = np.maximum(a, _H_SW)
+            fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, self._nodes, self.what)
+            r = self.rot(zc)
+            gi -= r.imag
+            np.cos(gi, out=m.real)
+            np.sin(gi, out=m.imag)
+            np.subtract(fi, r.real, out=s)
+        m[..., lo], s[..., lo] = m_lo, s_lo
+        return m, s
+
+
+class _PairTables:
+    """The T-independent tables of one critical pair, each filled on first use.
+
+    h holds H(z) and H^(d)(z + i gamma), d = h_order, and numerator intB H(z)
+    H(p - z); gamma_ok is ControlSpec's gamma verdict and probe_h is H at
+    _spectrum_cutoff's probe.  _pair_tables keeps one record per pair, so a T
+    sweep builds each node, the gamma probe and the probe's H once, and a warm
+    record reads what a fresh one gives.  The analytic layers are looked up
+    at each call, so a wrapper set after the record was made is still called.
+    """
+
+    def __init__(self, pair: CriticalPair):
+        self.pair, self.d = pair, 3 if pair.caseE0 else 1  # d = ControlSpec.h_order
+        L, p = pair.L, pair.p
+        self.h = _HLattice(self._h_exact, lambda a: MU[0] * L * np.cbrt(a), "H")
+        self.numerator = _HLattice(
+            lambda a: interaction_numerator(pair, a),
+            lambda a: MU[0] * L * np.cbrt(a) + np.conj(MU[0]) * L * np.cbrt(a - p),
+            "numerator",
+        )
+
+    def _h_exact(self, a):
+        hm, hs = h_scaled(a, self.pair.L)
+        dm, ds = _h_deriv_scaled(self.pair, _GAMMA, a, self.d)
+        return np.stack([hm, dm]), np.stack([hs, ds])
+
+    @cached_property
+    def gamma_ok(self) -> bool:
+        return _gamma_admissible(self.pair, _GAMMA, self.d)
+
+    @cached_property
+    def probe_h(self):
+        m, s = h_scaled(_PROBE_Z, self.pair.L)
+        m.flags.writeable = s.flags.writeable = False  # every spec of the pair reads them
+        return m, s
+
+
+_pair_tables = cache(_PairTables)  # one record per pair for the process; cache_clear() empties it
 
 
 def _h_factors(spec: ControlSpec, z: np.ndarray):
@@ -461,17 +537,10 @@ def _h_factors(spec: ControlSpec, z: np.ndarray):
 
     The one H reader of steering_spectrum and sign_report.  Above |z| = _H_SW
     each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
-    from the lattice (see steering_spectrum); z < 0 mirrors |z| by
+    from the pair's H lattice (see steering_spectrum); z < 0 mirrors |z| by
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
     """
-    L = spec.pair.L
-
-    def exact(zs):
-        hm, hs = h_scaled(zs, L)
-        dm, ds = _h_deriv_scaled(spec.pair, spec.gamma, zs, spec.h_order)
-        return np.stack([hm, dm]), np.stack([hs, ds])
-
-    m, s = _h_lattice(np.abs(z), exact, lambda a: MU[0] * L * np.cbrt(a), "H")
+    m, s = _pair_tables(spec.pair).h(np.abs(z))
     neg = np.flatnonzero(z < 0.0)
     if neg.size:
         m[:, neg] = np.conj(m[:, neg])
@@ -486,29 +555,25 @@ def _numerator(spec: ControlSpec, z: np.ndarray):
     about p/2.  It is the exact kernel.interaction_numerator at a below _H_SW
     (both root collisions, and z near p as p < 0.39) and at the nodes; above,
     each log plus R = mu_1 L a^{1/3} + conj(mu_1) L (a - p)^{1/3}, the growth
-    of H(a) H(p - a), is read from the H lattice.
+    of H(a) H(p - a), is read from the pair's numerator lattice.
     """
-    p, L = spec.pair.p, spec.pair.L
-
-    def rot(a):
-        return MU[0] * L * np.cbrt(a) + np.conj(MU[0]) * L * np.cbrt(a - p)
-
-    return _h_lattice(np.maximum(z, p - z), partial(interaction_numerator, spec.pair), rot, "numerator")
+    p = spec.pair.p
+    return _pair_tables(spec.pair).numerator(np.maximum(z, p - z))
 
 
 def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, float]:
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
-    z_probe = np.geomspace(1.0, 1e9, 400)
     # both entry points read the bump here first; from T ~ 1e135 its saddle or beta z overflow
     with in_double_range(f"the spectrum cutoff probe at T = {spec.T:g}"):
-        v1 = vhat1_scaled(spec.bump, spec.beta, z_probe)
-    m, s = _uhat_scaled(v1, h_scaled(z_probe, spec.pair.L))
+        v1 = vhat1_scaled(spec.bump, spec.beta, _PROBE_Z)
+    # H at the probe is exact, computed once per pair: a lattice read would build nodes to 1e9
+    m, s = _uhat_scaled(v1, _pair_tables(spec.pair).probe_h)
     logmag = np.log(np.abs(m) + 1e-300) + s
     peak = logmag.max()
-    beyond = np.flatnonzero((logmag < peak - drop) & (z_probe > z_probe[np.argmax(logmag)]))
+    beyond = np.flatnonzero((logmag < peak - drop) & (_PROBE_Z > _PROBE_Z[np.argmax(logmag)]))
     if beyond.size == 0:
         raise SupportLeak("spectrum cutoff not reached by z = 1e9; u-hat decays too slowly at this T, use a larger T")
-    return float(z_probe[beyond[0]]), float(peak)
+    return float(_PROBE_Z[beyond[0]]), float(peak)
 
 
 def _cis(x):

@@ -3,7 +3,9 @@
 perfbench/workloads.py pins the key outputs of each workload's default-seed
 operation list in perfbench/reference.json.  The benchmark reads them only
 when it runs, so a library change that moves a pin would pass the tests;
-here each workload's list runs once through its checks, read-only.
+here each workload's list runs through its checks, read-only: once on a
+cleared per-pair store and once more on the store it left, as the
+benchmark times its warm repetitions.
 """
 
 import importlib.util
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from kdvcrit import synthesis
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -30,8 +34,10 @@ wl = _load_workloads()
 def test_default_seed_outputs_match_the_pins(name):
     reference = wl.load_reference()
     assert name in reference
-    workload = wl.build(name, wl.DEFAULT_SEED)
-    for op in workload.ops:
-        assert op.name in reference[name], op.name
-        outputs = op.check(op.run())
-        assert wl.pin_mismatches(name, op.name, outputs, reference) == []
+    synthesis._pair_tables.cache_clear()
+    for _ in range(2):
+        workload = wl.build(name, wl.DEFAULT_SEED)
+        for op in workload.ops:
+            assert op.name in reference[name], op.name
+            outputs = op.check(op.run())
+            assert wl.pin_mismatches(name, op.name, outputs, reference) == []

@@ -8,7 +8,7 @@ import pytest
 
 import kdvcrit
 from kdvcrit import numbertheory as nt
-from kdvcrit import kernel, pde, spectral
+from kdvcrit import kernel, pde, spectral, synthesis
 from kdvcrit.cli import dispatch
 from kdvcrit.errors import LinearSolveFailure
 
@@ -262,6 +262,20 @@ def test_verify_signs_json(tmp_path):
     }  # SignReport.as_dict
     assert set(entry) == report_keys | {"pass_re_band", "pass_im_negative", "pass_im_below_minus_p"}
     assert entry["pass_re_band"] and entry["pass_im_negative"]
+
+
+def test_verify_signs_sweep_matches_single_runs(tmp_path):
+    # a T sweep in one process reads one per-pair store; each entry is the
+    # JSON of a single-T run made on a cleared store
+    argv = ["verify-signs", "--k", "3", "--l", "2", "--n-side", "2001", "--out"]
+    synthesis._pair_tables.cache_clear()
+    assert dispatch(argv + [str(tmp_path / "sweep.json"), "--tsweep", "0.5,0.4"]) == 0
+    singles = []
+    for T in ("0.5", "0.4"):
+        synthesis._pair_tables.cache_clear()
+        assert dispatch(argv + [str(tmp_path / f"{T}.json"), "--tsweep", T]) == 0
+        singles += json.loads((tmp_path / f"{T}.json").read_text())
+    assert json.loads((tmp_path / "sweep.json").read_text()) == singles
 
 
 def test_spectral_csv_is_stable(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
@@ -26,6 +27,11 @@ P41 = nt.CriticalPair(4, 1)
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _own_store(monkeypatch):
+    """An empty per-pair store for the rest of the test; the process's store is left as it was."""
+    monkeypatch.setattr(syn, "_pair_tables", functools.cache(syn._PairTables))
+
+
 # ---------------------------------------------------------------------------
 # bump transform
 # ---------------------------------------------------------------------------
@@ -50,9 +56,11 @@ def test_spec_parameters(monkeypatch):
     for n_side in (0, 1):
         with pytest.raises(DomainError):
             syn.sign_report(spec, n_side=n_side)
-    # gamma is fixed and only checked
+    # gamma is fixed and only checked, once per pair: an empty store of the
+    # test's own probes P21's verdict again, warm or cold as the process's is
     assert spec.gamma == spec2.gamma == 0.5
     monkeypatch.setattr(syn, "_gamma_admissible", lambda pair, gamma, d: False)
+    _own_store(monkeypatch)
     with pytest.raises(DomainError):
         syn.make_spec(P21, 1.0)
 
@@ -67,6 +75,7 @@ def test_control_spec_checks_itself(monkeypatch):
         with pytest.raises(DomainError):
             syn.ControlSpec(P21, T)
     monkeypatch.setattr(syn, "_gamma_admissible", lambda pair, gamma, d: False)
+    _own_store(monkeypatch)
     with pytest.raises(DomainError, match="not admissible"):
         syn.ControlSpec(P21, 1.0)
 
@@ -735,6 +744,7 @@ def test_sign_report_value_21_T25():
 
 
 def test_sign_report_reads_h_from_the_table(monkeypatch):
+    _own_store(monkeypatch)  # count the builds of a cleared store
     # H and H^(d) come from the steering table: jets run only below _H_SW and
     # at the lattice nodes, not at each of the 2 n_grid points of both shifts
     spec = syn.make_spec(P32, 0.4)
@@ -750,9 +760,11 @@ def test_sign_report_reads_h_from_the_table(monkeypatch):
 
 
 def test_sign_report_reads_the_numerator_from_the_table(monkeypatch):
+    _own_store(monkeypatch)  # count the builds of a cleared store
     # N/(Xi Xi~) comes from one H lattice read at max(z, p - z): the exact
     # kernel runs at the nodes and where max(z, p - z) < _H_SW, not at each
-    # grid point (546 of 8,001), and never at an abscissa below p/2
+    # grid point (547 of 8,001, one node of them below the lowest stencil),
+    # and never at an abscissa below p/2
     spec = syn.make_spec(P32, 0.4)
     seen = []
 
@@ -765,6 +777,77 @@ def test_sign_report_reads_the_numerator_from_the_table(monkeypatch):
     z = np.concatenate(seen)
     assert 0 < z.size < rep.n_grid / 10
     assert np.all(z >= P32.p / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the per-pair store
+# ---------------------------------------------------------------------------
+
+
+def _cold(fn, pair, T, **kw):
+    """fn(make_spec(pair, T)) on a cleared per-pair store."""
+    syn._pair_tables.cache_clear()
+    return fn(syn.make_spec(pair, T), **kw)
+
+
+@pytest.mark.parametrize("pair, first, second", [(P32, 0.4, 0.5), (P32, 0.5, 0.4), (P21, 25.0, 1.0)])
+def test_warm_store_reports_match_cold_calls(pair, first, second):
+    # the second spec of a pair reads the H and numerator nodes, the gamma
+    # verdict and the probe's H the first left; every SignReport field is a
+    # cleared-store call's, bit for bit (repr rounds no float)
+    syn._pair_tables.cache_clear()
+    warm = {T: syn.sign_report(syn.make_spec(pair, T), n_side=2001) for T in (first, second)}
+    for T, rep in warm.items():
+        assert repr(rep) == repr(_cold(syn.sign_report, pair, T, n_side=2001))
+
+
+def test_warm_store_spectra_match_cold_calls():
+    syn._pair_tables.cache_clear()
+    warm = {T: syn.steering_spectrum(syn.make_spec(P21, T)) for T in (25.0, 1.0)}
+    for T, trip in warm.items():
+        cold = _cold(syn.steering_spectrum, P21, T)
+        assert np.array_equal(trip.u_time, cold.u_time) and np.array_equal(trip.w_time, cold.w_time)
+        assert (trip.z_max, trip.outside_mass) == (cold.z_max, cold.outside_mass)
+
+
+def test_second_spec_of_a_pair_builds_no_node(monkeypatch):
+    _own_store(monkeypatch)  # count the builds of a cleared store
+    # (3,2) at T = 0.5 reads H and the numerator inside the node range T = 0.4
+    # built: the jets and the kernel run only at its exact points below
+    # _H_SW, never at a node abscissa, and the gamma probe (681 points to 1e5) not at all
+    jet_z, num_z = [], []
+
+    def counting_jets(z0, L, order):
+        jet_z.append(np.array(z0).real)
+        return jets.h_jets_scaled(z0, L, order)
+
+    def counting_numerator(pair, z):
+        num_z.append(np.array(z))
+        return kn.interaction_numerator(pair, z)
+
+    monkeypatch.setattr(syn, "h_jets_scaled", counting_jets)
+    monkeypatch.setattr(syn, "interaction_numerator", counting_numerator)
+    nodes = np.exp(syn._H_LZ0 + np.arange(-10, 2000) * syn._H_STEP)
+    syn.sign_report(syn.make_spec(P32, 0.4), n_side=2001)
+    assert 681 in [z.size for z in jet_z]
+    assert np.isin(np.concatenate(jet_z), nodes).sum() > 300
+    assert np.isin(np.concatenate(num_z), nodes).sum() > 300
+    jet_z.clear()
+    num_z.clear()
+    syn.sign_report(syn.make_spec(P32, 0.5), n_side=2001)
+    for z in (np.concatenate(jet_z), np.concatenate(num_z)):
+        assert z.size > 0 and np.all(z < syn._H_SW) and not np.isin(z, nodes).any()
+
+
+def test_a_raising_call_leaves_a_sound_store():
+    # the cutoff probe of (12,1) at T = 0.4 raises after the gamma verdict and
+    # the probe's H are held; the next spec of the pair reads what a fresh store gives
+    pair = nt.CriticalPair(12, 1)
+    syn._pair_tables.cache_clear()
+    with pytest.raises(SupportLeak, match="cutoff not reached"):
+        syn.sign_report(syn.make_spec(pair, 0.4), n_side=2001)
+    after = syn.sign_report(syn.make_spec(pair, 0.5), n_side=2001)
+    assert repr(after) == repr(_cold(syn.sign_report, pair, 0.5, n_side=2001))
 
 
 def _numerator_grid(pair):
