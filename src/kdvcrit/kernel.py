@@ -37,6 +37,7 @@ from .unreachable import constants, eta_triple
 __all__ = ["intB_closed", "AsymptoticReport", "verify_expansion"]
 
 _SERIES_CUT = 1e-3  # switch (e^{aL}-1)/a to its series below |a|L = 1e-3
+_SUM_CUT = 1e-3  # _root_sums' switch; cuts from 1e-4 to 0.3 measured alike against mpmath
 
 
 def _eta_terms(pair: CriticalPair):
@@ -70,7 +71,8 @@ def _intB_masked(pair: CriticalPair, z):
     z_arr, L = check_numeric(z, "z", complex).reshape(-1), pair.L
     lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)
     (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
-    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))  # int B = num / (qm qtm)
+    # int B = num / (qm qtm)
+    num = _numerator_scaled(L, pair.p, lam, lamt, qs, qts, *_eta_terms(pair))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / (qm * qtm)
     return vals, (np.abs(qm) < POLE_TOL) | (np.abs(qtm) < POLE_TOL)
@@ -102,19 +104,37 @@ def _end_profiles(lam, L, s):
     return np.roll(e0, -1, axis=-1) - e0, np.roll(el, -2, axis=-1) - el
 
 
-def _numerator_scaled(L, lam, lamt, qs, qts, ec, ee):
+def _root_sums(p, lam, lamt):
+    """The 9 sums l_j + mu~_m, last two axes (j, m), free of their cancellation.
+
+    With nu = -mu~ (a root of nu^3 + nu + i(z - p) = 0), subtracting the two
+    cubics gives l - nu = -ip / (l^2 + l nu + nu^2 + 1) exactly.  For the pair
+    with l ~ nu the sum is ~p |z|^{-2/3}/3 from roots of size |z|^{1/3}, so
+    adding them costs ~eps |z|/p relative, while the quotient is exact to
+    rounding; for the other pairs the quotient's denominator cancels instead.
+    So the quotient replaces the direct sum below _SUM_CUT |l|.
+    """
+    lr, mt = lam[..., :, None], lamt[..., None, :]
+    direct = lr + mt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = -1j * p / (lr * lr - lr * mt + mt * mt + 1.0)
+    return np.where(np.abs(direct) < _SUM_CUT * np.abs(lr), quotient, direct)
+
+
+def _numerator_scaled(L, p, lam, lamt, qs, qts, ec, ee):
     """Mantissa of int_0^L f g phi_x dx against the scale e^{qs + qts}.
 
     f0, fL (g0, gL) are the profile terms at x = 0 and x = L (_end_profiles);
     with w = e^{eta_k L}, common to every k, term (j, m, k) is
     c_k (w fL_j gL_m - f0_j g0_m)/a_jmk, or c_k f0_j g0_m L S(aL) for small aL,
-    where a_jmk = l_{j+2} + mu~_{m+2} + eta_{k+2}.  One (j, m) block per k
-    keeps the temporaries at 9 values per point.
+    where a_jmk = l_{j+2} + mu~_{m+2} + eta_{k+2}, its root sum from
+    _root_sums.  One (j, m) block per k keeps the temporaries at 9 values per
+    point.
     """
     (f0, fL), (g0, gL) = _end_profiles(lam, L, qs), _end_profiles(lamt, L, qts)
     low = f0[..., :, None] * g0[..., None, :]
     rise = np.exp(ee[0] * L) * fL[..., :, None] * gL[..., None, :] - low
-    lm = np.roll(lam, -2, axis=-1)[..., :, None] + np.roll(lamt, -2, axis=-1)[..., None, :]
+    lm = _root_sums(p, np.roll(lam, -2, axis=-1), np.roll(lamt, -2, axis=-1))
     acc = 0.0
     for c, e in zip(ec, ee):
         a = lm + e
@@ -145,7 +165,7 @@ def interaction_numerator(pair: CriticalPair, z: np.ndarray):
     lam, lamt = roots(z), shifted_roots(z, pair.p)
     # the log-scales of detq_scaled; the det Q mantissas are not read here
     qs, qts = (np.max((-np.roll(r, -2, axis=-1) * L).real, axis=-1) for r in (lam, lamt))
-    num = _numerator_scaled(L, lam, lamt, qs, qts, *_eta_terms(pair))
+    num = _numerator_scaled(L, pair.p, lam, lamt, qs, qts, *_eta_terms(pair))
     s = qs + qts
     with np.errstate(divide="ignore", invalid="ignore"):
         m = num / (xi(lam) * xi(lamt))

@@ -417,7 +417,11 @@ def _mn_dofs(sys_: _System, length_class: LengthClass) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramianReport:
-    """Singular values of the control-to-final-state map and its M_N parts."""
+    """Singular values of the control-to-final-state map and its M_N parts.
+
+    All three come from one triangular factor of the map (see gramian), with
+    the values and counts of the map's own SVDs.
+    """
 
     L: float
     N: int
@@ -482,6 +486,12 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     M_N shapes must have rank dim M_N in that norm (singular values above
     1e-5 sigma_max, the square root of a 1e-10 Gram-eigenvalue cut); a grid
     whose nodes alias them away raises ResolutionError.
+
+    All three spectra come from one triangular factor (Chan's R-SVD): with
+    Phi^T = Q R and Q's columns orthonormal, Phi = R^T Q^T has R^T's singular
+    values, and so have its projections onto the shapes and their complement.
+    Q is never formed, and the SVDs run on R^T, nfree x min(nfree, nt + 1),
+    not on the nfree x (nt + 1) map.
     """
     check_type(length_class, LengthClass, "length_class")
     sys_ = _System(grid)
@@ -494,11 +504,12 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
             f"M_N shapes have rank {rank} != dim M_N = {length_class.dim_MN} "
             f"for N = {length_class.N} at nx = {grid.nx}; refine the grid"
         )
-    phi_l2 = r @ _control_map(sys_)
-    full = np.linalg.svd(phi_l2, compute_uv=False)
+    rt = np.linalg.qr((r @ _control_map(sys_)).T, mode="r").T
     qb, _ = np.linalg.qr(shapes)  # L2-orthonormal basis of the shapes
-    restricted = np.linalg.svd(qb.T @ phi_l2, compute_uv=False)
-    complement = np.linalg.svd(phi_l2 - qb @ (qb.T @ phi_l2), compute_uv=False)
+    proj = qb.T @ rt
+    full = np.linalg.svd(rt, compute_uv=False)
+    restricted = np.linalg.svd(proj, compute_uv=False)
+    complement = np.linalg.svd(rt - qb @ proj, compute_uv=False)
     return GramianReport(
         L=grid.L,
         N=length_class.N,

@@ -708,6 +708,8 @@ class SignReport:
             "wshift": [self.wshift.real, self.wshift.imag],
             "re_ratio": self.re_ratio,
             "im_ratio_over_T": self.im_ratio,
+            # Im I/T + p: I carries the bump's centring phase e^{-ipT/2} and
+            # e^{ipT/2} I -> 1 as T -> 0, so this tends to p/2, not to 0
             "im_ratio_plus_p": self.im_ratio + p,
             "prop37_ratio": [self.prop37_ratio.real, self.prop37_ratio.imag],
             "z_peak": self.z_peak,

@@ -77,6 +77,21 @@ def test_interaction_numerator_near_collision_matches_mpmath(pair):
             assert np.isfinite(m) and abs(m * math.exp(s) - exact) <= bound * abs(exact), (c, off)
 
 
+@pytest.mark.parametrize(
+    "k, l, z, bound", [(3, 2, 1.5e6, 1e-11), (12, 11, 1.4e10, 5e-8)], ids=["32", "12-11"]
+)
+def test_interaction_numerator_large_z_log_magnitude(k, l, z, bound):
+    # at the T = 0.4 sign humps the matched root sums l + mu~ are ~p |z|^{-2/3}/3
+    # from roots of size |z|^{1/3}; formed as a sum they cost the log-magnitude
+    # 2.7e-10 and 4.1e-5, from the cubics' quotient 1.4e-12 and 9.3e-9 (80 digits)
+    pair = nt.CriticalPair(k, l)
+    m, s = kn.interaction_numerator(pair, np.array([z]))
+    with mp.workdps(80):
+        total, _, xi = oracles.intb_mp(pair, z)
+        exact = float(mp.log(abs(total / xi)))
+    assert abs(math.log(abs(m[0])) + s[0] - exact) <= bound
+
+
 def test_b_eval_finite_at_x0():
     val = oracles.B_eval(P21, 123.4, 0.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)

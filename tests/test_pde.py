@@ -424,6 +424,28 @@ def test_gramian_collapse_rate_multi_pair(N, dim):
     assert free.restricted_min_ratio >= 1e-4
 
 
+@pytest.mark.parametrize("N", [3, 7])
+@pytest.mark.parametrize("nx, steps", [(32, 80), (8, 10)], ids=["wide", "tall"])
+def test_gramian_spectra_match_direct_svds(N, nx, steps):
+    # gramian reads the three spectra off a triangular factor of the map; they
+    # are the singular values of the L2 map itself and of its projections
+    # onto the M_N shapes and their complement (measured within 9e-16 sigma_1)
+    cls = nt.representations(N)
+    g = pde.Grid(L=cls.L, nx=nx, T=1.0, nt=steps)
+    rep = pde.gramian(g, cls)
+    sys_ = pde._System(g)
+    r = pde._mass_cholesky(sys_)
+    phi_l2 = r @ pde._control_map(sys_)
+    assert (phi_l2.shape[1] > phi_l2.shape[0]) == (nx == 32)
+    qb, _ = np.linalg.qr(r @ pde._mn_dofs(sys_, cls))
+    proj = qb.T @ phi_l2
+    direct = [np.linalg.svd(m, compute_uv=False) for m in (phi_l2, proj, phi_l2 - qb @ proj)]
+    tol = 1e-13 * direct[0][0]
+    for got, want in zip((rep.singular_values, rep.restricted, rep.complement), direct):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol)
+
+
 def test_mn_shapes_contain_one_minus_cos():
     # at L = 2 pi (N = 3) M_N is spanned by 1 - cos x: the gramian's shapes
     # hold its Hermite interpolant in the mass norm
