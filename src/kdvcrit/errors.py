@@ -93,6 +93,14 @@ def check_finite(value, name: str) -> np.ndarray:
     return arr
 
 
+def check_signal(value, name: str) -> np.ndarray:
+    """value as a float array, if it is one row of finite samples."""
+    arr = check_finite(value, name)
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be a 1-D array of samples, got shape {arr.shape}")
+    return arr
+
+
 def check_type(value, cls: type, name: str):
     """value, if it is an instance of cls."""
     if not isinstance(value, cls):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_numeric, check_positive, in_double_range
+from .errors import DomainError, check_finite, check_int, check_numeric, check_positive, check_signal, in_double_range
 
 __all__ = [
     "MU",
@@ -163,8 +163,10 @@ def exp_sum_scaled(coeffs: np.ndarray, exps: np.ndarray):
     sum runs over the last axis.
     """
     s = np.max(exps.real, axis=-1)
-    m = np.sum(coeffs * np.exp(exps - s[..., None]), axis=-1)
-    return m, s
+    # named first: numpy reuses a large unnamed operand as the output and then
+    # puts it first, and the fused complex product rounds by operand order
+    e = np.exp(exps - s[..., None])
+    return np.sum(coeffs * e, axis=-1), s
 
 
 def detq_scaled(lam: np.ndarray, L: float):
@@ -323,7 +325,7 @@ def paley_wiener_check(
     scaled |H| mantissa below _PW_POLE_TOL are excluded and counted), and the
     report carries the fitted constants C = max |f| e^{-T |Im z|}.
     """
-    u = check_finite(u, "u")
+    u = check_signal(u, "u")
     check_positive(dt, "dt")
     check_positive(T, "T")
     check_positive(z_max, "z_max")

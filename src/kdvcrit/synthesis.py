@@ -28,8 +28,9 @@ hump that can reach exp(hundreds) at small T.  Everything is therefore
 evaluated in (mantissa, log-scale) form: the bump transform by a checked
 trapezoid rule below a switch (exponentially convergent: the bump is flat at
 t = +-1) and by contour deformation through its endpoint saddles above it, H
-and H^(d) by scaled Taylor jets below |z| = 5 and from one log-lattice table
-above (read by the steering spectrum and the sign integrals alike), and
+and H^(d) exactly below |z| = 5 (H^(d) from the partial fractions of det Q/Xi,
+jets.py) and from one log-lattice table above (read by the steering spectrum
+and the sign integrals alike), and
 intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi factors come from
 the root triples of N itself: u-hat's H factors cancel exactly, so no det Q
 pole remains.  The quotient is symmetric about z = p/2 (the kernel pairs
@@ -54,7 +55,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CaseError, DomainError, ResolutionError, SupportLeak
-from .errors import check_finite, check_int, check_positive, check_type, in_double_range
+from .errors import check_int, check_positive, check_signal, check_type, in_double_range
 from .jets import h_jets_scaled
 from .kernel import interaction_numerator
 from .numbertheory import CriticalPair
@@ -389,8 +390,7 @@ class ControlSpec:
 
 
 def _h_deriv_scaled(pair: CriticalPair, gamma: float, z: np.ndarray, d: int):
-    jet, s0 = h_jets_scaled(z + 1j * gamma, pair.L, d)
-    return jet[:, d] * math.factorial(d), s0
+    return h_jets_scaled(z + 1j * gamma, pair.L, d)
 
 
 def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
@@ -829,7 +829,7 @@ def fractional_norm(u: np.ndarray, s: float, dt: float) -> SobolevNorm:
     """
     if not -2.0 <= s <= 2.0:
         raise DomainError("s outside the supported band [-2, 2]")
-    u = check_finite(u, "u")
+    u = check_signal(u, "u")
     check_positive(dt, "dt")
     n = int(_PAD_FACTOR * 2 ** math.ceil(math.log2(max(u.size, 2))))
     with in_double_range(f"fractional_norm at dt = {dt:g}"):

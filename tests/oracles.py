@@ -103,12 +103,6 @@ def intb_mp(pair, z):
     def profile(r):
         return [(mp.exp(r[(j + 1) % 3] * L) - mp.exp(r[j] * L), r[(j + 2) % 3]) for j in range(3)]
 
-    def detq(r):
-        return sum((r[(j + 1) % 3] - r[j]) * mp.exp(-r[(j + 2) % 3] * L) for j in range(3))
-
-    def xi(r):
-        return -(r[1] - r[0]) * (r[2] - r[1]) * (r[0] - r[2])
-
     total = 0
     for f, lf in profile(lam):
         for g, lg in profile(mu):
@@ -116,7 +110,37 @@ def intb_mp(pair, z):
                 a = lf + lg + eta[(k + 2) % 3]
                 c = (eta[(k + 1) % 3] - eta[k]) * eta[(k + 2) % 3]
                 total += c * f * g * (mp.exp(a * L) - 1) / a
-    return total, detq(lam) * detq(mu), xi(lam) * xi(mu)
+    return total, _detq_mp(lam, L) * _detq_mp(mu, L), _xi_mp(lam) * _xi_mp(mu)
+
+
+def _detq_mp(r, L):
+    import mpmath as mp
+
+    return sum((r[(j + 1) % 3] - r[j]) * mp.exp(-r[(j + 2) % 3] * L) for j in range(3))
+
+
+def _xi_mp(r):
+    return -(r[1] - r[0]) * (r[2] - r[1]) * (r[0] - r[2])
+
+
+def h_derivative_mp(pair, z, d: int, dps: int = 40):
+    """(log |H^(d)(z)|, arg H^(d)(z)) as floats, from mp.diff of det Q / Xi at dps digits.
+
+    det Q and Xi are formed from the three roots, not from the partial
+    fractions that jets.h_jets_scaled sums, so the two are independent.  The
+    value itself leaves double range at large z; its log does not.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        L = mp.mpf(pair.L)
+
+        def h(w):
+            r = mp.polyroots([1, 0, 1, 1j * w], maxsteps=200, extraprec=200)
+            return _detq_mp(r, L) / _xi_mp(r)
+
+        val = mp.diff(h, mp.mpc(z), d)
+        return float(mp.log(abs(val))), float(mp.arg(val))
 
 
 def shifted_asymptotic_roots(z: np.ndarray, order: int, p: float) -> np.ndarray:
@@ -176,7 +200,7 @@ def steering_spectra(spec, z):
 
 
 def h_derivative_on_line(pair, gamma: float, z, d: int):
-    """d-th derivative of H at z + i gamma via jets (d in {1, 3})."""
+    """d-th derivative of H at z + i gamma by the closed form (d in {1, 3})."""
     if d not in (1, 3):
         raise DomainError(f"derivative order must be 1 or 3, got {d}")
     m, s0 = _h_deriv_scaled(pair, gamma, z, d)

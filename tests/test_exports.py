@@ -138,6 +138,7 @@ POSITIVE = (math.nan, math.inf, 0.0, -1.0)
 NON_NUMERIC = ("abc", Opaque())
 ARRAY = (np.full(3, math.nan), np.array([0.0, math.inf]), np.array([])) + NON_NUMERIC
 OBJECT = (3, (2, 1))
+NOT_A_ROW = (np.ones((4, 4)),)  # finite, but not the one row of samples a signal is
 # finite grids whose step is too small for the mass matrix's Cholesky factor
 TINY_GRIDS = tuple(pde.Grid(L=L, nx=8, T=1.0, nt=10) for L in (1e-140, 1e-160))
 
@@ -173,7 +174,7 @@ BAD_INPUT = {
     "spectral.paley_wiener_check": (
         spectral.paley_wiener_check,
         {"u": SIGNAL, "dt": 0.1, "T": 1.6, "L": 3.0, "z_max": 5.0, "n_z": 5},
-        {"u": ARRAY, "dt": POSITIVE + (1e300,), "T": POSITIVE, "L": POSITIVE + (1e300,),
+        {"u": ARRAY + NOT_A_ROW, "dt": POSITIVE + (1e300,), "T": POSITIVE, "L": POSITIVE + (1e300,),
          "z_max": POSITIVE, "n_z": bad_ints(1)},
     ),
     "kernel.intB_closed": (
@@ -238,7 +239,7 @@ BAD_INPUT = {
     "synthesis.fractional_norm": (
         synthesis.fractional_norm,
         {"u": SIGNAL, "s": 0.5, "dt": 0.1},
-        {"u": ARRAY, "s": (math.nan, math.inf, 3.0, -3.0), "dt": POSITIVE + (1e-300, 1e300)},
+        {"u": ARRAY + NOT_A_ROW, "s": (math.nan, math.inf, 3.0, -3.0), "dt": POSITIVE + (1e-300, 1e300)},
     ),
 }
 
