@@ -51,8 +51,8 @@ class FixedPointDiverged(KdvCritError):
 
 
 class NotReachable(KdvCritError):
-    """HUM target not reached: conjugate gradient ended above tolerance, as it
-    does for a target with a component in M_N at a critical length."""
+    """HUM target not reached: the residual at the Gram matrix's numerical rank
+    exceeds the tolerance, as for a target with a component in M_N at a critical length."""
 
 
 class RootDerivativeSingular(KdvCritError):

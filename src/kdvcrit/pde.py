@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
+import scipy.sparse.linalg as sparse_linalg  # noqa: F401  perfbench/tracer.py wraps this binding
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -528,13 +528,14 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
 def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     """Minimum-L^2-norm control whose final state matches ``target``.
 
-    Plain conjugate gradient from mu = 0 on the normal equations
-    Phi Phi^T mu = g of the L^2-geometry control map (HUM), with
-    u = Phi^T mu.  ``target`` is a (values, derivatives) pair of nx+2 nodal
-    arrays.  CG stops once the relative residual |g - Phi Phi^T mu| / |g| is
-    at most ``tol``; a target that does not get there within scipy's 10 n
-    iterations (n free DOFs) raises NotReachable, as a target with a
-    component in M_N at a critical length does.
+    HUM on the L^2-geometry control map Phi: u = Phi^T mu, mu from the
+    eigenpairs (lambda_i, v_i) of G = Phi Phi^T.  The k largest give
+    mu = sum v_i (v_i^T g) / lambda_i, whose residual |g - G mu| is the norm
+    of g's other coefficients; the fewest with a relative residual of at most
+    ``tol`` are kept.  A target whose residual at the numerical rank
+    (lambda > n eps lambda_max, n free DOFs) still exceeds ``tol`` raises
+    NotReachable, as one with a component in M_N at a critical length does.
+    ``target`` is a (values, derivatives) pair of nx+2 nodal arrays.
     """
     check_positive(tol, "tol")
     sys_ = _System(grid)
@@ -542,11 +543,13 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     r_chol = _mass_cholesky(sys_)
     phi_l2 = r_chol @ _control_map(sys_)
     g = r_chol @ g_dofs
-    gram = phi_l2 @ phi_l2.T
-    mu, info = sparse_linalg.cg(gram, g, rtol=tol, atol=0.0)
-    if info > 0:
-        res = np.linalg.norm(g - gram @ mu) / np.linalg.norm(g)
-        raise NotReachable(
-            f"CG did not converge in {info} iterations (relative residual {res:.3e})"
-        )
-    return phi_l2.T @ mu
+    lam, vec = np.linalg.eigh(phi_l2 @ phi_l2.T)  # ascending
+    c = vec.T @ g
+    res = np.sqrt(np.cumsum(np.append(0.0, c**2)))  # res[j] = |g - G mu| with pairs j.. kept
+    bound = tol * np.linalg.norm(g)
+    j_rank = int(np.sum(lam <= lam.size * np.finfo(float).eps * lam[-1]))
+    if res[j_rank] > bound:
+        rel, rank = res[j_rank] / np.linalg.norm(g), lam.size - j_rank
+        raise NotReachable(f"target not reachable: relative residual {rel:.3e} > tol at the numerical rank {rank}")
+    j = int(np.searchsorted(res, bound, side="right")) - 1
+    return phi_l2.T @ (vec[:, j:] @ (c[j:] / lam[j:]))

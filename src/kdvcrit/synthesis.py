@@ -25,23 +25,22 @@ controllability time.
 Numerics: |H| grows like exp(0.87 L z^{1/3}) along the real axis while
 |v-hat| decays like exp(-sqrt(beta nu z)), so the integrands carry an interior
 hump that can reach exp(hundreds) at small T.  Everything is therefore
-evaluated in (mantissa, log-scale) form: the bump transform by a checked
-trapezoid rule below a switch (exponentially convergent: the bump is flat at
-t = +-1) and by contour deformation through its endpoint saddles above it, H
-and H^(d) exactly below |z| = 5 (H^(d) from the partial fractions of det Q/Xi,
-jets.py) and from one log-lattice table above (read by the steering spectrum
-and the sign integrals alike), and
-intB H(z) H(p-z) by the kernel module's N/(Xi Xi~), whose Xi factors come from
-the root triples of N itself: u-hat's H factors cancel exactly, so no det Q
-pole remains.  The quotient is symmetric about z = p/2 (the kernel pairs
-the profiles at z and p - z), so it is read at max(z, p - z): exact below 5,
-which holds both root collisions of Xi (N and Xi Xi~ vanish together there,
+evaluated in (mantissa, log-scale) form, and each factor by one _Table: a near
+function up to a switch and, above it, an 8-node stencil read from a
+log-lattice of the log with its growth taken out.  The bump transform's near
+function is a checked trapezoid rule (exponentially convergent: the bump is
+flat at t = +-1), its nodes the contour through its endpoint saddles.  H and
+H^(d) (the partial fractions of det Q/Xi, jets.py) are exact up to |z| = 5 and
+at the nodes.  So is intB H(z) H(p-z), the kernel module's N/(Xi Xi~), whose
+Xi factors come from the root triples of N itself: u-hat's H factors cancel
+exactly, so no det Q pole remains.  It is symmetric about z = p/2 (the kernel
+pairs the profiles at z and p - z), so it is read at max(z, p - z); its near
+range holds both root collisions of Xi (N and Xi Xi~ vanish together there,
 no float hits them, and it is ~1e-8 accurate within 2 ulp of them,
-tests/test_kernel.py), and from the H lattice's nodes above.  u(t) and the
-real profile of w(t) are one real inverse FFT each of the z >= 0 half spectra.
-Only the bump depends on T: the H and numerator lattice nodes, the gamma check
-and the cutoff probe's H are held once per critical pair (_PairTables), so a
-sweep in T builds them once.
+tests/test_kernel.py).  u(t) and the real profile of w(t) are one real inverse
+FFT each of the z >= 0 half spectra.  Only the bump depends on T: the H and
+numerator tables, the gamma check and the cutoff probe's H are held once per
+critical pair (_PairTables), so a sweep in T builds them once.
 """
 
 from __future__ import annotations
@@ -185,9 +184,9 @@ def _half_contour(nu: float, w: np.ndarray):
     return total, s_ref
 
 
-_LAT_H = 0.04  # lattice step in ln q, q = sqrt(w)
-_LAT_OFFS = np.arange(-3, 5)  # Lagrange stencil about the base node q_j <= q < q_{j+1}
+_LAT_OFFS = np.arange(-3, 5)  # Lagrange stencil about the base node a_j <= a < a_{j+1}
 _LAT_C = np.array([1.0 / np.prod([a - b for b in _LAT_OFFS if b != a]) for a in _LAT_OFFS])
+_LAT_FIRST = _LAT_OFFS[0] - 1  # rounding can put a point just above the switch on base -1
 _LAT_BLOCK = 16384  # points per stencil block: the working set stays in cache
 
 
@@ -196,107 +195,59 @@ def _wrap(x):
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def vhat1_scaled(nu: float | BumpTable, beta: float, z: np.ndarray):
-    """The real even factor v1(beta z) of the bump transform at the 1-D z, as (m, log-scale).
-
-    v-hat(z) = e^{-i beta z} v1(beta z); nu may be given as its BumpTable, whose
-    nodes the call reuses.  Every call reads a BumpTable of nu, so a value depends
-    on (nu, beta z) alone: any subset of a grid gives values bit-identical to
-    the full call.
-    """
-    table = nu if isinstance(nu, BumpTable) else BumpTable(nu)
-    return table.eval_w(beta * np.abs(z))
+def _cis(x):
+    """e^{ix} for real x: cos into .real and sin into .imag of one complex array."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
-class BumpTable:
-    """v1(w) for one nu: a trapezoid rule below w_sw, a lattice table of the half contour above.
+class _Table:
+    """A function of the 1-D a >= 0 as (m, s): near(a) up to a_sw, a lattice read above.
 
-    Below the switch w_sw = min((nu + 18)^2 / nu, max(80, 8 nu)) the distinct |w|
-    go to one batched quad call, the trapezoid rule of step 1/(2N), N = 512
-    (a row per w, so the batch does not change a value); it raises
-    ResolutionError when the step-1/N sum differs by more than 1e-7 e^{-sqrt(nu w)}
-    (first met at T = 2300) plus 16 eps (1/N) sum f_i (2.7 measured, T in [0.001, 50]).
-    It is within 1.9e-10, 4.2e-10, 4.0e-12, 1.7e-14, 1.7e-15 and 7.8e-16 e^{-sqrt(nu w)}
-    of mpmath at T = 0.01, 0.05, 0.4, 5, 25, 50.  Above it, v1 = 2 Re(e^{-iw} C) with
-    C the half contour, whose saddle exponent is -(1 - i) sqrt(nu w) + O(1).
-    With that exponent removed, log|C| + sqrt(nu w) and arg(C e^{-i sqrt(nu w)})
-    vary slowly in ln q, q = sqrt(w); they are tabulated at the lattice nodes
-    q_k = q_0 e^{k h}, with q_0 and h fixed by nu alone, and each point is
-    interpolated from its own 8-node Lagrange stencil, its phase unwrapped
-    about the stencil's base node.  The instance keeps the nodes from -1 up
-    to the highest a request has read (rounding may put a point just above
-    w_sw on base 2, whose stencil starts at node -1), so a later request builds
-    only the nodes past them; a node is the same built alone.  The bump store
-    is per spec (ControlSpec.bump): its nodes depend on T through nu, so a T
-    sweep would not reuse them.  The H and numerator stores are per pair
-    (_pair_tables).
-    For T in [0.05, 50] and w <= 1e6 the result is within 1.2e-10 of |C| of
-    the exact half contour, which is the rounding of the phase w itself.
-
-    The switch is 80 for T > 0.0598 (nu < 9.35), where the lattice is within
-    5e-13 of |C| of the exact half contour on [80, 240] and, for T in [1, 50],
-    within 6.9e-11 of e^{-sqrt(nu w)} of the rule up to sqrt(nu w) = nu + 12.
-    At smaller T the 8 nu term keeps (nu + 18)^2 / nu: a lattice started at 0.7 w_sw
-    misses the half contour by 7e-6 |C|, the rule at w_sw mpmath by 9.6e-10 e^{-sqrt(nu w)}.
+    Node k, a_k = a_sw e^{k h}, stores log|m| + s + Re rot(a_k) and arg m +
+    Im rot(a_k) of (m, s) = node(a_k); rot takes out the growth, so both vary
+    slowly in ln a.  A point above a_sw is read by _lattice_interp, and its
+    mantissa is finish(phase, a), phase and log-scale less Im and Re rot(a).
+    The nodes are held contiguously from _LAT_FIRST to the highest read so
+    far, and a read builds only those past them, each from its a_k alone: a
+    held table reads what a fresh one gives, bit for bit.  No boolean mask: if
+    any a exceeds a_sw, the lattice reads every a raised to a_sw, and near's
+    values overwrite the points at or below it by index.
     """
 
-    def __init__(self, nu: float):
-        self.nu = nu
-        self.w_sw = min((nu + 18.0) ** 2 / nu, max(80.0, 8.0 * nu))
-        # the lowest stencil of a point above the switch starts at node 0
-        self._lq0 = 0.5 * math.log(self.w_sw) + _LAT_OFFS[0] * _LAT_H
-        self._nodes = _NodeStore(self._node_values, -1)
-
-    def eval_w(self, w):
-        """(m, log-scale) of v1 at a 1-D w: the lattice read takes every |w| raised
-        to w_sw, and the rule overwrites the points at or below it by index."""
-        aw = np.abs(np.asarray(w, dtype=float))
-        if aw.size and aw.max() > self.w_sw:
-            m, s = self._lattice(np.maximum(aw, self.w_sw))
-        else:
-            m, s = np.empty(aw.shape), np.empty(aw.shape)
-        direct = np.flatnonzero(aw <= self.w_sw)
-        # one rule per distinct |w|: symmetric grids repeat each twice
-        uw, inv = np.unique(aw[direct], return_inverse=True)
-        f = np.exp(-self.nu / (1.0 - _TRAP_T**2))
-        m[direct], s[direct] = quad(self.nu, f, uw)[inv], 0.0
-        return m, s
-
-    def _node_values(self, k):
-        """f and the phase g at the nodes k."""
-        q = np.exp(self._lq0 + k * _LAT_H)
-        c, cs = _half_contour(self.nu, q * q)
-        rq = math.sqrt(self.nu) * q
-        # log C + (1 - i) sqrt(nu w) = f + i g, g known modulo 2 pi
-        return np.stack([np.log(np.abs(c)) + cs + rq, np.angle(c) - rq])
-
-    def _lattice(self, w: np.ndarray):
-        fi, gi = _lattice_interp((0.5 * np.log(w) - self._lq0) / _LAT_H, self._nodes, "bump")
-        rw = math.sqrt(self.nu) * np.sqrt(w)
-        return 2.0 * np.cos(gi + rw - w), fi - rw
-
-
-class _NodeStore:
-    """The nodes first, first + 1, ... of one lattice, held contiguously from first.
-
-    build(k) gives the values at the ascending nodes k on the last axis, each
-    from its k alone.  A request builds only the nodes past the highest held,
-    so what it reads is what a fresh store gives, bit for bit.
-    """
-
-    def __init__(self, build, first: int):
-        self._build, self._first = build, first
+    def __init__(self, near, node, rot, finish, a_sw: float, h: float, what: str):
+        self.near, self.node, self.rot, self.finish = near, node, rot, finish
+        self.a_sw, self.h, self.what = a_sw, h, what
+        self._log_sw = math.log(a_sw)
         self._held = None
 
-    def __call__(self, k: np.ndarray) -> np.ndarray:
-        """The values at the contiguous ascending nodes k, k[0] >= first."""
+    def _nodes(self, k: np.ndarray) -> np.ndarray:
+        """The stored pairs at the contiguous ascending nodes k, k[0] >= _LAT_FIRST, on the last axis."""
         n = 0 if self._held is None else self._held.shape[-1]
-        end = k[-1] + 1 - self._first
+        end = k[-1] + 1 - _LAT_FIRST
         if end > n:
-            new = self._build(self._first + np.arange(n, end))
+            ak = np.exp(self._log_sw + (_LAT_FIRST + np.arange(n, end)) * self.h)
+            (m, s), r = self.node(ak), self.rot(ak)
+            new = np.stack([np.log(np.abs(m)) + s + r.real, np.angle(m) + r.imag])
             self._held = new if self._held is None else np.concatenate([self._held, new], axis=-1)
             self._held.flags.writeable = False  # readers share the held nodes
-        return self._held[..., k[0] - self._first : end]
+        return self._held[..., k[0] - _LAT_FIRST : end]
+
+    def __call__(self, a: np.ndarray):
+        lo = np.flatnonzero(a <= self.a_sw)
+        if lo.size == a.size:
+            return self.near(a)
+        ac = np.maximum(a, self.a_sw)
+        f, g = _lattice_interp((np.log(ac) - self._log_sw) / self.h, self._nodes, self.what)
+        r = self.rot(ac)
+        g -= r.imag
+        f -= r.real
+        m = self.finish(g, ac)
+        if lo.size:
+            m[..., lo], f[..., lo] = self.near(a[lo])
+        return m, f
 
 
 def _lattice_interp(x: np.ndarray, nodes, what: str):
@@ -344,6 +295,63 @@ def _lattice_interp(x: np.ndarray, nodes, what: str):
     return fi, gi
 
 
+def vhat1_scaled(table: BumpTable, beta: float, z: np.ndarray):
+    """The real even factor v1(beta z) of v-hat(z) = e^{-i beta z} v1(beta z) at the 1-D z, as (m, log-scale).
+
+    Read from the BumpTable of nu, so a value depends on (nu, beta z) alone:
+    a subset of a grid reads the full call's values.
+    """
+    return table.eval_w(beta * np.abs(z))
+
+
+_BUMP_STEP = 0.08  # the bump lattice's step in ln w
+
+
+class BumpTable:
+    """v1(w) for one nu: a trapezoid rule up to w_sw, a _Table of the half contour above.
+
+    Up to w_sw = min((nu + 18)^2 / nu, max(80, 8 nu)) the distinct |w| go to one
+    batched quad call, the trapezoid rule of step 1/(2N), N = 512 (a row per w,
+    so the batch does not change a value); it raises ResolutionError when the
+    step-1/N sum differs by more than 1e-7 e^{-sqrt(nu w)} (first met at
+    T = 2300) plus 16 eps (1/N) sum f_i (2.7 measured, T in [0.001, 50]).  It is
+    within 1.9e-10, 4.2e-10, 4.0e-12, 1.7e-14, 1.7e-15 and 7.8e-16 e^{-sqrt(nu w)}
+    of mpmath at T = 0.01, 0.05, 0.4, 5, 25, 50.  Above it, v1 = 2 Re(e^{-iw} C)
+    with C the half contour, whose saddle exponent -(1 - i) sqrt(nu w) the
+    table takes out (rot) at the nodes w_k = w_sw e^{0.08 k}; a read gives
+    2 cos(phase - w).  The table is per spec (ControlSpec.bump): its nodes
+    depend on T through nu, so a T sweep would not reuse them.
+    For T in [0.05, 50] and w <= 1e6 the result is within 1.2e-10 of |C| of
+    the exact half contour, which is the rounding of the phase w itself.
+
+    The switch is 80 for T > 0.0598 (nu < 9.35), where the lattice is within
+    5e-13 of |C| of the exact half contour on [80, 240] and, for T in [1, 50],
+    within 6.9e-11 of e^{-sqrt(nu w)} of the rule up to sqrt(nu w) = nu + 12.
+    At smaller T the 8 nu term keeps (nu + 18)^2 / nu: a lattice started at 0.7 w_sw
+    misses the half contour by 7e-6 |C|, the rule at w_sw mpmath by 9.6e-10 e^{-sqrt(nu w)}.
+    """
+
+    def __init__(self, nu: float):
+        self.nu = nu
+        self.w_sw = min((nu + 18.0) ** 2 / nu, max(80.0, 8.0 * nu))
+        self._table = _Table(
+            self._rule,
+            lambda w: _half_contour(nu, w),
+            lambda w: (1.0 - 1.0j) * (math.sqrt(nu) * np.sqrt(w)),
+            lambda phase, w: 2.0 * np.cos(phase - w),
+            self.w_sw, _BUMP_STEP, "bump",
+        )
+
+    def eval_w(self, w):
+        """(m, log-scale) of v1 at a 1-D w."""
+        return self._table(np.abs(np.asarray(w, dtype=float)))
+
+    def _rule(self, w):
+        # one rule per distinct w: symmetric grids repeat each twice
+        uw, inv = np.unique(w, return_inverse=True)
+        return quad(self.nu, np.exp(-self.nu / (1.0 - _TRAP_T**2)), uw)[inv], np.zeros(w.shape)
+
+
 # ---------------------------------------------------------------------------
 # control spec
 # ---------------------------------------------------------------------------
@@ -380,8 +388,8 @@ class ControlSpec:
         return 2 if self.pair.caseE0 else 1
 
     @property
-    def h_order(self) -> int:
-        return 1 if self.case == 1 else 3
+    def h_order(self) -> int:  # the pair record's d
+        return _pair_tables(self.pair).d
 
     @cached_property
     def bump(self) -> BumpTable:
@@ -444,70 +452,35 @@ def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
     return pref * v1m * dm, v1s + ds
 
 
-# the H lattice: exact below |z| = _H_SW, read from the nodes z_k = exp(_H_LZ0 + k _H_STEP) above
+# the H and numerator tables: exact up to |z| = _H_SW, read from the nodes z_k = _H_SW e^{k _H_STEP} above
 _H_SW, _H_STEP = 5.0, 0.03
-_H_LZ0 = math.log(_H_SW)
 _PROBE_Z = np.geomspace(1.0, 1e9, 400)  # the spectrum cutoff probe's fixed points
-
-
-class _HLattice:
-    """exact(a) as (m, s) at the 1-D a >= 0: exact below _H_SW, else from the H lattice.
-
-    Node k stores log|m| + s + Re rot(z_k) and arg m + Im rot(z_k), with
-    (m, s) = exact(z_k); rot(a) takes out the growth, so both vary slowly in
-    ln a.  One positive-abscissa table serves both readers: H mirrors z < 0
-    onto |z|, and the kernel numerator, symmetric about p/2, z < p/2 onto
-    p - z.  Neither exact nor rot depends on T, so a pair's record
-    (_PairTables) holds one lattice for all its specs, its nodes kept from one
-    below the lowest stencil as in BumpTable.  No boolean mask: if any a
-    reaches _H_SW, the lattice read takes every a raised to _H_SW straight
-    into the outputs, then the exact values overwrite the points below it by
-    index.
-    """
-
-    def __init__(self, exact, rot, what: str):
-        self.exact, self.rot, self.what = exact, rot, what
-        self._nodes = _NodeStore(self._node_values, _LAT_OFFS[0] - 1)
-
-    def _node_values(self, k):
-        zk = np.exp(_H_LZ0 + k * _H_STEP)
-        mk, sk = self.exact(zk)
-        rk = self.rot(zk)
-        return np.stack([np.log(np.abs(mk)) + sk + rk.real, np.angle(mk) + rk.imag])
-
-    def __call__(self, a: np.ndarray):
-        lo = np.flatnonzero(a < _H_SW)
-        m_lo, s_lo = self.exact(a[lo])
-        m = np.empty(m_lo.shape[:-1] + a.shape, dtype=complex)
-        s = np.empty(m.shape)
-        if lo.size < a.size:
-            zc = np.maximum(a, _H_SW)
-            fi, gi = _lattice_interp((np.log(zc) - _H_LZ0) / _H_STEP, self._nodes, self.what)
-            r = self.rot(zc)
-            gi -= r.imag
-            np.cos(gi, out=m.real)
-            np.sin(gi, out=m.imag)
-            np.subtract(fi, r.real, out=s)
-        m[..., lo], s[..., lo] = m_lo, s_lo
-        return m, s
 
 
 class _PairTables:
     """The T-independent tables of one critical pair, each filled on first use.
 
-    h holds H(z) and H^(d)(z + i gamma), d = h_order, and numerator intB H(z)
-    H(p - z); gamma_ok is ControlSpec's gamma verdict and probe_h is H at
-    _spectrum_cutoff's probe.  _pair_tables keeps one record per pair, so a T
-    sweep builds each node, the gamma probe and the probe's H once, and a warm
-    record reads what a fresh one gives.  The analytic layers are looked up
-    at each call, so a wrapper set after the record was made is still called.
+    d is H's derivative order (1 generic, 3 when exp(eta_1 L) = 1).  h is the
+    _Table of H(z) and H^(d)(z + i gamma), numerator that of intB H(z) H(p - z),
+    each exact (near and node) with the growth rot of H(a) and H(a) H(p - a).
+    H mirrors z < 0 onto |z| and the numerator z < p/2 onto p - z, so each
+    table holds positive abscissae.  gamma_ok is ControlSpec's gamma verdict
+    and probe_h is H at _spectrum_cutoff's probe.  _pair_tables keeps one
+    record per pair, so a T sweep builds each node, the gamma probe and the
+    probe's H once, and a warm record reads what a fresh one gives.  The
+    analytic layers are looked up at each call, so a wrapper set after the
+    record was made is still called.
     """
 
     def __init__(self, pair: CriticalPair):
-        self.pair, self.d = pair, 3 if pair.caseE0 else 1  # d = ControlSpec.h_order
+        self.pair, self.d = pair, 3 if pair.caseE0 else 1
         L, p = pair.L, pair.p
-        self.h = _HLattice(self._h_exact, lambda a: MU[0] * L * np.cbrt(a), "H")
-        self.numerator = _HLattice(
+
+        def table(exact, rot, what):
+            return _Table(exact, exact, rot, lambda phase, a: _cis(phase), _H_SW, _H_STEP, what)
+
+        self.h = table(self._h_exact, lambda a: MU[0] * L * np.cbrt(a), "H")
+        self.numerator = table(
             lambda a: interaction_numerator(pair, a),
             lambda a: MU[0] * L * np.cbrt(a) + np.conj(MU[0]) * L * np.cbrt(a - p),
             "numerator",
@@ -537,7 +510,7 @@ def _h_factors(spec: ControlSpec, z: np.ndarray):
 
     The one H reader of steering_spectrum and sign_report.  Above |z| = _H_SW
     each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
-    from the pair's H lattice (see steering_spectrum); z < 0 mirrors |z| by
+    from the pair's H table (see steering_spectrum); z < 0 mirrors |z| by
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
     """
     m, s = _pair_tables(spec.pair).h(np.abs(z))
@@ -552,10 +525,10 @@ def _numerator(spec: ControlSpec, z: np.ndarray):
     """N/(Xi Xi~) = intB H(z) H(p - z) as (m, s) at the 1-D real z, read at a = max(z, p - z).
 
     The kernel pairs the profiles at z and p - z, so the quotient is symmetric
-    about p/2.  It is the exact kernel.interaction_numerator at a below _H_SW
+    about p/2.  It is the exact kernel.interaction_numerator at a up to _H_SW
     (both root collisions, and z near p as p < 0.39) and at the nodes; above,
     each log plus R = mu_1 L a^{1/3} + conj(mu_1) L (a - p)^{1/3}, the growth
-    of H(a) H(p - a), is read from the pair's numerator lattice.
+    of H(a) H(p - a), is read from the pair's numerator table.
     """
     p = spec.pair.p
     return _pair_tables(spec.pair).numerator(np.maximum(z, p - z))
@@ -574,14 +547,6 @@ def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, floa
     if beyond.size == 0:
         raise SupportLeak("spectrum cutoff not reached by z = 1e9; u-hat decays too slowly at this T, use a larger T")
     return float(_PROBE_Z[beyond[0]]), float(peak)
-
-
-def _cis(x):
-    """e^{ix} for real x: cos into .real and sin into .imag of one complex array."""
-    out = np.empty(np.shape(x), dtype=complex)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
-    return out
 
 
 def _check_hump(s_peak: float) -> None:
@@ -608,9 +573,9 @@ def steering_spectrum(spec: ControlSpec) -> SpectrumTriple:
     e^{i z_m t0}, m = 0 .. n/2, and w_time is the irfft of w-hat/kappa (see
     SpectrumTriple).  The unpaired full-grid sample z = -Z would add
     i (dz/2pi) Im X_{n/2} to u; it raises SupportLeak above 1e-6 max|u|.
-    H(z) and H^(d)(z + i gamma) are exact below z = _H_SW = 5; above it each
+    H(z) and H^(d)(z + i gamma) are exact up to z = _H_SW = 5; above it each
     log factor plus mu_1 L z^{1/3} is read by an 8-node Lagrange stencil
-    from the nodes z_k = 5 e^{0.03 k} (the BumpTable scheme), which is within
+    from the nodes z_k = 5 e^{0.03 k} of the pair's _Table, which is within
     4e-13 of the exact factors on [5, 1e5] and 1.5e-12 on [1e6, 5e6] for
     (3,2): up to 2.6 eps L z^{1/3}, the rounding of their phase.
     Raises SupportLeak when the relative L^2 mass of u outside [0, T] exceeds
@@ -742,7 +707,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     I = (1/E) int u-hat(z) conj(u-hat(z-p)) intB(z) dz; J uses 1/F and the
     third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
     SignReport).  H and H^(d) come from _h_factors, as in steering_spectrum,
-    and intB H(z) H(p-z) from _numerator; both read the H lattice above |z| = _H_SW.
+    and intB H(z) H(p-z) from _numerator; both read their pair's tables above _H_SW.
     """
     check_type(spec, ControlSpec, "spec")
     check_int(n_side, "n_side", 2)

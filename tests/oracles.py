@@ -12,6 +12,7 @@ from kdvcrit.spectral import MU, POLE_TOL, detq_scaled, roots, shifted_roots
 from kdvcrit.synthesis import (
     _LAT_C,
     _LAT_OFFS,
+    BumpTable,
     _h_deriv_scaled,
     _h_factors,
     _uhat_scaled,
@@ -179,7 +180,7 @@ def vieta_residuals(lam: np.ndarray, z) -> np.ndarray:
 def bump_vhat(spec, z):
     """v-hat(z) = e^{-i beta z} v1(beta z), unscaled (0.0 once it underflows)."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    m, s = vhat1_scaled(spec.nu, spec.beta, z_arr)
+    m, s = vhat1_scaled(BumpTable(spec.nu), spec.beta, z_arr)
     with np.errstate(under="ignore"):
         vals = np.exp(-1j * spec.beta * z_arr) * m * np.exp(s)
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kdvcrit
 from kdvcrit import numbertheory as nt
-from kdvcrit import kernel, pde, spectral, synthesis
+from kdvcrit import cli, kernel, pde, spectral, synthesis
 from kdvcrit.cli import dispatch
 from kdvcrit.errors import LinearSolveFailure
 
@@ -35,6 +36,24 @@ def test_simulate_config_file(tmp_path, system):
     assert header[0] == "t" and len(header) == 1 + 8 + 2
     assert float(header[-1]) == pytest.approx(nt.CriticalPair(2, 1).L)
     assert len(lines) == 1 + 6 + 1
+
+
+@pytest.mark.parametrize("layout", ["column", "row"])
+def test_simulate_control_file(tmp_path, layout):
+    # the nt + 1 samples of the sine-bump control, read from a file one a line
+    # or all on one line, give the CSV of the run that makes them itself
+    run = {"L": 3.0, "nx": 8, "nt": 6, "T": 0.2}
+    bump = {"type": "sine-bump", "amplitude": 0.1}
+    u = cli._control_from_spec(bump, pde.Grid(**run).t_nodes)
+    samples = tmp_path / "u.csv"
+    samples.write_text(("\n" if layout == "column" else ",").join(repr(float(v)) for v in u) + "\n")
+    csv = {}
+    for name, control in (("file", {"type": "file", "path": str(samples)}), ("array", bump)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(dict(run, control=control)))
+        csv[name] = tmp_path / f"{name}.csv"
+        assert dispatch(["simulate", "--system", "linear", "--config", str(cfg), "--out", str(csv[name])]) == 0
+    assert np.any(u != 0.0) and csv["file"].read_text() == csv["array"].read_text()
 
 
 def test_bad_pairs_are_usage_errors(tmp_path, capsys):

@@ -521,5 +521,22 @@ def test_hum_steers_reachable_target_at_critical_length(N):
 def test_hum_unreachable_target_raises():
     g = pde.Grid(L=2 * math.pi, nx=96, T=1.0, nt=400)
     x = g.x_nodes
-    with pytest.raises(NotReachable, match="CG did not converge in .* iterations"):
+    with pytest.raises(NotReachable, match="not reachable: relative residual .* at the numerical rank"):
         pde.hum_control(g, (1 - np.cos(x), np.sin(x)), tol=1e-6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(("N", "nx"), [(3, 128), (7, 128), (91, 256)])
+def test_hum_refuses_mn_targets(N, nx):
+    # each real part of each M_N profile, and the (1 - cos kx, k sin kx) probe, k = 2 pi / L_N
+    cls = nt.representations(N)
+    g = pde.Grid(L=cls.L, nx=nx, T=1.0, nt=400)
+    x, k = g.x_nodes, 2 * math.pi / cls.L
+    targets = [(1 - np.cos(k * x), k * np.sin(k * x))]
+    for pair in cls.pairs:
+        eta = ur.eta_triple(pair)
+        ph, dph = ur.phi(eta, x), ur.phi_x(eta, x)
+        targets += [(part(ph), part(dph)) for part in ur.phi_parts(ph)]
+    for target in targets:
+        with pytest.raises(NotReachable, match="not reachable"):
+            pde.hum_control(g, target, tol=1e-6)

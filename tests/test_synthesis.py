@@ -100,7 +100,7 @@ def test_vhat1_decay_rate():
     # equivalently log|v1| + (1 + delta) sqrt(beta nu z) is bounded above
     spec = syn.make_spec(P21, 1.0)
     zs = np.geomspace(1e2, 1e6, 40)
-    m, s = syn.vhat1_scaled(spec.nu, spec.beta, zs)
+    m, s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zs)
     logmag = np.log(np.abs(m) + 1e-300) + s
     x = np.sqrt(spec.beta * spec.nu * zs)
     slope = np.polyfit(x, logmag, 1)[0]
@@ -222,7 +222,7 @@ def test_vhat1_direct_range_raises_no_warning():
     z = np.linspace(0.0, w_sw / spec.beta, 3000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m, s = syn.vhat1_scaled(spec.nu, spec.beta, z)
+        m, s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, z)
     assert np.all(s == 0.0) and np.all(np.isfinite(m))
 
 
@@ -314,7 +314,7 @@ def test_bump_table_keeps_its_nodes(monkeypatch):
     # a spec holds one table: vhat1_scaled reads it like a table of its nu
     spec = syn.make_spec(P21, 0.4)
     assert spec.bump is spec.bump and spec.bump.nu == spec.nu
-    ref = syn.vhat1_scaled(spec.nu, spec.beta, _Z21)
+    ref = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, _Z21)
     for got, want in zip(syn.vhat1_scaled(spec.bump, spec.beta, _Z21), ref):
         assert np.array_equal(got, want)
 
@@ -332,12 +332,12 @@ def test_vhat1_any_subset_matches_full_call(picks, T):
     # the grid straddles the switch w_sw (z = 6.4 at T = 25, 400 at T = 0.4);
     # v1 is even, so a point and its mirror read the same value
     spec = syn.make_spec(P21, T)
-    m, s = syn.vhat1_scaled(spec.nu, spec.beta, _Z21)
+    m, s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, _Z21)
     idx = np.array([i for i, _ in picks])
     z = np.array([sign * _Z21[i] for i, sign in picks])
-    m_sub, s_sub = syn.vhat1_scaled(spec.nu, spec.beta, z)
+    m_sub, s_sub = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, z)
     assert np.array_equal(m_sub, m[idx]) and np.array_equal(s_sub, s[idx])
-    m_one, s_one = syn.vhat1_scaled(spec.nu, spec.beta, z[:1])
+    m_one, s_one = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, z[:1])
     assert (m_one[0], s_one[0]) == (m[idx[0]], s[idx[0]])
 
 
@@ -440,10 +440,10 @@ def test_lattice_blocks_match_the_full_call():
     # picks straddling each 16,384-point block boundary of the bump and H
     # lattices, read alone (one block), equal the full call bit for bit
     spec, zh = _half_grid_25()
-    m, s = syn.vhat1_scaled(spec.nu, spec.beta, zh)
+    m, s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zh)
     n_direct = int(np.sum(spec.beta * zh <= syn.BumpTable(spec.nu).w_sw))
     picks = _block_edges(zh.size - n_direct, n_direct)
-    m_sub, s_sub = syn.vhat1_scaled(spec.nu, spec.beta, zh[picks])
+    m_sub, s_sub = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zh[picks])
     assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
     full = syn._h_factors(spec, zh)
     n_exact = int(np.sum(zh < syn._H_SW))
@@ -485,6 +485,46 @@ def test_lattice_phase_check_and_sparse_nodes():
     with pytest.raises(ResolutionError, match="test lattice phase step 2.10 rad"):
         syn._lattice_interp(np.array([10.5, 1010.25]), nodes, "test")
     assert np.array_equal(built[-1], np.r_[7:1015])
+
+
+def _fresh_tables():
+    """The bump (T = 0.4), H and numerator tables of (3,2), each rebuilt empty with
+    near and node counted and the mantissa e^{i phase}, so a read is node's own form."""
+    rec = syn._PairTables(P32)
+    for t in (syn.make_spec(P32, 0.4).bump._table, rec.h, rec.numerator):
+        calls = []
+
+        def counted(fn, name, calls=calls):
+            def call(a):
+                calls.append(name)
+                return fn(a)
+
+            return call
+
+        near, node = counted(t.near, "near"), counted(t.node, "node")
+        yield t, syn._Table(near, node, t.rot, lambda g, a: syn._cis(g), t.a_sw, t.h, t.what), calls
+
+
+def test_tables_read_their_nodes_back():
+    # above the switch a read at a node abscissa a_k is node(a_k): the stencil
+    # at its base node reproduces what the node stores (measured within
+    # 2.9e-13 up to a = 1e6, where the growth taken out reaches 2.7e3)
+    for t, cis, _ in _fresh_tables():
+        ak = np.exp(math.log(t.a_sw) + np.arange(1, int(math.log(1e6 / t.a_sw) / t.h)) * t.h)
+        m, s = cis(ak)
+        nm, ns = t.node(ak)
+        assert np.all(np.abs(np.log(np.abs(m)) + s - np.log(np.abs(nm)) - ns) <= 1e-12), t.what
+        assert np.all(np.abs(np.angle(m * np.conj(nm))) <= 1e-12), t.what
+
+
+def test_tables_read_only_near_up_to_the_switch():
+    for t, cis, calls in _fresh_tables():
+        a = np.array([0.6 * t.a_sw, np.nextafter(t.a_sw, 0.0), t.a_sw])
+        for got, want in zip(cis(a), t.near(a)):
+            assert np.array_equal(got, want), t.what
+        assert calls == ["near"], t.what
+        cis(np.append(a, np.nextafter(t.a_sw, np.inf)))
+        assert calls == ["near", "node", "near"], t.what
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +631,7 @@ def test_vectorized_layers_do_not_depend_on_batch_size():
         "interaction_numerator": lambda z: kn.interaction_numerator(P21, z),
         "h_jets_scaled d=1": lambda z: jets.h_jets_scaled(z + 0.5j, P21.L, 1),
         "h_jets_scaled d=3": lambda z: jets.h_jets_scaled(z + 0.5j, P41.L, 3),
-        "vhat1_scaled": lambda z: syn.vhat1_scaled(spec1.nu, spec1.beta, z),
+        "vhat1_scaled": lambda z: syn.vhat1_scaled(syn.BumpTable(spec1.nu), spec1.beta, z),
         "_h_factors d=1": lambda z: syn._h_factors(spec1, z),
         "_h_factors d=3": lambda z: syn._h_factors(spec3, z),
         "_numerator": lambda z: syn._numerator(spec1, z),
@@ -636,7 +676,7 @@ def test_what_uhat_pointwise_relation():
     # the definitions
     spec = syn.make_spec(P21, 2.0)
     zs = np.array([0.5, 7.0, 31.0])
-    v1 = syn.vhat1_scaled(spec.nu, spec.beta, zs)
+    v1 = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zs)
     _, _, hm, hs = sp.gh_scaled(zs.astype(complex), P21.L)
     dm, ds = syn._h_deriv_scaled(P21, spec.gamma, zs, 1)
     um, us = syn._uhat_scaled(v1, sp.h_scaled(zs, P21.L))
@@ -660,7 +700,7 @@ def test_steering_spectrum_21():
     # H lattice matches direct evaluation with the exact H on the full grid
     n = trip.z.size
     assert np.array_equal(trip.z[1:], -trip.z[n - 1 : 0 : -1])
-    v1 = syn.vhat1_scaled(spec.nu, spec.beta, trip.z)
+    v1 = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, trip.z)
     um, us = syn._uhat_scaled(v1, sp.h_scaled(trip.z, P21.L))
     direct = np.exp(-1j * spec.beta * trip.z) * um * np.exp(us)
     uhat = oracles.steering_spectra(spec, trip.z)[0]
@@ -862,7 +902,7 @@ def test_second_spec_of_a_pair_builds_no_node(monkeypatch):
 
     monkeypatch.setattr(syn, "h_jets_scaled", counting_jets)
     monkeypatch.setattr(syn, "interaction_numerator", counting_numerator)
-    nodes = np.exp(syn._H_LZ0 + np.arange(-10, 2000) * syn._H_STEP)
+    nodes = np.exp(math.log(syn._H_SW) + np.arange(-10, 2000) * syn._H_STEP)
     syn.sign_report(syn.make_spec(P32, 0.4), n_side=2001)
     assert 681 in [z.size for z in jet_z]
     assert np.isin(np.concatenate(jet_z), nodes).sum() > 300
