@@ -1,7 +1,8 @@
 """Unified command line: enumeration, frames, kernel sweeps, simulation,
 Gramian analysis, control synthesis, and the verify-all orchestrator.
 
-Structured output is JSON; gridded output is CSV with every float printed at
+Structured output is JSON, encoded here from the reports' dataclass fields
+by one encoder (`_plain`); gridded output is CSV with every float printed at
 17 significant digits so files re-parse to identical values.  Exit codes:
 0 success, 1 at least one failed check, 2 usage error.
 """
@@ -12,6 +13,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -53,6 +55,19 @@ def _write_csv(path, header, rows):
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _plain(x):
+    """JSON-native form of a report value: a dataclass as its fields by name,
+    a complex number as [re, im], arrays, tuples and lists as lists, numpy
+    scalars as Python scalars."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (complex, np.complexfloating)):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, (np.ndarray, tuple, list)):
+        return [_plain(v) for v in x]
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def _emit_json(obj, path):
@@ -110,34 +125,24 @@ def _pair(args) -> numbertheory.CriticalPair:
 
 def cmd_lengths(args) -> int:
     seen = sorted({q.N for q in numbertheory.enumerate_pairs(args.nmax)})
-    classes = [numbertheory.representations(n) for n in seen]
+    payload = [
+        {**_plain(cls), "L": cls.L, "pairs": [[q.k, q.l] for q in cls.pairs]}
+        for cls in map(numbertheory.representations, seen)
+    ]
     if args.json:
-        payload = []
-        for cls in classes:
-            payload.append(
-                {
-                    "N": cls.N,
-                    "L": cls.L,
-                    "pairs": [[q.k, q.l] for q in cls.pairs],
-                    "n_L": cls.n_L,
-                    "n_L_pos": cls.n_L_pos,
-                    "dim_MN": cls.dim_MN,
-                    "T_star": cls.T_star,
-                }
-            )
         _emit_json(payload, args.out)
     else:
         rows = [
             [
-                cls.N,
-                _f(cls.L),
-                ";".join(f"({q.k},{q.l})" for q in cls.pairs),
-                cls.n_L,
-                cls.n_L_pos,
-                cls.dim_MN,
-                "" if cls.T_star is None else _f(cls.T_star),
+                d["N"],
+                _f(d["L"]),
+                ";".join(f"({k},{l})" for k, l in d["pairs"]),
+                d["n_L"],
+                d["n_L_pos"],
+                d["dim_MN"],
+                "" if d["T_star"] is None else _f(d["T_star"]),
             ]
-            for cls in classes
+            for d in payload
         ]
         _write_csv(args.out, ["N", "L", "pairs", "n_L", "n_L_pos", "dim_MN", "T_star"], rows)
     return 0
@@ -147,22 +152,8 @@ def cmd_constants(args) -> int:
     pair = _pair(args)
     data = unreachable.constants(pair)
     ratio = None if pair.caseE0 else unreachable.e1_over_e(pair)
-    payload = {
-        "k": pair.k,
-        "l": pair.l,
-        "N": pair.N,
-        "L": pair.L,
-        "p": pair.p,
-        "caseE0": pair.caseE0,
-        "eta": [[e.real, e.imag] for e in data.eta.eta],
-        "Gamma": [data.Gamma.real, data.Gamma.imag],
-        "Lambda": [data.Lambda.real, data.Lambda.imag],
-        "E": [data.E.real, data.E.imag],
-        "E1": [data.E1.real, data.E1.imag],
-        "F": [data.F.real, data.F.imag],
-        "F1": [data.F1.real, data.F1.imag],
-        "E1_over_E": None if ratio is None else [ratio.real, ratio.imag],
-    }
+    # eta as its roots, not the EtaTriple record; key order is the text form's line order
+    payload = {**_plain(pair), **_plain(data), "eta": _plain(data.eta.eta), "E1_over_E": _plain(ratio)}
     if args.json:
         _emit_json(payload, args.out)
     else:
@@ -223,7 +214,7 @@ def cmd_kernel(args) -> int:
 def cmd_kernel_asym(args) -> int:
     pair = _pair(args)
     rep = kernel.verify_expansion(pair)
-    _emit_json(rep.as_dict(), args.out)
+    _emit_json(_plain(rep), args.out)
     ok = all(s < e + 0.1 for s, e in zip(rep.slopes, rep.expected))
     return 0 if ok else 1
 
@@ -306,7 +297,10 @@ def cmd_gramian(args) -> int:
     cls = numbertheory.representations(pair.N)
     grid = pde.Grid(L=length, nx=args.nx, T=args.T, nt=args.nt)
     rep = pde.gramian(grid, cls)
-    _emit_json(rep.as_dict(), args.out)
+    payload = _plain(rep)
+    payload["singular_values"] = payload["singular_values"][:12]
+    payload["complement_top"] = payload.pop("complement")[:6]
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -343,7 +337,11 @@ def cmd_verify_signs(args) -> int:
     for T in sweeps:
         spec = synthesis.make_spec(pair, T)
         rep = synthesis.sign_report(spec, n_side=args.n_side)
-        entry = rep.as_dict()
+        entry = _plain(rep)
+        entry["im_ratio_over_T"] = entry.pop("im_ratio")
+        # Im I/T + p: I carries the bump's centring phase e^{-ipT/2} and
+        # e^{ipT/2} I -> 1 as T -> 0, so this tends to p/2, not to 0
+        entry["im_ratio_plus_p"] = rep.im_ratio + pair.p
         entry["pass_re_band"], entry["pass_im_negative"] = _sign_passes(rep)
         entry["pass_im_below_minus_p"] = bool(rep.im_ratio < -pair.p)
         out.append(entry)

@@ -188,16 +188,6 @@ class AsymptoticReport:
     expected: tuple[float, float, float]
     excluded: tuple[float, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "case": self.case,
-            "z_grid": [float(v) for v in self.z_grid],
-            "slopes": list(self.slopes),
-            "expected": list(self.expected),
-            "excluded": list(self.excluded),
-        }
-
 
 def _fit_slope(z: np.ndarray, r: np.ndarray) -> float:
     mask = r > 0

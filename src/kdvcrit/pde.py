@@ -405,13 +405,8 @@ def _mn_dofs(sys_: _System, length_class: LengthClass) -> np.ndarray:
     cols = []
     for pair in length_class.pairs:
         eta = eta_triple(pair)
-        ph = phi(eta, x)
-        dph = phi_x(eta, x) * scale
-        for part in phi_parts(ph):
-            dofs = np.empty(sys_.ndof)
-            dofs[0::2] = part(ph)
-            dofs[1::2] = part(dph)
-            cols.append(dofs[sys_.free])
+        ph, dph = phi(eta, x), phi_x(eta, x) * scale
+        cols += [sys_.interpolate(part(ph), part(dph))[sys_.free] for part in phi_parts(ph)]
     return np.array(cols).reshape(-1, len(sys_.free)).T  # (nfree, dim), dim may be 0
 
 
@@ -434,21 +429,6 @@ class GramianReport:
     complement: np.ndarray
     restricted_ratio: float  # sigma_max(restricted) / sigma_max(full)
     restricted_min_ratio: float  # sigma_min(restricted) / sigma_max(full)
-
-    def as_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "N": self.N,
-            "T": self.T,
-            "nx": self.nx,
-            "nt": self.nt,
-            "dim_mn": self.dim_mn,
-            "singular_values": [float(v) for v in self.singular_values[:12]],
-            "restricted": [float(v) for v in self.restricted],
-            "complement_top": [float(v) for v in self.complement[:6]],
-            "restricted_ratio": self.restricted_ratio,
-            "restricted_min_ratio": self.restricted_min_ratio,
-        }
 
 
 def _control_map(sys_: _System) -> np.ndarray:
@@ -535,7 +515,9 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     ``tol`` are kept.  A target whose residual at the numerical rank
     (lambda > n eps lambda_max, n free DOFs) still exceeds ``tol`` raises
     NotReachable, as one with a component in M_N at a critical length does.
-    ``target`` is a (values, derivatives) pair of nx+2 nodal arrays.
+    ``target`` is a (values, derivatives) pair of nx+2 nodal arrays.  Only its
+    free DOFs are matched: the final state holds u(T) at y_x(L), which HUM
+    does not constrain, so the target's y_x(L) entry is not matched.
     """
     check_positive(tol, "tol")
     sys_ = _System(grid)

@@ -660,28 +660,6 @@ class SignReport:
     log_peak: float
     n_grid: int
 
-    def as_dict(self) -> dict:
-        k, l = self.pair
-        p = CriticalPair(k, l).p
-        return {
-            "pair": list(self.pair),
-            "case": self.case,
-            "T": self.T,
-            "gamma": self.gamma,
-            "value": [self.value.real, self.value.imag],
-            "log_norm_w": self.log_norm_w,
-            "wshift": [self.wshift.real, self.wshift.imag],
-            "re_ratio": self.re_ratio,
-            "im_ratio_over_T": self.im_ratio,
-            # Im I/T + p: I carries the bump's centring phase e^{-ipT/2} and
-            # e^{ipT/2} I -> 1 as T -> 0, so this tends to p/2, not to 0
-            "im_ratio_plus_p": self.im_ratio + p,
-            "prop37_ratio": [self.prop37_ratio.real, self.prop37_ratio.imag],
-            "z_peak": self.z_peak,
-            "log_peak": self.log_peak,
-            "n_grid": self.n_grid,
-        }
-
 
 def _band_grid(spec: ControlSpec, n_side: int):
     """Signed grid uniform in |z|^{1/3}, covering the support of the hump."""

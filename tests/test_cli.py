@@ -1,3 +1,6 @@
+import ast
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +13,7 @@ import pytest
 import kdvcrit
 from kdvcrit import numbertheory as nt
 from kdvcrit import cli, kernel, pde, spectral, synthesis
+from kdvcrit import unreachable as ur
 from kdvcrit.cli import dispatch
 from kdvcrit.errors import LinearSolveFailure
 
@@ -71,8 +75,10 @@ def test_gramian_json_schema(tmp_path):
     assert dispatch(argv + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     grid = pde.Grid(L=nt.CriticalPair(1, 1).L, nx=8, T=0.5, nt=10)
-    rep = pde.gramian(grid, nt.representations(3))
-    assert set(payload) == set(rep.as_dict())
+    rep = cli._plain(pde.gramian(grid, nt.representations(3)))
+    assert set(payload) == set(rep) - {"complement"} | {"complement_top"}
+    assert payload["singular_values"] == rep["singular_values"][:12]
+    assert payload["complement_top"] == rep["complement"][:6]
     assert payload["nt"] == 10 and payload["dim_mn"] == 1
 
 
@@ -259,7 +265,89 @@ def test_constants_json(tmp_path):
 def test_kernel_asym_exits_zero(tmp_path):
     out = tmp_path / "asym.json"
     assert dispatch(["kernel-asym", "--k", "2", "--l", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())
+    payload = json.loads(out.read_text())
+    # the JSON holds the report's fields by name
+    rep = kernel.verify_expansion(nt.CriticalPair(2, 1))
+    assert set(payload) == {f.name for f in dataclasses.fields(rep)}
+    assert payload["pair"] == [2, 1] and payload["slopes"] == list(rep.slopes)
+
+
+@dataclasses.dataclass
+class _Inner:
+    z: complex
+    flag: np.bool_
+
+
+@dataclasses.dataclass
+class _Record:
+    inner: _Inner
+    zc: np.complex128
+    x: np.float64
+    arr: np.ndarray
+    tup: tuple
+    none: None
+    n: int
+
+
+def _json_native(v) -> bool:
+    if type(v) is dict:
+        return all(type(k) is str and _json_native(w) for k, w in v.items())
+    if type(v) is list:
+        return all(map(_json_native, v))
+    return type(v) in (str, int, float, bool, type(None))
+
+
+def test_plain_encodes_every_value_kind():
+    rec = _Record(
+        inner=_Inner(z=1 - 2j, flag=np.bool_(True)),
+        zc=np.complex128(0.5 + 3j),
+        x=np.float64(-0.0),
+        arr=np.array([[1.0, 2.0], [3.0, 4.0]]),
+        tup=(np.int64(7), np.float64(0.25)),
+        none=None,
+        n=3,
+    )
+    plain = cli._plain(rec)
+    assert _json_native(plain)
+    json.dumps(plain, allow_nan=False)
+    assert plain == {
+        "inner": {"z": [1.0, -2.0], "flag": True},
+        "zc": [0.5, 3.0],
+        "x": -0.0,
+        "arr": [[1.0, 2.0], [3.0, 4.0]],
+        "tup": [7, 0.25],
+        "none": None,
+        "n": 3,
+    }
+
+
+@pytest.mark.parametrize("k, l", [(2, 1), (4, 1)], ids=["case-1", "case-2"])
+def test_constants_text_prints_plain_numbers(tmp_path, k, l):
+    out = tmp_path / "constants.txt"
+    assert dispatch(["constants", "--k", str(k), "--l", str(l), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "np." not in text
+    (line,) = [s for s in text.splitlines() if s.startswith("eta: ")]
+    eta = ast.literal_eval(line.removeprefix("eta: "))
+    want = ur.eta_triple(nt.CriticalPair(k, l)).eta
+    assert eta == [[e.real, e.imag] for e in want]
+
+
+def test_lengths_csv_and_json_agree(tmp_path):
+    argv = ["lengths", "--nmax", "12", "--out"]
+    assert dispatch(argv + [str(tmp_path / "l.csv")]) == 0
+    assert dispatch(argv + [str(tmp_path / "l.json"), "--json"]) == 0
+    with open(tmp_path / "l.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    classes = json.loads((tmp_path / "l.json").read_text())
+    assert len(rows) == len(classes) > 1
+    for row, cls in zip(rows, classes):
+        assert {"N", "L", "pairs", "n_L", "n_L_pos", "dim_MN", "T_star"} <= set(cls)
+        for key in ("N", "n_L", "n_L_pos", "dim_MN"):
+            assert int(row[key]) == cls[key]
+        assert row["L"] == "%.17g" % cls["L"]
+        assert row["pairs"] == ";".join(f"({k},{l})" for k, l in cls["pairs"])
+        assert row["T_star"] == ("" if cls["T_star"] is None else "%.17g" % cls["T_star"])
 
 
 def test_synthesize_usage_and_leak_exits(tmp_path, capsys):
@@ -278,7 +366,7 @@ def test_verify_signs_json(tmp_path):
     report_keys = {
         "pair", "case", "T", "gamma", "value", "log_norm_w", "wshift", "re_ratio",
         "im_ratio_over_T", "im_ratio_plus_p", "prop37_ratio", "z_peak", "log_peak", "n_grid",
-    }  # SignReport.as_dict
+    }  # SignReport's fields, im_ratio renamed, and im_ratio_plus_p
     assert set(entry) == report_keys | {"pass_re_band", "pass_im_negative", "pass_im_below_minus_p"}
     assert entry["pass_re_band"] and entry["pass_im_negative"]
 

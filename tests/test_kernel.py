@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from kdvcrit import cli
 from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit import unreachable as ur
@@ -308,7 +309,6 @@ def test_interaction_numerator_matches_eight_exp_form(monkeypatch, k, l, T):
 
 
 def test_report_serializes():
-    rep = kn.verify_expansion(P21)
-    d = rep.as_dict()
+    d = cli._plain(kn.verify_expansion(P21))
     assert d["pair"] == [2, 1]
     assert len(d["slopes"]) == 3
