@@ -167,8 +167,8 @@ def _parse_range(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
         lo, hi = float(a), float(b)
-        if not np.isfinite(hi - lo):  # a bound is inf or nan, or the span overflows
-            raise ValueError("the bounds and their span must be finite")
+        if not np.isfinite(hi - lo) or int(n) < 1:  # an inf or nan bound, an overflowing span, no points
+            raise ValueError("the bounds and their span must be finite, npoints >= 1")
         return np.linspace(lo, hi, int(n))
     except ValueError as exc:
         raise DomainError(f"bad range {text!r}, expected start:stop:npoints") from exc
@@ -227,7 +227,10 @@ def _control_from_spec(spec: dict, t_nodes: np.ndarray) -> np.ndarray:
         amp = spec.get("amplitude", 1.0)
         t0 = spec.get("start", 0.0)
         t1 = spec.get("stop", t_nodes[-1])
-        s = np.clip((t_nodes - t0) / max(t1 - t0, 1e-300), 0.0, 1.0)
+        # the bump is sampled at the time nodes: with none strictly inside its window it is zero
+        if not (np.isfinite(t1 - t0) and np.any((t_nodes > t0) & (t_nodes < t1))):
+            raise DomainError(f"sine-bump window [{t0:g}, {t1:g}] must be finite and hold a time node")
+        s = np.clip((t_nodes - t0) / (t1 - t0), 0.0, 1.0)
         return amp * np.sin(np.pi * s) ** 2 * ((t_nodes >= t0) & (t_nodes <= t1))
     if kind == "file":
         if "path" not in spec:

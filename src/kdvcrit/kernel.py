@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NearPole, check_numeric, check_type
 from .numbertheory import CriticalPair
-from .spectral import POLE_TOL, detq_scaled, roots, shifted_roots, xi
+from .spectral import POLE_TOL, detq_scaled, roots, xi
 from .unreachable import constants, eta_triple
 
 # intB_closed waits on ROADMAP direction 4 for a production caller
@@ -69,7 +69,8 @@ def _intB_masked(pair: CriticalPair, z):
     A masked value is not meaningful; intB_closed raises NearPole instead.
     """
     z_arr, L = check_numeric(z, "z", complex).reshape(-1), pair.L
-    lam, lamt = roots(z_arr), shifted_roots(z_arr, pair.p)
+    # lamt solves mu^3 + mu - i(z - p) = 0, the cubic of roots at p - z
+    lam, lamt = roots(z_arr), roots(pair.p - z_arr)
     (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
     # int B = num / (qm qtm)
     num = _numerator_scaled(L, pair.p, lam, lamt, qs, qts, *_eta_terms(pair))
@@ -162,7 +163,8 @@ def interaction_numerator(pair: CriticalPair, z: np.ndarray):
     below the lattice's switch, and nothing else.
     """
     L = pair.L
-    lam, lamt = roots(z), shifted_roots(z, pair.p)
+    # lamt solves mu^3 + mu - i(z - p) = 0, the cubic of roots at p - z
+    lam, lamt = roots(z), roots(pair.p - z)
     # the log-scales of detq_scaled; the det Q mantissas are not read here
     qs, qts = (np.max((-np.roll(r, -2, axis=-1) * L).real, axis=-1) for r in (lam, lamt))
     num = _numerator_scaled(L, pair.p, lam, lamt, qs, qts, *_eta_terms(pair))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg  # noqa: F401  perfbench/tracer.py wraps this binding
 from scipy.linalg import cholesky
@@ -94,33 +95,15 @@ def _gauss01():
     return 0.5 * (xs + 1.0), 0.5 * ws
 
 
+# the Hermite cubics' coefficients of s^0 .. s^3: the value and slope shapes at s = 0, then at s = 1
+_HERMITE = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0],
+                     [0.0, 0.0, 3.0, -2.0], [0.0, 0.0, -1.0, 1.0]])
+
+
 def _shape_funcs(s: np.ndarray, h: float):
-    """Hermite shapes and their first two s-derivatives at local coords s."""
-    n = np.stack(
-        [
-            1 - 3 * s**2 + 2 * s**3,
-            h * (s - 2 * s**2 + s**3),
-            3 * s**2 - 2 * s**3,
-            h * (-(s**2) + s**3),
-        ]
-    )
-    n1 = np.stack(
-        [
-            -6 * s + 6 * s**2,
-            h * (1 - 4 * s + 3 * s**2),
-            6 * s - 6 * s**2,
-            h * (-2 * s + 3 * s**2),
-        ]
-    )
-    n2 = np.stack(
-        [
-            -6 + 12 * s,
-            h * (-4 + 6 * s),
-            6 - 12 * s,
-            h * (-2 + 6 * s),
-        ]
-    )
-    return n, n1, n2
+    """Hermite shapes and their first two s-derivatives at local coords s; slope shapes carry h."""
+    c = (_HERMITE * np.array([1.0, h, 1.0, h])[:, None]).T
+    return tuple(npoly.polyval(s, npoly.polyder(c, k)) for k in range(3))
 
 
 def _element_mats(h: float, w: np.ndarray, n: np.ndarray, n1: np.ndarray, n2: np.ndarray):

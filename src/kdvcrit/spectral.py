@@ -118,17 +118,6 @@ def roots(z) -> np.ndarray:
     return lam[0] if scalar else lam
 
 
-def shifted_roots(z, p: float) -> np.ndarray:
-    """Roots of mu^3 + mu - i(z - p) = 0, sorted by (Re, Im).
-
-    For real z - p these are the conjugates of the roots at z - p; the
-    defining cubic is the one at -(z - p), which is what is solved here (the
-    identity mu^3 + mu - iw = 0  <=>  mu^3 + mu + i(-w) = 0).
-    """
-    z_arr = np.asarray(z, dtype=complex)
-    return roots(-(z_arr - p))
-
-
 def asymptotic_roots(z, order: int) -> np.ndarray:
     """Large-z expansions of the roots for real z > 0, shape z.shape + (3,).
 

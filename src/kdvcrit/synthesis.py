@@ -38,9 +38,11 @@ pairs the profiles at z and p - z), so it is read at max(z, p - z); its near
 range holds both root collisions of Xi (N and Xi Xi~ vanish together there,
 no float hits them, and it is ~1e-8 accurate within 2 ulp of them,
 tests/test_kernel.py).  u(t) and the real profile of w(t) are one real inverse
-FFT each of the z >= 0 half spectra.  Only the bump depends on T: the H and
-numerator tables, the gamma check and the cutoff probe's H are held once per
-critical pair (_PairTables), so a sweep in T builds them once.
+FFT each of the z >= 0 half spectra: w-hat is built in that real-signal form,
+w-hat / (kappa/|kappa|), in which the mu_3 above cancels (_spectra).  Only the
+bump depends on T: the H and numerator tables, the gamma check and the cutoff
+probe's H are held once per critical pair (_PairTables), so a T sweep builds
+them once.
 """
 
 from __future__ import annotations
@@ -435,23 +437,6 @@ class SpectrumTriple:
     z_max: float
 
 
-def _uhat_scaled(v1, h):
-    """e^{i beta z} u-hat = v1 H on the real axis, as (m, s); v1 = v1(beta z), h = H(z)."""
-    (v1m, v1s), (hm, hs) = v1, h
-    return v1m * hm, v1s + hs
-
-
-def _what_scaled(spec: ControlSpec, z: np.ndarray, v1, dh):
-    """e^{i beta z} w-hat as (m, s): (3/(mu3 L)) v1 H'_g or (27/(mu3 L)^3) z v1 H'''_g.
-
-    dh = H^(h_order)(z + i gamma); this is the one home of the w-hat prefactor.
-    """
-    (v1m, v1s), (dm, ds) = v1, dh
-    L = spec.pair.L
-    pref = 3.0 / (MU[2] * L) if spec.case == 1 else 27.0 / (MU[2] ** 3 * L**3) * z
-    return pref * v1m * dm, v1s + ds
-
-
 # the H and numerator tables: exact up to |z| = _H_SW, read from the nodes z_k = _H_SW e^{k _H_STEP} above
 _H_SW, _H_STEP = 5.0, 0.03
 _PROBE_Z = np.geomspace(1.0, 1e9, 400)  # the spectrum cutoff probe's fixed points
@@ -508,7 +493,7 @@ _pair_tables = cache(_PairTables)  # one record per pair for the process; cache_
 def _h_factors(spec: ControlSpec, z: np.ndarray):
     """H(z) and H^(d)(z + i gamma), d = h_order, as (m, s) pairs at the 1-D real z.
 
-    The one H reader of steering_spectrum and sign_report.  Above |z| = _H_SW
+    The H reader of _spectra.  Above |z| = _H_SW
     each log factor plus mu_1 L |z|^{1/3}, the dominant root's exponent, is read
     from the pair's H table (see steering_spectrum); z < 0 mirrors |z| by
     H(-z) = conj H(z) and H^(d)(-z + i gamma) = (-1)^d conj H^(d)(z + i gamma).
@@ -519,6 +504,22 @@ def _h_factors(spec: ControlSpec, z: np.ndarray):
         m[:, neg] = np.conj(m[:, neg])
         m[1, neg] *= (-1) ** spec.h_order
     return (m[0], s[0]), (m[1], s[1])
+
+
+def _spectra(spec: ControlSpec, z: np.ndarray):
+    """v1, e^{i beta z} u-hat and e^{i beta z} |kappa| g-hat as (m, s) pairs at the 1-D real z.
+
+    v1 = v1(beta z), and H, H^(d) come from _h_factors: e^{i beta z} u-hat = v1 H.
+    w-hat = kappa g-hat (SpectrumTriple) is (3/(mu3 L)) v-hat H'_gamma or
+    (27/(mu3 L)^3) z v-hat H'''_gamma; its mu3 cancels against kappa/|kappa|, so
+    e^{i beta z} |kappa| g-hat = (3i/L) v1 H'_gamma or (27/L^3) z v1 H'''_gamma:
+    the one statement of w-hat's prefactor.
+    """
+    v1m, v1s = v1 = vhat1_scaled(spec.bump, spec.beta, z)
+    (hm, hs), (dm, ds) = _h_factors(spec, z)
+    L = spec.pair.L
+    pref = 3j / L if spec.case == 1 else 27.0 / L**3 * z
+    return v1, (v1m * hm, v1s + hs), (pref * v1m * dm, v1s + ds)
 
 
 def _numerator(spec: ControlSpec, z: np.ndarray):
@@ -538,10 +539,10 @@ def _spectrum_cutoff(spec: ControlSpec, drop: float = 32.2) -> tuple[float, floa
     """(Z, peak): Z beyond which log|u-hat| sits ``drop`` below its probed peak (1e-14)."""
     # both entry points read the bump here first; from T ~ 1e135 its saddle or beta z overflow
     with in_double_range(f"the spectrum cutoff probe at T = {spec.T:g}"):
-        v1 = vhat1_scaled(spec.bump, spec.beta, _PROBE_Z)
+        v1m, v1s = vhat1_scaled(spec.bump, spec.beta, _PROBE_Z)
     # H at the probe is exact, computed once per pair: a lattice read would build nodes to 1e9
-    m, s = _uhat_scaled(v1, _pair_tables(spec.pair).probe_h)
-    logmag = np.log(np.abs(m) + 1e-300) + s
+    hm, hs = _pair_tables(spec.pair).probe_h
+    logmag = np.log(np.abs(v1m * hm) + 1e-300) + (v1s + hs)
     peak = logmag.max()
     beyond = np.flatnonzero((logmag < peak - drop) & (_PROBE_Z > _PROBE_Z[np.argmax(logmag)]))
     if beyond.size == 0:
@@ -570,8 +571,8 @@ def steering_spectrum(spec: ControlSpec) -> SpectrumTriple:
     window, so n depends on the spec alone.  Every z factor and the hump check
     are evaluated on the z >= 0 half grid only: as u-hat(-z) = conj u-hat(z),
     u(t_j) = (n dz/2pi) irfft(X)_j on t_j = t0 + 2 pi j/(n dz), X_m = u-hat(z_m)
-    e^{i z_m t0}, m = 0 .. n/2, and w_time is the irfft of w-hat/kappa (see
-    SpectrumTriple).  The unpaired full-grid sample z = -Z would add
+    e^{i z_m t0}, m = 0 .. n/2, and w_time is the irfft of |kappa| g-hat (see
+    SpectrumTriple and _spectra).  The unpaired full-grid sample z = -Z would add
     i (dz/2pi) Im X_{n/2} to u; it raises SupportLeak above 1e-6 max|u|.
     H(z) and H^(d)(z + i gamma) are exact up to z = _H_SW = 5; above it each
     log factor plus mu_1 L z^{1/3} is read by an 8-node Lagrange stencil
@@ -594,24 +595,20 @@ def steering_spectrum(spec: ControlSpec) -> SpectrumTriple:
         n *= 2
     dz = 2.0 * z_max / n
     zh = dz * np.arange(n // 2 + 1)
-    v1 = vhat1_scaled(spec.bump, spec.beta, zh)
-    h, dh = _h_factors(spec, zh)
-    um, us = _uhat_scaled(v1, h)
+    # v1 is dropped here, so only u-hat and w-hat are held through the transforms
+    (um, us), (wm, ws) = _spectra(spec, zh)[1:]
     _check_hump(float((np.log(np.abs(um) + 1e-300) + us).max()))
-    wm, ws = _what_scaled(spec, zh, v1, dh)
-    del h, dh, v1  # h and dh share one buffer; free it before the transforms
     phase = _cis(-spec.beta * zh)
     with np.errstate(under="ignore"):
         uhat = um * phase * np.exp(us)
         what = wm * phase * np.exp(ws)
     del um, us, wm, ws, phase
-    rot = (-1j if spec.case == 1 else 1.0) * np.conj(MU[2]) ** spec.h_order  # kappa/|kappa|
     scale, shift = n * dz / (2.0 * math.pi), _cis(t0 * zh)
     u_t = scale * np.fft.irfft(uhat * shift, n)
     im_ratio = scale / n * abs((uhat[-1] * shift[-1]).imag) / max(np.abs(u_t).max(), 1e-300)
     if im_ratio > 1e-6:
         raise SupportLeak(f"reconstructed control not real (Im ratio {im_ratio:.2e} at z = -Z)")
-    w_t = scale * np.fft.irfft(what * shift * np.conj(rot), n)
+    w_t = scale * np.fft.irfft(what * shift, n)
     t = t0 + (2.0 * math.pi / (n * dz)) * np.arange(n)
     inside = (t >= 0.0) & (t <= spec.T)
     total = float(np.sum(u_t**2))
@@ -684,7 +681,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
 
     I = (1/E) int u-hat(z) conj(u-hat(z-p)) intB(z) dz; J uses 1/F and the
     third-derivative w-hat.  The value is normalized by int |w-hat|^2 dz (see
-    SignReport).  H and H^(d) come from _h_factors, as in steering_spectrum,
+    SignReport).  u-hat and w-hat come from _spectra, as in steering_spectrum,
     and intB H(z) H(p-z) from _numerator; both read their pair's tables above _H_SW.
     """
     check_type(spec, ControlSpec, "spec")
@@ -698,8 +695,8 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     z = _band_grid(spec, n_side)
     zz = np.concatenate([z, z - p])
 
-    # one bump-factor call serves both shifts
-    v1 = vhat1_scaled(spec.bump, spec.beta, zz)
+    # one spectra call serves both shifts
+    v1, (um, us), (wm, ws) = _spectra(spec, zz)
     (v1m_z, v1m_s), (v1s_z, v1s_s) = (np.split(a, 2) for a in v1)
 
     # u-hat(z) conj(u-hat(z-p)) intB(z): with conj(H(z-p)) = H(p-z) both H
@@ -711,10 +708,8 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     logs = v1s_z + v1s_s + num_s
     ival_m, ival_s = _scaled_integral(z, mant, logs)
 
-    # normalizers from w-hat on the shifted line, one H-factor call for H(z) and both
-    # H^(d) shifts; the bump phases of w-hat(z) conj(w-hat(z-p)) give e^{-i beta p} again
-    h, dh = _h_factors(spec, zz)
-    wm, ws = _what_scaled(spec, zz, v1, dh)
+    # normalizers from w-hat: kappa's phase cancels in |w-hat|^2 and in
+    # w-hat(z) conj(w-hat(z-p)), whose bump phases give e^{-i beta p} again
     (wm_z, wm_s), (ws_z, ws_s) = np.split(wm, 2), np.split(ws, 2)
     n_m, n_s = _scaled_integral(z, np.abs(wm_z) ** 2, 2.0 * ws_z)
     c_m, c_s = _scaled_integral(z, phase * wm_z * np.conj(wm_s), ws_z + ws_s)
@@ -722,8 +717,7 @@ def sign_report(spec: ControlSpec, n_side: int = 24001) -> SignReport:
     # statement-level ratio of the small-time projection result:
     # int u ubar(.-p) intB dz / ||u||_{H^{-s}}^2 -> E (s = 2/3) or F (s = 1)
     sob = 2.0 / 3.0 if spec.case == 1 else 1.0
-    um, us = _uhat_scaled((v1m_z, v1s_z), [a[: z.size] for a in h])
-    h_m, h_s = _scaled_integral(z, np.abs(um) ** 2 * (1.0 + z**2) ** (-sob), 2.0 * us)
+    h_m, h_s = _scaled_integral(z, np.abs(um[: z.size]) ** 2 * (1.0 + z**2) ** (-sob), 2.0 * us[: z.size])
 
     ratio = (ival_m / n_m) * math.exp(ival_s - n_s)
     wshift = (c_m / n_m) * math.exp(c_s - n_s)

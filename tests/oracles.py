@@ -8,15 +8,13 @@ import numpy as np
 
 from kdvcrit.errors import DomainError, ResolutionError
 from kdvcrit.kernel import _check_poles, _eta_terms
-from kdvcrit.spectral import MU, POLE_TOL, detq_scaled, roots, shifted_roots
+from kdvcrit.spectral import MU, POLE_TOL, detq_scaled, roots
 from kdvcrit.synthesis import (
     _LAT_C,
     _LAT_OFFS,
     BumpTable,
     _h_deriv_scaled,
     _h_factors,
-    _uhat_scaled,
-    _what_scaled,
     _wrap,
     vhat1_scaled,
 )
@@ -41,7 +39,7 @@ def B_eval(pair, z, x):
     L = pair.L
     zc = complex(z)
     lam = roots(zc)
-    lamt = shifted_roots(zc, pair.p)
+    lamt = roots(pair.p - zc)
     (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
     _check_poles((abs(qm) < POLE_TOL) | (abs(qtm) < POLE_TOL), zc)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -187,17 +185,20 @@ def bump_vhat(spec, z):
 
 
 def steering_spectra(spec, z):
-    """u-hat = e^{-i beta z} v1 H and w-hat at every point of a signed grid z.
+    """u-hat = v-hat H and w-hat at every point of a signed grid z, from the paper's formulas.
 
-    Each sample is evaluated where it lies, z < 0 included, so it checks the
-    z >= 0 half grid that steering_spectrum transforms.
+    w-hat = (3/(mu_3 L)) v-hat H'_gamma (case 1) or (27/(mu_3 L)^3) z v-hat
+    H'''_gamma (case 2), with v-hat = e^{-i beta z} v1 and the H factors read
+    by _h_factors.  Each sample is evaluated where it lies, z < 0 included, so
+    it checks the z >= 0 half grid that steering_spectrum transforms.
     """
-    v1 = vhat1_scaled(spec.bump, spec.beta, z)
-    h, dh = _h_factors(spec, z)
-    (um, us), (wm, ws) = _uhat_scaled(v1, h), _what_scaled(spec, z, v1, dh)
-    phase = np.exp(-1j * spec.beta * z)
+    v1m, v1s = vhat1_scaled(spec.bump, spec.beta, z)
+    (hm, hs), (dm, ds) = _h_factors(spec, z)
+    L = spec.pair.L
+    pref = 3.0 / (MU[2] * L) if spec.case == 1 else 27.0 / (MU[2] * L) ** 3 * z
+    vhat = np.exp(-1j * spec.beta * z) * v1m
     with np.errstate(under="ignore"):
-        return um * phase * np.exp(us), wm * phase * np.exp(ws)
+        return vhat * hm * np.exp(v1s + hs), pref * vhat * dm * np.exp(v1s + ds)
 
 
 def h_derivative_on_line(pair, gamma: float, z, d: int):

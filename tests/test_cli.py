@@ -122,6 +122,10 @@ def test_verify_all_config_overlay(tmp_path):
 
 
 _RUN = {"L": 3.0, "nx": 8, "nt": 6, "T": 0.2}
+
+
+def _bump(start, stop):
+    return {"type": "sine-bump", "start": start, "stop": stop}
 _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
 
 
@@ -133,6 +137,7 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
         (["spectral", "--L", "3.6", "--z", "0:3"], None, "bad range '0:3'"),
         (["spectral", "--L", "3.6", "--z", "1e400:1:3"], None, "bad range '1e400:1:3'"),
         (["spectral", "--L", "3.6", "--z=-1e308:1e308:3"], None, "bad range '-1e308:1e308:3'"),
+        (["spectral", "--L", "3.6", "--z=0:3:0"], None, "bad range '0:3:0'"),
         (["spectral", "--L", "nan", "--z", "0:1:2"], None, "L must be positive and finite, got nan"),
         (["spectral", "--L", "inf", "--z", "0:1:2"], None, "L must be positive and finite, got inf"),
         (["verify-all", "--no-timing"], {"bogus": 1}, "unknown config key: bogus"),
@@ -166,6 +171,16 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
         ),
         (["simulate", "--system", "linear"], dict(_RUN, initial={"type": "psi-re"}),
          "initial type 'psi-re' needs k and l"),
+        (["simulate", "--system", "linear"], dict(_RUN, control=_bump(0.8, 0.2)),
+         "sine-bump window [0.8, 0.2] must be"),
+        (["simulate", "--system", "linear"], dict(_RUN, control=_bump(0.2, 0.2)),
+         "sine-bump window [0.2, 0.2] must be"),
+        (["simulate", "--system", "linear"], dict(_RUN, T=1.0, control=_bump(1.5, 3.0)),
+         "sine-bump window [1.5, 3] must be finite and hold a time node"),
+        (["simulate", "--system", "linear"], dict(_RUN, control=_bump(0.0, float("inf"))),
+         "sine-bump window [0, inf] must be"),
+        (["simulate", "--system", "linear"], dict(_RUN, control=_bump(0.01, 0.02)),
+         "sine-bump window [0.01, 0.02] must be"),
         (["kernel", "--k", "2", "--l", "1", "--zmin", "1", "--zmax", "5", "--points", "-3"], None,
          "--points must be >= 1"),
         (_SIGNS + ["--tsweep", "0.4,abc"], None, "bad --tsweep '0.4,abc'"),
@@ -180,11 +195,12 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
             "synthesis, unreachable",
         ),
     ],
-    ids=["range", "range-inf", "range-span-overflow", "spectral-L-nan", "spectral-L-inf",
+    ids=["range", "range-inf", "range-span-overflow", "range-no-points", "spectral-L-nan", "spectral-L-inf",
          "config-key", "config-argparse-attr", "config-underscore-key", "config-type",
          "control-type", "run-file-key", "run-file-keys", "config-missing", "config-malformed",
          "config-list", "run-file-missing", "run-file-malformed", "run-file-list", "run-file-type",
          "control-list", "control-file-no-path", "control-file-missing", "initial-no-pair",
+         "bump-reversed", "bump-empty", "bump-after-T", "bump-stop-inf", "bump-between-nodes",
          "kernel-points", "tsweep", "tsweep-nan", "tsweep-extreme", "n-side", "out-dir-missing",
          "only-tag"],
 )

@@ -290,12 +290,12 @@ def test_interaction_numerator_matches_eight_exp_form(monkeypatch, k, l, T):
     # profile terms bit for bit, and the scales are detq_scaled's, on the
     # band grids of the sign integrals
     from kdvcrit import synthesis as syn
-    from kdvcrit.spectral import detq_scaled, roots, shifted_roots
+    from kdvcrit.spectral import detq_scaled, roots
 
     pair = nt.CriticalPair(k, l)
     z = syn._band_grid(syn.make_spec(pair, T), 4001)
     m, s = kn.interaction_numerator(pair, z)
-    lam, lamt = roots(z), shifted_roots(z, pair.p)
+    lam, lamt = roots(z), roots(pair.p - z)
     (_, qs), (_, qts) = detq_scaled(lam, pair.L), detq_scaled(lamt, pair.L)
     assert np.array_equal(s, qs + qts)
     for r, q in ((lam, qs), (lamt, qts)):

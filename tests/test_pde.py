@@ -297,6 +297,15 @@ def _reference_assembly(g):
     return sys_, out
 
 
+@pytest.mark.parametrize("h", [1.0, 0.37, 0.05, 3.0])
+def test_shape_funcs_form_the_hermite_pattern(h):
+    # at the element ends the values and the x-slopes (the s-slopes over h)
+    # are the identity: each shape is one DOF's value or slope at one end
+    n, n1, _ = pde._shape_funcs(np.array([0.0, 1.0]), h)
+    got = np.stack([n[:, 0], n1[:, 0] / h, n[:, 1], n1[:, 1] / h], axis=1)
+    assert np.abs(got - np.eye(4)).max() <= 4 * np.finfo(float).eps
+
+
 def test_assembly_matches_per_element_reference():
     for g in (pde.Grid(L=PAIR.L, nx=8, T=1.0, nt=1), pde.Grid(L=1.0, nx=37, T=1.0, nt=1)):
         sys_, (m, k, s1) = _reference_assembly(g)

@@ -634,6 +634,8 @@ def test_vectorized_layers_do_not_depend_on_batch_size():
         "vhat1_scaled": lambda z: syn.vhat1_scaled(syn.BumpTable(spec1.nu), spec1.beta, z),
         "_h_factors d=1": lambda z: syn._h_factors(spec1, z),
         "_h_factors d=3": lambda z: syn._h_factors(spec3, z),
+        "_spectra case 1": lambda z: syn._spectra(spec1, z),
+        "_spectra case 2": lambda z: syn._spectra(spec3, z),
         "_numerator": lambda z: syn._numerator(spec1, z),
     }
     for name, layer in layers.items():
@@ -672,18 +674,22 @@ def test_h_mirror_symmetry_on_line():
 
 
 def test_what_uhat_pointwise_relation():
-    # w-hat * H = (3/(mu3 L)) u-hat * H'_gamma is an algebraic identity of
-    # the definitions
-    spec = syn.make_spec(P21, 2.0)
-    zs = np.array([0.5, 7.0, 31.0])
-    v1 = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zs)
-    _, _, hm, hs = sp.gh_scaled(zs.astype(complex), P21.L)
-    dm, ds = syn._h_deriv_scaled(P21, spec.gamma, zs, 1)
-    um, us = syn._uhat_scaled(v1, sp.h_scaled(zs, P21.L))
-    wm, ws = syn._what_scaled(spec, zs, v1, (dm, ds))
-    lhs = wm * hm * np.exp(ws + hs)
-    rhs = (3.0 / (sp.MU[2] * P21.L)) * um * dm * np.exp(us + ds)
-    assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
+    # _spectra's |kappa| g-hat times kappa/|kappa| is the paper's w-hat,
+    # (3/(mu3 L)) v-hat H'_gamma (case 1) or (27/(mu3 L)^3) z v-hat H'''_gamma
+    # (case 2), and its u-hat is v-hat H, both formed here from the exact H and H^(d)
+    zs = np.array([-4.0, 0.5, 7.0, 31.0])
+    for spec in (syn.make_spec(P21, 2.0), syn.make_spec(P41, 2.0)):
+        L = spec.pair.L
+        v1m, v1s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zs)
+        hm, hs = sp.h_scaled(zs, L)
+        dm, ds = syn._h_deriv_scaled(spec.pair, spec.gamma, zs, spec.h_order)
+        pref = 3.0 / (sp.MU[2] * L) if spec.case == 1 else 27.0 / (sp.MU[2] * L) ** 3 * zs
+        _, (um, us), (wm, ws) = syn._spectra(spec, zs)
+        for got, ref in (
+            (um * np.exp(us), v1m * hm * np.exp(v1s + hs)),
+            (_w_phase(spec) * wm * np.exp(ws), pref * v1m * dm * np.exp(v1s + ds)),
+        ):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +706,9 @@ def test_steering_spectrum_21():
     # H lattice matches direct evaluation with the exact H on the full grid
     n = trip.z.size
     assert np.array_equal(trip.z[1:], -trip.z[n - 1 : 0 : -1])
-    v1 = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, trip.z)
-    um, us = syn._uhat_scaled(v1, sp.h_scaled(trip.z, P21.L))
-    direct = np.exp(-1j * spec.beta * trip.z) * um * np.exp(us)
+    v1m, v1s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, trip.z)
+    hm, hs = sp.h_scaled(trip.z, P21.L)
+    direct = np.exp(-1j * spec.beta * trip.z) * v1m * hm * np.exp(v1s + hs)
     uhat = oracles.steering_spectra(spec, trip.z)[0]
     assert np.all(np.abs(uhat - direct) <= 1e-12 * np.abs(direct))
     # Hermitian spectrum reconstructs a real control (asserted inside, but
