@@ -31,20 +31,13 @@ import numpy as np
 from .errors import NearPole, check_numeric, check_type
 from .numbertheory import CriticalPair
 from .spectral import POLE_TOL, detq_scaled, roots, xi
-from .unreachable import constants, eta_triple
+from .unreachable import constants, eta_triple, phi_x_terms
 
 # intB_closed waits on ROADMAP direction 4 for a production caller
 __all__ = ["intB_closed", "AsymptoticReport", "verify_expansion"]
 
 _SERIES_CUT = 1e-3  # switch (e^{aL}-1)/a to its series below |a|L = 1e-3
 _SUM_CUT = 1e-3  # _root_sums' switch; cuts from 1e-4 to 0.3 measured alike against mpmath
-
-
-def _eta_terms(pair: CriticalPair):
-    """(coefficients, exponents) of phi_x = sum eta_{k+2}(eta_{k+1}-eta_k) e^{eta_{k+2} x}."""
-    e = eta_triple(pair).eta
-    ep1, ep2 = np.roll(e, -1), np.roll(e, -2)
-    return (ep1 - e) * ep2, ep2
 
 
 def _series_int(aL: np.ndarray) -> np.ndarray:
@@ -68,12 +61,7 @@ def _intB_masked(pair: CriticalPair, z):
 
     A masked value is not meaningful; intB_closed raises NearPole instead.
     """
-    z_arr, L = check_numeric(z, "z", complex).reshape(-1), pair.L
-    # lamt solves mu^3 + mu - i(z - p) = 0, the cubic of roots at p - z
-    lam, lamt = roots(z_arr), roots(pair.p - z_arr)
-    (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
-    # int B = num / (qm qtm)
-    num = _numerator_scaled(L, pair.p, lam, lamt, qs, qts, *_eta_terms(pair))
+    num, _, (qm, qtm), _ = _kernel_sum(pair, check_numeric(z, "z", complex).reshape(-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / (qm * qtm)
     return vals, (np.abs(qm) < POLE_TOL) | (np.abs(qtm) < POLE_TOL)
@@ -122,17 +110,24 @@ def _root_sums(p, lam, lamt):
     return np.where(np.abs(direct) < _SUM_CUT * np.abs(lr), quotient, direct)
 
 
-def _numerator_scaled(L, p, lam, lamt, qs, qts, ec, ee):
-    """Mantissa of int_0^L f g phi_x dx against the scale e^{qs + qts}.
+def _kernel_sum(pair: CriticalPair, z: np.ndarray):
+    """N = int_0^L f g phi_x dx at the 1-D z, with the parts its readers divide by.
 
-    f0, fL (g0, gL) are the profile terms at x = 0 and x = L (_end_profiles);
-    with w = e^{eta_k L}, common to every k, term (j, m, k) is
+    Returns (m, s, (qm, qtm), (lam, lamt)) with N = m e^s and s the det Q
+    det Q~ log-scale: intB = m/(qm qtm), and lam, lamt are the roots at z
+    and at p - z, whose Xi Xi~ interaction_numerator divides by.  f0, fL
+    (g0, gL) are the profile terms at x = 0 and x = L (_end_profiles); with
+    w = e^{eta_k L}, common to every k, term (j, m, k) is
     c_k (w fL_j gL_m - f0_j g0_m)/a_jmk, or c_k f0_j g0_m L S(aL) for small aL,
     where a_jmk = l_{j+2} + mu~_{m+2} + eta_{k+2}, its root sum from
-    _root_sums.  One (j, m) block per k keeps the temporaries at 9 values per
-    point.
+    _root_sums, and c_k, eta_{k+2} are unreachable.phi_x_terms'.  One (j, m)
+    block per k keeps the temporaries at 9 values per point.
     """
+    L, p = pair.L, pair.p
+    lam, lamt = roots(z), roots(p - z)
+    (qm, qs), (qtm, qts) = detq_scaled(lam, L), detq_scaled(lamt, L)
     (f0, fL), (g0, gL) = _end_profiles(lam, L, qs), _end_profiles(lamt, L, qts)
+    ec, ee = phi_x_terms(eta_triple(pair))
     low = f0[..., :, None] * g0[..., None, :]
     rise = np.exp(ee[0] * L) * fL[..., :, None] * gL[..., None, :] - low
     lm = _root_sums(p, np.roll(lam, -2, axis=-1), np.roll(lamt, -2, axis=-1))
@@ -145,7 +140,7 @@ def _numerator_scaled(L, p, lam, lamt, qs, qts, ec, ee):
         if np.any(small):
             terms[small] = c * low[small] * L * _series_int(a[small] * L)
         acc = acc + terms.sum(axis=(-2, -1))
-    return acc
+    return acc, qs + qts, (qm, qtm), (lam, lamt)
 
 
 def interaction_numerator(pair: CriticalPair, z: np.ndarray):
@@ -162,13 +157,7 @@ def interaction_numerator(pair: CriticalPair, z: np.ndarray):
     a = max(z, p - z): this function evaluates the lattice nodes and the a
     below the lattice's switch, and nothing else.
     """
-    L = pair.L
-    # lamt solves mu^3 + mu - i(z - p) = 0, the cubic of roots at p - z
-    lam, lamt = roots(z), roots(pair.p - z)
-    # the log-scales of detq_scaled; the det Q mantissas are not read here
-    qs, qts = (np.max((-np.roll(r, -2, axis=-1) * L).real, axis=-1) for r in (lam, lamt))
-    num = _numerator_scaled(L, pair.p, lam, lamt, qs, qts, *_eta_terms(pair))
-    s = qs + qts
+    num, s, _, (lam, lamt) = _kernel_sum(pair, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = num / (xi(lam) * xi(lamt))
     return m, s

@@ -399,14 +399,10 @@ class ControlSpec:
         return BumpTable(self.nu)
 
 
-def _h_deriv_scaled(pair: CriticalPair, gamma: float, z: np.ndarray, d: int):
-    return h_jets_scaled(z + 1j * gamma, pair.L, d)
-
-
 def _gamma_admissible(pair: CriticalPair, gamma: float, d: int) -> bool:
     # |H^(d)(-z + i gamma)| = |H^(d)(z + i gamma)|, so z >= 0 probes the whole line
     zs = np.concatenate([np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 1e5, 80)])
-    m, s = _h_deriv_scaled(pair, gamma, zs, d)
+    m, s = h_jets_scaled(zs + 1j * gamma, pair.L, d)
     logmag = np.log(np.abs(m) + 1e-300) + s
     return bool(np.min(logmag) > math.log(1e-10))
 
@@ -473,7 +469,7 @@ class _PairTables:
 
     def _h_exact(self, a):
         hm, hs = h_scaled(a, self.pair.L)
-        dm, ds = _h_deriv_scaled(self.pair, _GAMMA, a, self.d)
+        dm, ds = h_jets_scaled(a + 1j * _GAMMA, self.pair.L, self.d)
         return np.stack([hm, dm]), np.stack([hs, ds])
 
     @cached_property

@@ -102,11 +102,17 @@ def phi(eta: EtaTriple, x) -> np.ndarray:
     return ((ep1 - eta.eta) * np.exp(np.multiply.outer(x_arr, ep2))).sum(axis=-1)
 
 
+def phi_x_terms(eta: EtaTriple):
+    """(coefficients, exponents) of phi_x = sum_j (eta_{j+1} - eta_j) eta_{j+2} e^{eta_{j+2} x}."""
+    ep1, ep2 = _cyc(eta.eta)
+    return (ep1 - eta.eta) * ep2, ep2
+
+
 def phi_x(eta: EtaTriple, x) -> np.ndarray:
     """Exact derivative of phi (exponents multiplied analytically)."""
-    ep1, ep2 = _cyc(check_type(eta, EtaTriple, "eta").eta)
+    coeffs, exps = phi_x_terms(check_type(eta, EtaTriple, "eta"))
     x_arr = check_finite(x, "x")
-    return ((ep1 - eta.eta) * ep2 * np.exp(np.multiply.outer(x_arr, ep2))).sum(axis=-1)
+    return (coeffs * np.exp(np.multiply.outer(x_arr, exps))).sum(axis=-1)
 
 
 def phi_parts(ph: np.ndarray) -> list:

@@ -7,18 +7,18 @@ module under src/kdvcrit imports this one (tests/test_exports.py checks it).
 import numpy as np
 
 from kdvcrit.errors import DomainError, ResolutionError
-from kdvcrit.kernel import _check_poles, _eta_terms
+from kdvcrit.jets import h_jets_scaled
+from kdvcrit.kernel import _check_poles
 from kdvcrit.spectral import MU, POLE_TOL, detq_scaled, roots
 from kdvcrit.synthesis import (
     _LAT_C,
     _LAT_OFFS,
     BumpTable,
-    _h_deriv_scaled,
     _h_factors,
     _wrap,
     vhat1_scaled,
 )
-from kdvcrit.unreachable import eta_triple
+from kdvcrit.unreachable import eta_triple, phi_x
 
 
 def profile_scaled(lam: np.ndarray, L: float, x, s) -> np.ndarray:
@@ -45,9 +45,7 @@ def B_eval(pair, z, x):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     fa = profile_scaled(lam, L, x_arr, qs).sum(axis=-1) / qm
     ga = profile_scaled(lamt, L, x_arr, qts).sum(axis=-1) / qtm
-    ec, ee = _eta_terms(pair)
-    phix = (ec * np.exp(np.multiply.outer(x_arr, ee))).sum(axis=-1)
-    out = fa * ga * phix
+    out = fa * ga * phi_x(eta_triple(pair), x_arr)
     return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -205,7 +203,7 @@ def h_derivative_on_line(pair, gamma: float, z, d: int):
     """d-th derivative of H at z + i gamma by the closed form (d in {1, 3})."""
     if d not in (1, 3):
         raise DomainError(f"derivative order must be 1 or 3, got {d}")
-    m, s0 = _h_deriv_scaled(pair, gamma, z, d)
+    m, s0 = h_jets_scaled(z + 1j * gamma, pair.L, d)
     with np.errstate(over="ignore"):
         return m * np.exp(s0)
 

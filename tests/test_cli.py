@@ -60,6 +60,22 @@ def test_simulate_control_file(tmp_path, layout):
     assert np.any(u != 0.0) and csv["file"].read_text() == csv["array"].read_text()
 
 
+def test_simulate_psi_re_initial_state(tmp_path):
+    # row 0 of the CSV is Re((re + i im) phi) at the interior nodes and 0 at the ends
+    pair = nt.CriticalPair(2, 1)
+    initial = {"type": "psi-re", "re": 0.3, "im": 0.7}
+    cfg = tmp_path / "psi.json"
+    cfg.write_text(json.dumps({"k": 2, "l": 1, "nx": 32, "nt": 4, "T": 0.05, "initial": initial}))
+    out = tmp_path / "traj.csv"
+    assert dispatch(["simulate", "--system", "nonlinear", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, row0 = list(csv.reader(fh))[:2]
+    x = np.array([float(v) for v in header[1:]])
+    want = (complex(0.3, 0.7) * ur.phi(ur.eta_triple(pair), x[1:-1])).real
+    assert row0[0] == "0" and row0[1] == row0[-1] == "0"
+    assert row0[2:-1] == ["%.17g" % v for v in want]
+
+
 def test_bad_pairs_are_usage_errors(tmp_path, capsys):
     assert dispatch(["lengths", "--nmax", "0"]) == 2
     cfg = tmp_path / "sim.json"
@@ -169,6 +185,11 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
             dict(_RUN, control={"type": "file", "path": "{tmp}/missing.csv"}),
             "cannot read control file",
         ),
+        (
+            ["simulate", "--system", "linear"],
+            dict(_RUN, control={"type": "file", "path": "{tmp}/short.csv"}),
+            "control file length != nt+1",
+        ),
         (["simulate", "--system", "linear"], dict(_RUN, initial={"type": "psi-re"}),
          "initial type 'psi-re' needs k and l"),
         (["simulate", "--system", "linear"], dict(_RUN, control=_bump(0.8, 0.2)),
@@ -199,12 +220,13 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
          "config-key", "config-argparse-attr", "config-underscore-key", "config-type",
          "control-type", "run-file-key", "run-file-keys", "config-missing", "config-malformed",
          "config-list", "run-file-missing", "run-file-malformed", "run-file-list", "run-file-type",
-         "control-list", "control-file-no-path", "control-file-missing", "initial-no-pair",
-         "bump-reversed", "bump-empty", "bump-after-T", "bump-stop-inf", "bump-between-nodes",
-         "kernel-points", "tsweep", "tsweep-nan", "tsweep-extreme", "n-side", "out-dir-missing",
+         "control-list", "control-file-no-path", "control-file-missing", "control-file-length",
+         "initial-no-pair", "bump-reversed", "bump-empty", "bump-after-T", "bump-stop-inf",
+         "bump-between-nodes", "kernel-points", "tsweep", "tsweep-nan", "tsweep-extreme", "n-side", "out-dir-missing",
          "only-tag"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
+    (tmp_path / "short.csv").write_text("0.0,0.0\n")  # two control samples, where nt + 1 = 7
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
@@ -268,6 +290,13 @@ def test_verify_all_records_stray_exception(tmp_path, monkeypatch):
     checks = json.loads(out.read_text())["checks"]
     assert [c["status"] for c in checks] == ["fail", "fail", "pass"]
     assert checks[0]["measured"] == "RuntimeError: boom"
+
+
+def test_verify_all_battery_passes():
+    # every check of the battery runs to completion and passes, in _CHECKS order
+    report = cli.verify_all(include_timing=False)
+    assert [c["name"] for c in report["checks"]] == [name for _, name, *_ in cli._CHECKS]
+    assert all(c["status"] == "pass" for c in report["checks"]) and report["failed"] == 0
 
 
 def test_constants_json(tmp_path):
@@ -372,6 +401,20 @@ def test_synthesize_usage_and_leak_exits(tmp_path, capsys):
     # at (3,2), T = 0.4 the spectral hump exceeds double range: SupportLeak
     assert dispatch(["synthesize", "--k", "3", "--l", "2", "--T", "0.4", "--out", out]) == 1
     assert "spectral hump" in capsys.readouterr().err
+
+
+def test_synthesize_writes_the_steering_signals(tmp_path, capsys):
+    # the t, u, w columns re-parse bit for bit to steering_spectrum's signals
+    out = tmp_path / "ctrl.csv"
+    assert dispatch(["synthesize", "--k", "1", "--l", "1", "--T", "1", "--out", str(out)]) == 0
+    assert "outside-[0,T] mass:" in capsys.readouterr().err
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    trip = synthesis.steering_spectrum(synthesis.make_spec(nt.CriticalPair(1, 1), 1.0))
+    cols = np.array(rows, dtype=float).T
+    assert header == ["t", "u", "w"] and cols.shape == (3, 131072)
+    for got, want in zip(cols, (trip.t, trip.u_time, trip.w_time)):
+        assert np.array_equal(got, want)
 
 
 def test_verify_signs_json(tmp_path):

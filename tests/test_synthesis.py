@@ -18,7 +18,7 @@ from kdvcrit import kernel as kn
 from kdvcrit import numbertheory as nt
 from kdvcrit import spectral as sp
 from kdvcrit import synthesis as syn
-from kdvcrit.errors import DomainError, ResolutionError, SupportLeak
+from kdvcrit.errors import CaseError, DomainError, ResolutionError, SupportLeak
 
 P11 = nt.CriticalPair(1, 1)
 P21 = nt.CriticalPair(2, 1)
@@ -359,14 +359,14 @@ def test_h_table_matches_exact(pair, order):
     tol = np.maximum(1e-12, 4 * np.finfo(float).eps * pair.L * np.cbrt(z))
     (hm, hs), (dm, ds) = syn._h_factors(spec, z)
     em, es = sp.h_scaled(z, pair.L)
-    xm, xs = syn._h_deriv_scaled(pair, spec.gamma, z, order)
+    xm, xs = jets.h_jets_scaled(z + 1j * spec.gamma, pair.L, order)
     assert np.all(np.abs(hm * np.exp(hs - es) - em) <= tol * np.abs(em))
     assert np.all(np.abs(dm * np.exp(ds - xs) - xm) <= tol * np.abs(xm))
     # below it both factors are the exact values
     zl = np.linspace(0.0, syn._H_SW, 50, endpoint=False)
     (hm, hs), (dm, ds) = syn._h_factors(spec, zl)
     assert np.array_equal(hm, sp.h_scaled(zl, pair.L)[0])
-    assert np.array_equal(dm, syn._h_deriv_scaled(pair, spec.gamma, zl, order)[0])
+    assert np.array_equal(dm, jets.h_jets_scaled(zl + 1j * spec.gamma, pair.L, order)[0])
 
 
 _ZH = np.linspace(-3000.0, 3000.0, 2401)  # step 2.5: holds 0 and +-_H_SW
@@ -412,7 +412,7 @@ def test_h_factors_switch_points_match_full_call(pair):
         assert np.array_equal(m_sub, m[picks]) and np.array_equal(s_sub, s[picks])
     lo = np.abs(z) < sw
     hm, hs = sp.h_scaled(np.abs(z[lo]), pair.L)
-    dm, ds = syn._h_deriv_scaled(pair, spec.gamma, np.abs(z[lo]), spec.h_order)
+    dm, ds = jets.h_jets_scaled(np.abs(z[lo]) + 1j * spec.gamma, pair.L, spec.h_order)
     sign = np.where(z[lo] < 0.0, -1.0, 1.0) ** spec.h_order
     (m_h, s_h), (m_d, s_d) = full
     assert np.array_equal(m_h[lo], np.where(z[lo] < 0.0, np.conj(hm), hm)) and np.array_equal(s_h[lo], hs)
@@ -557,7 +557,7 @@ def test_h_derivative_against_mpmath_to_1e9(pair):
     z = np.array([0.0, 3.0, 40.0, 1e3, 1e5, 3e6, 1e8, 1e9])
     tol = 1e-13 + np.finfo(float).eps * pair.L * np.cbrt(z)
     for d in (1, 3):
-        m, s = syn._h_deriv_scaled(pair, syn._GAMMA, z, d)
+        m, s = jets.h_jets_scaled(z + 1j * syn._GAMMA, pair.L, d)
         for zi, mi, si, ti in zip(z, m, s, tol):
             log_ref, arg_ref = oracles.h_derivative_mp(pair, complex(zi, syn._GAMMA), d)
             assert abs(math.log(abs(mi)) + si - log_ref) <= ti
@@ -654,7 +654,7 @@ def test_h_log_derivative_slope():
     # |H'_g / H| ~ (L/3) z^{-2/3}: fitted slope -2/3
     zs = np.geomspace(1e3, 1e6, 15)
     spec = syn.make_spec(P21, 1.0)
-    dm, ds = syn._h_deriv_scaled(P21, spec.gamma, zs, 1)
+    dm, ds = jets.h_jets_scaled(zs + 1j * spec.gamma, P21.L, 1)
     _, _, hm, hs = sp.gh_scaled(zs.astype(complex), P21.L)
     ratio = np.abs(dm / hm) * np.exp(ds - hs)
     slope = np.polyfit(np.log10(zs), np.log10(ratio), 1)[0]
@@ -682,7 +682,7 @@ def test_what_uhat_pointwise_relation():
         L = spec.pair.L
         v1m, v1s = syn.vhat1_scaled(syn.BumpTable(spec.nu), spec.beta, zs)
         hm, hs = sp.h_scaled(zs, L)
-        dm, ds = syn._h_deriv_scaled(spec.pair, spec.gamma, zs, spec.h_order)
+        dm, ds = jets.h_jets_scaled(zs + 1j * spec.gamma, L, spec.h_order)
         pref = 3.0 / (sp.MU[2] * L) if spec.case == 1 else 27.0 / (sp.MU[2] * L) ** 3 * zs
         _, (um, us), (wm, ws) = syn._spectra(spec, zs)
         for got, ref in (
@@ -812,6 +812,13 @@ def test_integral_J_41():
     val = syn.sign_report(spec, n_side=4001).value
     assert 0.9 <= val.real <= 1.1
     assert val.imag < 0.0
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_sign_report_refuses_equal_pairs(k):
+    # k = l gives p = 0, so F = 0 and J has no leading constant to divide by
+    with pytest.raises(CaseError, match="leading constant vanishes"):
+        syn.sign_report(syn.make_spec(nt.CriticalPair(k, k), 0.4))
 
 
 def test_sign_report_value_21_T25():
