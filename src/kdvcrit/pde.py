@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -90,9 +90,13 @@ class Grid:
 _GAUSS_N = 5  # exact for the degree <= 9 element integrands used here
 
 
+@cache
 def _gauss01():
+    """Gauss-Legendre nodes and weights on [0, 1], read-only: every build shares them."""
     xs, ws = np.polynomial.legendre.leggauss(_GAUSS_N)
-    return 0.5 * (xs + 1.0), 0.5 * ws
+    s, w = 0.5 * (xs + 1.0), 0.5 * ws
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 # the Hermite cubics' coefficients of s^0 .. s^3: the value and slope shapes at s = 0, then at s = 1
@@ -149,10 +153,10 @@ class _System:
         self.S1 = assemble(stiff_e)
         self.i_dN = 2 * n_el + 1
         self.free = np.arange(1, ndof - 2)  # all but the values y(0), y(L) and the control y_x(L)
-        self.Mf = self.M[np.ix_(self.free, self.free)].tocsc()
-        self.Kf = self.K[np.ix_(self.free, self.free)].tocsc()
-        self.Mc = np.asarray(self.M[self.free, self.i_dN].todense()).ravel()
-        self.Kc = np.asarray(self.K[self.free, self.i_dN].todense()).ravel()
+        free, control = slice(1, -2), [self.i_dN]  # free is the contiguous range 1 .. ndof - 3
+        self.Mf, self.Kf = self.M[free, free], self.K[free, free]
+        self.Mc = self.M[free, control].toarray().ravel()
+        self.Kc = self.K[free, control].toarray().ravel()
 
     @cached_property
     def step_solve(self):
@@ -256,7 +260,10 @@ def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.nda
 
     on the free DOFs, Mc and Kc being the y_x(L) columns through which the
     control enters.  y and u may carry a trailing column axis, one run per
-    column.  ``solve`` is the banded LU solve of ``sys_.step_solve``.
+    column.  A step whose control is zero at both ends (u_n = u_{n+1} = 0 in
+    every column) has du = su = 0, so its forcing is exactly zero and is
+    skipped: the states are bit-identical to adding it on every step.
+    ``solve`` is the banded LU solve of ``sys_.step_solve``.
     ``step(n, states, rhs, solve)``, when given, returns y_{n+1} in place of
     ``solve(rhs)``, rows 0 .. n of ``states`` holding y_0 .. y_n; the solvers
     use it to add a source or iterate the step from an extrapolated guess.
@@ -268,12 +275,14 @@ def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.nda
     kc = (sys_.Kc * (sys_.grid.dt / 2.0)).reshape(-1, *runs)
     du = u[1:] - u[:-1]
     su = u[:-1] + u[1:]
+    forced = ((u[:-1] != 0) | (u[1:] != 0)).reshape(len(du), -1).any(axis=1).tolist()
     states = np.empty((sys_.grid.nt + 1,) + y.shape)
     states[0] = y
     for n in range(sys_.grid.nt):
         rhs = b_mat @ states[n]
-        rhs -= mc * du[n]
-        rhs -= kc * su[n]
+        if forced[n]:
+            rhs -= mc * du[n]
+            rhs -= kc * su[n]
         states[n + 1] = solve(rhs) if step is None else step(n, states, rhs, solve)
     return states
 
@@ -422,7 +431,9 @@ def _control_map(sys_: _System) -> np.ndarray:
     steps: column j is state nt + 1 - j of the u = delta_1 run, and column 0
     is the final state of the u = delta_0 run.  Both runs go through the
     stepper together as two columns (identical to resolving each impulse with
-    solve_linear; verified in the tests).
+    solve_linear; verified in the tests).  Both controls are zero from node 2
+    on, so after step 1 both runs are free evolution and _cn_states adds no
+    forcing.
     """
     nt = sys_.grid.nt
     u = np.zeros((nt + 1, 2))

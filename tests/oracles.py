@@ -234,3 +234,25 @@ def lattice_interp_whole(x: np.ndarray, nodes):
         fi = fi + wi * np.take(tab_f[i], row, axis=-1)
         gi = gi + wi * np.take(tab_g[i], row, axis=-1)
     return fi, gi
+
+
+def cn_states_every_step(sys_, y: np.ndarray, u: np.ndarray, step=None) -> np.ndarray:
+    """pde._cn_states with the control forcing added on every step, at rest or not.
+
+    A step with u_n = u_{n+1} = 0 adds an exactly zero forcing here; the
+    stepper, which skips it, must match this loop bit for bit.
+    """
+    solve = sys_.step_solve
+    runs = (1,) * (y.ndim - 1)
+    mc = sys_.Mc.reshape(-1, *runs)
+    kc = (sys_.Kc * (sys_.grid.dt / 2.0)).reshape(-1, *runs)
+    du = u[1:] - u[:-1]
+    su = u[:-1] + u[1:]
+    states = np.empty((sys_.grid.nt + 1,) + y.shape)
+    states[0] = y
+    for n in range(sys_.grid.nt):
+        rhs = sys_.step_rhs @ states[n]
+        rhs -= mc * du[n]
+        rhs -= kc * su[n]
+        states[n + 1] = solve(rhs) if step is None else step(n, states, rhs, solve)
+    return states

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from kdvcrit import numbertheory as nt
 from kdvcrit import pde
 from kdvcrit import unreachable as ur
@@ -131,6 +132,46 @@ def test_cn_states_two_columns_match_one_column_runs(nx, n_steps, seed):
     both = pde._cn_states(sys_, y, u)
     for j in range(2):
         assert np.array_equal(both[..., j], pde._cn_states(sys_, y[:, j], u[:, j]))
+
+
+def _resting_control(rng, n_steps, shape):
+    """Random control samples: nonzero only in one window, zero only in one gap of at
+    least two samples ("restart"), or all zero."""
+    idx = np.arange(n_steps + 1)
+    lo, hi = np.sort(rng.integers(0, n_steps + 2, size=2))
+    mask = {
+        "window": (idx >= lo) & (idx < hi),
+        "restart": (idx < lo) | (idx >= hi + 2),
+        "zero": np.zeros(n_steps + 1, dtype=bool),
+    }[shape]
+    return np.where(mask, rng.standard_normal(n_steps + 1), 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([8, 16]),
+    st.integers(1, 24),
+    st.lists(st.sampled_from(["window", "restart", "zero"]), min_size=1, max_size=2),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_cn_states_rest_rule_matches_every_step_forcing(nx, n_steps, shapes, with_step, seed):
+    # skipping the forcing on steps with u_n = u_{n+1} = 0 (in every column) is exact
+    sys_ = pde._System(pde.Grid(L=PAIR.L, nx=nx, T=0.5, nt=n_steps))
+    rng = np.random.default_rng(seed)
+    u = np.stack([_resting_control(rng, n_steps, shape) for shape in shapes], axis=-1)
+    y = rng.standard_normal((len(sys_.free), len(shapes)))
+    if len(shapes) == 1:
+        u, y = u[:, 0], y[:, 0]
+    step = None
+    if with_step:  # a source added to each step, as solve_second_order's y2 run does
+        source = rng.standard_normal((n_steps,) + y.shape)
+
+        def step(n, states, rhs, solve):
+            return solve(rhs - sys_.grid.dt * source[n])
+
+    got = pde._cn_states(sys_, y, u, step=step)
+    assert np.array_equal(got, oracles.cn_states_every_step(sys_, y, u, step=step))
 
 
 def test_step_matrix_factored_once_per_system(monkeypatch):
@@ -266,10 +307,12 @@ def test_projection_identity_quick():
 
 
 def test_gramian_columns_match_solve_linear():
-    # every column, on a generic grid, a single-step grid and the critical length
+    # every column, on a generic grid, a single-step grid, a two-step grid (delta_1
+    # forces both steps, delta_0 only the first) and the critical length
     for g in (
         pde.Grid(L=1.0, nx=24, T=0.5, nt=30),
         pde.Grid(L=1.0, nx=8, T=0.1, nt=1),
+        pde.Grid(L=1.0, nx=8, T=0.1, nt=2),
         pde.Grid(L=2 * math.pi, nx=16, T=1.0, nt=20),
     ):
         sys_ = pde._System(g)
