@@ -51,7 +51,7 @@ class FixedPointDiverged(KdvCritError):
 
 
 class NotReachable(KdvCritError):
-    """HUM target not reached: the residual at the Gram matrix's numerical rank
+    """HUM target not reached: the residual at the control map's numerical rank
     exceeds the tolerance, as for a target with a component in M_N at a critical length."""
 
 
@@ -64,8 +64,8 @@ class SupportLeak(KdvCritError):
 
 
 def check_positive(value, name: str):
-    """value, if it is a real number in (0, inf)."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    """value, if it is a real number in (0, inf) (never a bool)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise DomainError(f"{name} must be positive and finite, got {value}")
     return value
 

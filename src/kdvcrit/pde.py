@@ -175,6 +175,17 @@ class _System:
         """Right-hand-side matrix M - dt/2 K of the Crank-Nicolson step."""
         return (self.Mf - (self.grid.dt / 2.0) * self.Kf).tocsc()
 
+    @cached_property
+    def l2_map(self):
+        """(r, Phi, R^T): the mass Cholesky factor (Mf = r^T r), the L^2-geometry
+        control map Phi = r @ _control_map and R^T from Phi^T = Q R, Q never formed."""
+        try:
+            r = cholesky(np.asarray(self.Mf.todense()), lower=False)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(f"mass matrix not positive definite at grid step h = {self.h:.3e}") from exc
+        phi_l2 = r @ _control_map(self)
+        return r, phi_l2, np.linalg.qr(phi_l2.T, mode="r").T
+
     def interpolate(self, values, derivs) -> np.ndarray:
         """Full DOF vector of the Hermite interpolant of nodal values and derivatives."""
         dofs = np.empty(self.ndof)
@@ -442,16 +453,6 @@ def _control_map(sys_: _System) -> np.ndarray:
     return np.column_stack([states[-1, :, 0], states[:0:-1, :, 1].T])
 
 
-def _mass_cholesky(sys_: _System) -> np.ndarray:
-    m = np.asarray(sys_.Mf.todense())
-    try:
-        return cholesky(m, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(
-            f"mass matrix not positive definite at grid step h = {sys_.grid.dx:.3e}"
-        ) from exc
-
-
 def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     """SVD of the discrete control-to-state map, split along the M_N shapes.
 
@@ -469,7 +470,7 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     """
     check_type(length_class, LengthClass, "length_class")
     sys_ = _System(grid)
-    r = _mass_cholesky(sys_)
+    r, _, rt = sys_.l2_map
     shapes = r @ _mn_dofs(sys_, length_class)
     sv = np.linalg.svd(shapes, compute_uv=False)
     rank = int(np.sum(sv > 1e-5 * sv.max(initial=0.0)))
@@ -478,7 +479,6 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
             f"M_N shapes have rank {rank} != dim M_N = {length_class.dim_MN} "
             f"for N = {length_class.N} at nx = {grid.nx}; refine the grid"
         )
-    rt = np.linalg.qr((r @ _control_map(sys_)).T, mode="r").T
     qb, _ = np.linalg.qr(shapes)  # L2-orthonormal basis of the shapes
     proj = qb.T @ rt
     full = np.linalg.svd(rt, compute_uv=False)
@@ -502,13 +502,14 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
 def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     """Minimum-L^2-norm control whose final state matches ``target``.
 
-    HUM on the L^2-geometry control map Phi: u = Phi^T mu, mu from the
-    eigenpairs (lambda_i, v_i) of G = Phi Phi^T.  The k largest give
-    mu = sum v_i (v_i^T g) / lambda_i, whose residual |g - G mu| is the norm
-    of g's other coefficients; the fewest with a relative residual of at most
-    ``tol`` are kept.  A target whose residual at the numerical rank
-    (lambda > n eps lambda_max, n free DOFs) still exceeds ``tol`` raises
-    NotReachable, as one with a component in M_N at a critical length does.
+    HUM on the L^2-geometry control map Phi, with the singular pairs of Phi
+    from the shared factor (svd of R^T, _System.l2_map): u = Phi^T mu, the k
+    largest pairs (sigma_i, u_i) give mu = sum u_i (u_i^T g) / sigma_i^2, whose
+    residual is the norm of g's other coefficients in the full, square U; the
+    fewest with a relative residual of at most ``tol`` are kept.  A target
+    whose residual at the numerical rank (sigma^2 > n eps sigma_max^2, n free
+    DOFs) still exceeds ``tol`` raises NotReachable, as one with a component
+    in M_N at a critical length does.
     ``target`` is a (values, derivatives) pair of nx+2 nodal arrays.  Only its
     free DOFs are matched: the final state holds u(T) at y_x(L), which HUM
     does not constrain, so the target's y_x(L) entry is not matched.
@@ -516,16 +517,15 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     check_positive(tol, "tol")
     sys_ = _System(grid)
     g_dofs = _initial_dofs(sys_, target)[sys_.free]
-    r_chol = _mass_cholesky(sys_)
-    phi_l2 = r_chol @ _control_map(sys_)
-    g = r_chol @ g_dofs
-    lam, vec = np.linalg.eigh(phi_l2 @ phi_l2.T)  # ascending
+    r, phi_l2, rt = sys_.l2_map
+    g = r @ g_dofs
+    vec, sigma, _ = np.linalg.svd(rt)  # descending; vec is square, so it spans the complement too
     c = vec.T @ g
-    res = np.sqrt(np.cumsum(np.append(0.0, c**2)))  # res[j] = |g - G mu| with pairs j.. kept
+    res = np.sqrt(np.cumsum(np.append(c**2, 0.0)[::-1]))[::-1]  # res[k] = |c[k:]|, pairs 0 .. k-1 kept
     bound = tol * np.linalg.norm(g)
-    j_rank = int(np.sum(lam <= lam.size * np.finfo(float).eps * lam[-1]))
-    if res[j_rank] > bound:
-        rel, rank = res[j_rank] / np.linalg.norm(g), lam.size - j_rank
+    rank = int(np.sum(sigma**2 > vec.shape[0] * np.finfo(float).eps * sigma[0] ** 2))
+    if res[rank] > bound:
+        rel = res[rank] / np.linalg.norm(g)
         raise NotReachable(f"target not reachable: relative residual {rel:.3e} > tol at the numerical rank {rank}")
-    j = int(np.searchsorted(res, bound, side="right")) - 1
-    return phi_l2.T @ (vec[:, j:] @ (c[j:] / lam[j:]))
+    k = int(np.argmax(res <= bound))
+    return phi_l2.T @ (vec[:, :k] @ (c[:k] / sigma[:k] ** 2))

@@ -5,8 +5,10 @@ module under src/kdvcrit imports this one (tests/test_exports.py checks it).
 """
 
 import numpy as np
+from scipy.linalg import cholesky
 
-from kdvcrit.errors import DomainError, ResolutionError
+from kdvcrit import pde
+from kdvcrit.errors import DomainError, NotReachable, ResolutionError, check_positive
 from kdvcrit.jets import h_jets_scaled
 from kdvcrit.kernel import _check_poles
 from kdvcrit.spectral import MU, POLE_TOL, detq_scaled, roots
@@ -256,3 +258,33 @@ def cn_states_every_step(sys_, y: np.ndarray, u: np.ndarray, step=None) -> np.nd
         rhs -= kc * su[n]
         states[n + 1] = solve(rhs) if step is None else step(n, states, rhs, solve)
     return states
+
+
+def hum_control_gram_eigh(grid, target, *, tol: float = 1e-6) -> np.ndarray:
+    """pde.hum_control by eigh of the Gram matrix G = Phi Phi^T.
+
+    The eigenpairs (lambda_i, v_i) of G are Phi's squared singular values and
+    left singular vectors, the complement of its range included.  The k
+    largest give mu = sum v_i (v_i^T g) / lambda_i, whose residual |g - G mu|
+    is the norm of g's other coefficients; the fewest with a relative residual
+    of at most ``tol`` are kept, and a target whose residual at the numerical
+    rank (lambda > n eps lambda_max) still exceeds ``tol`` raises NotReachable.
+    pde.hum_control, which reads the same pairs from the SVD of R^T, must
+    match it.
+    """
+    check_positive(tol, "tol")
+    sys_ = pde._System(grid)
+    g_dofs = pde._initial_dofs(sys_, target)[sys_.free]
+    r_chol = cholesky(np.asarray(sys_.Mf.todense()), lower=False)
+    phi_l2 = r_chol @ pde._control_map(sys_)
+    g = r_chol @ g_dofs
+    lam, vec = np.linalg.eigh(phi_l2 @ phi_l2.T)  # ascending
+    c = vec.T @ g
+    res = np.sqrt(np.cumsum(np.append(0.0, c**2)))  # res[j] = |g - G mu| with pairs j.. kept
+    bound = tol * np.linalg.norm(g)
+    j_rank = int(np.sum(lam <= lam.size * np.finfo(float).eps * lam[-1]))
+    if res[j_rank] > bound:
+        rel, rank = res[j_rank] / np.linalg.norm(g), lam.size - j_rank
+        raise NotReachable(f"target not reachable: relative residual {rel:.3e} > tol at the numerical rank {rank}")
+    j = int(np.searchsorted(res, bound, side="right")) - 1
+    return phi_l2.T @ (vec[:, j:] @ (c[j:] / lam[j:]))

@@ -134,7 +134,7 @@ class Opaque:
 
 
 # bad values of each kind of argument
-POSITIVE = (math.nan, math.inf, 0.0, -1.0)
+POSITIVE = (math.nan, math.inf, 0.0, -1.0, True)
 NON_NUMERIC = ("abc", Opaque())
 ARRAY = (np.full(3, math.nan), np.array([0.0, math.inf]), np.array([])) + NON_NUMERIC
 OBJECT = (3, (2, 1))

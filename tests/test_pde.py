@@ -486,8 +486,7 @@ def test_gramian_spectra_match_direct_svds(N, nx, steps):
     g = pde.Grid(L=cls.L, nx=nx, T=1.0, nt=steps)
     rep = pde.gramian(g, cls)
     sys_ = pde._System(g)
-    r = pde._mass_cholesky(sys_)
-    phi_l2 = r @ pde._control_map(sys_)
+    r, phi_l2, _ = sys_.l2_map
     assert (phi_l2.shape[1] > phi_l2.shape[0]) == (nx == 32)
     qb, _ = np.linalg.qr(r @ pde._mn_dofs(sys_, cls))
     proj = qb.T @ phi_l2
@@ -506,7 +505,7 @@ def test_mn_shapes_contain_one_minus_cos():
     x = sys_.grid.x_nodes
     dofs = np.empty(sys_.ndof)
     dofs[0::2], dofs[1::2] = 1 - np.cos(x), np.sin(x)
-    r = pde._mass_cholesky(sys_)
+    r, _, _ = sys_.l2_map
     basis = pde._mn_dofs(sys_, cls)
     shapes, target = r @ basis, r @ dofs[sys_.free]
     coef = np.linalg.lstsq(shapes, target, rcond=None)[0]
@@ -589,6 +588,30 @@ def test_hum_matches_free_dofs_at_l91():
     # the rest: y(0) and y(L) are zero in both runs, y_x(L) is u*(T) - u0(T)
     rest = np.delete(diff, sys_.free)
     assert np.array_equal(rest, [0.0, 0.0, tr2.control[-1] - tr.final()[sys_.i_dN]])
+
+
+@pytest.mark.parametrize("nx, steps, rtol", [(96, 400, 1e-8), (8, 10, 1e-6)], ids=["wide", "tall"])
+def test_hum_matches_gram_eigh_oracle(nx, steps, rtol):
+    # u* from Phi's singular pairs (svd of R^T) against eigh of Phi Phi^T, on a
+    # wide map and on a tall one (nt + 1 < nfree) with a nonzero reachable target.
+    # Measured 5.1e-10 (wide) and 5.7e-8 (tall).  The tall u* keeps a pair with
+    # sigma^2 = 2.7e-10 sigma_max^2, which eigh of the Gram matrix resolves only
+    # to about eps / 2.7e-10 = 8e-7 relative; a direct SVD of Phi agrees with
+    # hum_control there within 5e-12.
+    g = pde.Grid(L=1.0, nx=nx, T=1.0, nt=steps)
+    assert (steps + 1 < 2 * nx + 1) == (nx == 8)  # nfree = 2 nx + 1
+    u0 = np.sin(2 * math.pi * g.t_nodes) * np.exp(-10 * (g.t_nodes - 0.5) ** 2)
+    tr = pde.solve_linear(g, u=u0)
+    target = (tr.states[-1], tr.dstates[-1])
+    want = oracles.hum_control_gram_eigh(g, target)
+    assert np.linalg.norm(want) > 0.0
+    assert np.linalg.norm(pde.hum_control(g, target) - want) <= rtol * np.linalg.norm(want)
+    # both refuse the L_3 M_N probe 1 - cos x on the same nx and nt
+    g3 = pde.Grid(L=2 * math.pi, nx=nx, T=1.0, nt=steps)
+    x = g3.x_nodes
+    for hum in (pde.hum_control, oracles.hum_control_gram_eigh):
+        with pytest.raises(NotReachable, match="not reachable"):
+            hum(g3, (1 - np.cos(x), np.sin(x)))
 
 
 @pytest.mark.slow
