@@ -18,7 +18,10 @@ checks require.
 
 Each node carries (value, derivative) degrees of freedom; all matrices are
 banded with bandwidth 3.  The step matrix gets one banded LU (LAPACK dgbtrf)
-per `_System`, and every Crank-Nicolson step is one dgbtrs solve.
+per grid, and every Crank-Nicolson step is one dgbtrs solve.  The entry
+points share one `_System` per grid through `_system`, which holds the last
+grid's system (assembly, LU and L^2 control-map factor) for the next call on
+an equal grid; a call on another grid releases it and builds its own.
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ class Grid:
     def __post_init__(self) -> None:
         check_int(self.nx, "nx", 8)
         check_int(self.nt, "nt", 1)
-        check_positive(self.T, "T")
-        check_positive(self.L, "L")
+        # as Python floats: == between grids, which decides when a held system is
+        # shared, then compares the values the arithmetic uses (a float32 0.1 == 0.1)
+        object.__setattr__(self, "T", float(check_positive(self.T, "T")))
+        object.__setattr__(self, "L", float(check_positive(self.L, "L")))
 
     @property
     def dx(self) -> float:
@@ -124,7 +129,7 @@ class _System:
     """Assembled operators and index bookkeeping for one grid."""
 
     def __init__(self, grid: Grid):
-        self.grid = check_type(grid, Grid, "grid")  # every solver's grid enters here
+        self.grid = grid
         n_el = grid.nx + 1
         self.n_el = n_el
         self.h = grid.dx
@@ -157,6 +162,7 @@ class _System:
         self.Mf, self.Kf = self.M[free, free], self.K[free, free]
         self.Mc = self.M[free, control].toarray().ravel()
         self.Kc = self.K[free, control].toarray().ravel()
+        self.Mc.flags.writeable = self.Kc.flags.writeable = False  # shared by every call on the grid
 
     @cached_property
     def step_solve(self):
@@ -178,13 +184,17 @@ class _System:
     @cached_property
     def l2_map(self):
         """(r, Phi, R^T): the mass Cholesky factor (Mf = r^T r), the L^2-geometry
-        control map Phi = r @ _control_map and R^T from Phi^T = Q R, Q never formed."""
+        control map Phi = r @ _control_map and R^T from Phi^T = Q R, Q never formed.
+        All three are read-only: every call on the grid shares them."""
         try:
             r = cholesky(np.asarray(self.Mf.todense()), lower=False)
         except np.linalg.LinAlgError as exc:
             raise DomainError(f"mass matrix not positive definite at grid step h = {self.h:.3e}") from exc
         phi_l2 = r @ _control_map(self)
-        return r, phi_l2, np.linalg.qr(phi_l2.T, mode="r").T
+        factors = r, phi_l2, np.linalg.qr(phi_l2.T, mode="r").T
+        for a in factors:
+            a.flags.writeable = False
+        return factors
 
     def interpolate(self, values, derivs) -> np.ndarray:
         """Full DOF vector of the Hermite interpolant of nodal values and derivatives."""
@@ -212,9 +222,32 @@ class _System:
         return out[1:-2]  # the free DOFs
 
 
+_held: _System | None = None  # the last grid's system; see _system
+
+
+def _system(grid: Grid) -> _System:
+    """The assembled system of ``grid``, shared by the calls on equal grids in a row.
+
+    Only the last grid's system is held: a call on an equal grid (==) gets it
+    back with its LU and control-map factor, and a call on another grid
+    releases it before building its own, so two are never held at once.
+    """
+    global _held
+    check_type(grid, Grid, "grid")  # every entry point's grid enters here, before any comparison
+    sys_ = _held
+    if sys_ is None or sys_.grid != grid:
+        sys_ = _held = None  # release the last grid's system before building this one
+        sys_ = _held = _System(grid)
+    return sys_
+
+
 @dataclass
 class Trajectory:
-    """Space-time solution: full Hermite DOFs per time node plus diagnostics."""
+    """Space-time solution: full Hermite DOFs per time node plus diagnostics.
+
+    ``system`` is the grid's shared system: trajectories of calls on equal
+    grids in a row hold the same one, so it is read, never changed.
+    """
 
     grid: Grid
     dofs: np.ndarray  # (nt+1, ndof): [v0, d0, v1, d1, ...]
@@ -314,7 +347,7 @@ def solve_linear(grid: Grid, y0=None, u=None) -> Trajectory:
     y0 is None (zero) or a (values, derivatives) pair of nx+2 nodal arrays;
     u is None (zero) or an array of its nt+1 samples at the time nodes.
     """
-    sys_ = _System(grid)
+    sys_ = _system(grid)
     u_arr = _as_control(u, grid.nt)
     y = _initial_dofs(sys_, y0)[sys_.free]
     return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr), u_arr)
@@ -329,7 +362,7 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     step (the same treatment the nonlinear solver gives the quadratic term,
     which makes the discrete epsilon-expansion exact).
     """
-    sys_ = _System(grid)
+    sys_ = _system(grid)
     u_arr = _as_control(u1, grid.nt)
     y1 = _assemble_trajectory(sys_, _cn_states(sys_, np.zeros(len(sys_.free)), u_arr), u_arr)
 
@@ -359,7 +392,7 @@ def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
     Raises FixedPointDiverged outside the small-data regime: the sweeps
     stall (no convergence in _PICARD_MAX sweeps) or blow up (non-finite).
     """
-    sys_ = _System(grid)
+    sys_ = _system(grid)
     u_arr = _as_control(u, grid.nt)
     y = _initial_dofs(sys_, y0)[sys_.free]
     mid = np.zeros(sys_.ndof)  # midpoint state, full DOFs
@@ -466,10 +499,11 @@ def gramian(grid: Grid, length_class: LengthClass) -> GramianReport:
     Phi^T = Q R and Q's columns orthonormal, Phi = R^T Q^T has R^T's singular
     values, and so have its projections onto the shapes and their complement.
     Q is never formed, and the SVDs run on R^T, nfree x min(nfree, nt + 1),
-    not on the nfree x (nt + 1) map.
+    not on the nfree x (nt + 1) map.  The factor is the grid's shared one
+    (_System.l2_map), so a hum_control call next on an equal grid reuses it.
     """
     check_type(length_class, LengthClass, "length_class")
-    sys_ = _System(grid)
+    sys_ = _system(grid)
     r, _, rt = sys_.l2_map
     shapes = r @ _mn_dofs(sys_, length_class)
     sv = np.linalg.svd(shapes, compute_uv=False)
@@ -503,10 +537,11 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     """Minimum-L^2-norm control whose final state matches ``target``.
 
     HUM on the L^2-geometry control map Phi, with the singular pairs of Phi
-    from the shared factor (svd of R^T, _System.l2_map): u = Phi^T mu, the k
-    largest pairs (sigma_i, u_i) give mu = sum u_i (u_i^T g) / sigma_i^2, whose
-    residual is the norm of g's other coefficients in the full, square U; the
-    fewest with a relative residual of at most ``tol`` are kept.  A target
+    from the shared factor (svd of R^T, _System.l2_map; after gramian on an
+    equal grid the held one, not rebuilt): u = Phi^T mu, the k largest pairs
+    (sigma_i, u_i) give mu = sum u_i (u_i^T g) / sigma_i^2, whose residual is
+    the norm of g's other coefficients in the full, square U; the fewest with
+    a relative residual of at most ``tol`` are kept.  A target
     whose residual at the numerical rank (sigma^2 > n eps sigma_max^2, n free
     DOFs) still exceeds ``tol`` raises NotReachable, as one with a component
     in M_N at a critical length does.
@@ -515,7 +550,7 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     does not constrain, so the target's y_x(L) entry is not matched.
     """
     check_positive(tol, "tol")
-    sys_ = _System(grid)
+    sys_ = _system(grid)
     g_dofs = _initial_dofs(sys_, target)[sys_.free]
     r, phi_l2, rt = sys_.l2_map
     g = r @ g_dofs

@@ -174,20 +174,52 @@ def test_cn_states_rest_rule_matches_every_step_forcing(nx, n_steps, shapes, wit
     assert np.array_equal(got, oracles.cn_states_every_step(sys_, y, u, step=step))
 
 
-def test_step_matrix_factored_once_per_system(monkeypatch):
-    real = pde.dgbtrf
-    factored = []
+def test_step_matrix_factored_once_per_grid(monkeypatch):
+    # the entry points share the last grid's system, LU and control map; only
+    # the last grid's is held, so going back to a grid factors it again
+    real_lu, real_map = pde.dgbtrf, pde._control_map
+    factored, mapped = [], []
 
     def counting_dgbtrf(ab, kl, ku):
         factored.append(ab.shape)
-        return real(ab, kl, ku)
+        return real_lu(ab, kl, ku)
+
+    def counting_control_map(sys_):
+        mapped.append(sys_.grid)
+        return real_map(sys_)
 
     monkeypatch.setattr(pde, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(pde, "_control_map", counting_control_map)
     g = pde.Grid(L=PAIR.L, nx=16, T=0.2, nt=10)
-    pde.solve_second_order(g, np.sin(g.t_nodes))
-    assert len(factored) == 1
-    pde.gramian(g, nt.representations(PAIR.N))
+    u = np.sin(g.t_nodes)
+    pde.solve_second_order(g, u)
+    pde.gramian(pde.Grid(L=PAIR.L, nx=16, T=0.2, nt=10), nt.representations(PAIR.N))  # equal, not g itself
+    target = pde.solve_linear(g, u=u)
+    pde.hum_control(g, (target.states[-1], target.dstates[-1]))
+    assert (len(factored), len(mapped)) == (1, 1)
+    pde.solve_linear(pde.Grid(L=PAIR.L, nx=16, T=0.4, nt=10), u=u)
     assert len(factored) == 2
+    pde.solve_linear(g, u=u)
+    assert len(factored) == 3
+
+
+def test_shared_system_arrays_are_read_only():
+    sys_ = pde._system(pde.Grid(L=PAIR.L, nx=8, T=0.5, nt=10))
+    for a in (*sys_.l2_map, sys_.Mc, sys_.Kc):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_float32_grid_does_not_share_the_float64_grids_system():
+    # np.float32(0.1) == 0.1 under numpy's promotion rules, yet the two T give
+    # different steps; Grid stores Python floats, so the grids compare unequal
+    g32 = pde.Grid(L=np.float32(1.0), nx=8, T=np.float32(0.1), nt=10)
+    g64 = pde.Grid(L=1.0, nx=8, T=0.1, nt=10)
+    assert g32 != g64 and type(g32.T) is type(g32.L) is float
+    u = np.sin(g64.t_nodes)
+    after_g32 = [pde.solve_linear(g, u=u).dofs for g in (g32, g64)][1]
+    pde._held = None
+    assert np.array_equal(after_g32, pde.solve_linear(g64, u=u).dofs)
 
 
 @pytest.mark.parametrize("nx", [8, 9, 128])
@@ -438,6 +470,19 @@ _BAD_INPUTS = {
     "zero-tol": lambda: pde.hum_control(_G, (_ZERO_X + 1.0, _ZERO_X), tol=0.0),
     "negative-tol": lambda: pde.hum_control(_G, (_ZERO_X + 1.0, _ZERO_X), tol=-1e-6),
     "nan-tol": lambda: pde.hum_control(_G, (_ZERO_X + 1.0, _ZERO_X), tol=math.nan),
+}
+_ENTRY_POINTS = {
+    "linear": pde.solve_linear,
+    "second-order": lambda grid: pde.solve_second_order(grid, np.zeros(_G.nt + 1)),
+    "nonlinear": pde.solve_nonlinear,
+    "gramian": lambda grid: pde.gramian(grid, nt.representations(PAIR.N)),
+    "hum": lambda grid: pde.hum_control(grid, (_ZERO_X, _ZERO_X)),
+}
+_NOT_GRIDS = {"none": None, "list": [1.0, 8, 1.0, 10], "dict": {"L": 1.0, "nx": 8, "T": 1.0, "nt": 10}}
+_BAD_INPUTS |= {
+    f"{entry}-{kind}-grid": lambda run=run, grid=grid: run(grid)
+    for entry, run in _ENTRY_POINTS.items()
+    for kind, grid in _NOT_GRIDS.items()
 }
 
 
