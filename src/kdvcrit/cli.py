@@ -533,8 +533,10 @@ def cmd_verify_all(args) -> int:
             if getattr(args, attr) in (None, False):
                 setattr(args, attr, val)
     only = None
-    if args.only:
+    if args.only is not None:
         only = {s.strip() for s in args.only.split(",")}
+        if "" in only:
+            raise DomainError(f"empty --only tag in {args.only!r}; give comma-separated tag names")
     report = verify_all(only=only, include_timing=not args.no_timing)
     _emit_json(report, args.out)
     return 1 if report["failed"] else 0

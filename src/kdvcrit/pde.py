@@ -19,16 +19,17 @@ checks require.
 Each node carries (value, derivative) degrees of freedom; all matrices are
 banded with bandwidth 3.  The step matrix gets one banded LU (LAPACK dgbtrf)
 per grid, and every Crank-Nicolson step is one dgbtrs solve.  The entry
-points share one `_System` per grid through `_system`, which holds the last
-grid's system (assembly, LU and L^2 control-map factor) for the next call on
-an equal grid; a call on another grid releases it and builds its own.
+points share one `_System` per grid through `_system`, a one-slot
+`lru_cache` that holds the last grid's system (assembly, LU and L^2
+control-map factor) for the next call on an equal grid; a call on another
+grid builds its own and evicts the held one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -157,8 +158,8 @@ class _System:
         self.K = assemble(k_e)
         self.S1 = assemble(stiff_e)
         self.i_dN = 2 * n_el + 1
-        self.free = np.arange(1, ndof - 2)  # all but the values y(0), y(L) and the control y_x(L)
-        free, control = slice(1, -2), [self.i_dN]  # free is the contiguous range 1 .. ndof - 3
+        free, control = slice(1, ndof - 2), [self.i_dN]  # all but the values y(0), y(L) and y_x(L)
+        self.free, self.nfree = free, ndof - 3
         self.Mf, self.Kf = self.M[free, free], self.K[free, free]
         self.Mc = self.M[free, control].toarray().ravel()
         self.Kc = self.K[free, control].toarray().ravel()
@@ -219,26 +220,20 @@ class _System:
         nodes = out.reshape(-1, 2)  # a view of out, one (value, derivative) row per node
         nodes[:-1] += wsq @ self.weak_left
         nodes[1:] += wsq @ self.weak_right
-        return out[1:-2]  # the free DOFs
+        return out[self.free]
 
 
-_held: _System | None = None  # the last grid's system; see _system
+_held = lru_cache(maxsize=1)(_System)  # the last grid's system; _held.cache_clear() empties it
 
 
 def _system(grid: Grid) -> _System:
     """The assembled system of ``grid``, shared by the calls on equal grids in a row.
 
-    Only the last grid's system is held: a call on an equal grid (==) gets it
-    back with its LU and control-map factor, and a call on another grid
-    releases it before building its own, so two are never held at once.
+    Only the last grid's system is held.  A call on another grid evicts it
+    once the new grid's assembly returns, before the new LU and control map
+    are built on first use, so the hold never keeps two grids' LUs or maps.
     """
-    global _held
-    check_type(grid, Grid, "grid")  # every entry point's grid enters here, before any comparison
-    sys_ = _held
-    if sys_ is None or sys_.grid != grid:
-        sys_ = _held = None  # release the last grid's system before building this one
-        sys_ = _held = _System(grid)
-    return sys_
+    return _held(check_type(grid, Grid, "grid"))  # a non-Grid raises DomainError before the hash
 
 
 @dataclass
@@ -287,12 +282,12 @@ def _as_control(u, nt: int) -> np.ndarray:
 
 def _initial_dofs(sys_: _System, y0) -> np.ndarray:
     if y0 is None:
-        return np.zeros(sys_.ndof)
+        return np.zeros(sys_.nfree)
     n = sys_.grid.nx + 2
     nodal = [check_finite(v, "state data") for v in y0] if isinstance(y0, tuple) else []
     if len(nodal) != 2 or any(v.shape != (n,) for v in nodal):
         raise DomainError(f"state data must be a (values, derivatives) pair of {n} nodal arrays")
-    return sys_.interpolate(*nodal)
+    return sys_.interpolate(*nodal)[sys_.free]
 
 
 def _cn_states(sys_: _System, y: np.ndarray, u: np.ndarray, step=None) -> np.ndarray:
@@ -349,7 +344,7 @@ def solve_linear(grid: Grid, y0=None, u=None) -> Trajectory:
     """
     sys_ = _system(grid)
     u_arr = _as_control(u, grid.nt)
-    y = _initial_dofs(sys_, y0)[sys_.free]
+    y = _initial_dofs(sys_, y0)
     return _assemble_trajectory(sys_, _cn_states(sys_, y, u_arr), u_arr)
 
 
@@ -362,16 +357,15 @@ def solve_second_order(grid: Grid, u1) -> tuple[Trajectory, Trajectory]:
     step (the same treatment the nonlinear solver gives the quadratic term,
     which makes the discrete epsilon-expansion exact).
     """
-    sys_ = _system(grid)
-    u_arr = _as_control(u1, grid.nt)
-    y1 = _assemble_trajectory(sys_, _cn_states(sys_, np.zeros(len(sys_.free)), u_arr), u_arr)
+    y1 = solve_linear(grid, u=u1)
+    sys_ = y1.system
 
     def source(n, states, rhs, solve):
         mid = 0.5 * (y1.dofs[n] + y1.dofs[n + 1])
         return solve(rhs - grid.dt * sys_.nonlinear_weak(mid))
 
     zero = np.zeros(grid.nt + 1)
-    hist = _cn_states(sys_, np.zeros(len(sys_.free)), zero, step=source)
+    hist = _cn_states(sys_, np.zeros(sys_.nfree), zero, step=source)
     return y1, _assemble_trajectory(sys_, hist, zero)
 
 
@@ -394,9 +388,8 @@ def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
     """
     sys_ = _system(grid)
     u_arr = _as_control(u, grid.nt)
-    y = _initial_dofs(sys_, y0)[sys_.free]
+    y = _initial_dofs(sys_, y0)
     mid = np.zeros(sys_.ndof)  # midpoint state, full DOFs
-    free = slice(1, -2)  # sys_.free
     sources = []  # sources of the last three steps, oldest first
 
     def picard(n, states, base, solve):
@@ -404,7 +397,7 @@ def solve_nonlinear(grid: Grid, y0=None, u=None) -> Trajectory:
         predicted = sum(c * f for c, f in zip(_EXTRAPOLATE[len(sources)], reversed(sources)))
         y_next = solve(base - predicted)
         for _ in range(_PICARD_MAX):
-            mid[free] = 0.5 * (states[n] + y_next)
+            mid[sys_.free] = 0.5 * (states[n] + y_next)
             source = grid.dt * sys_.nonlinear_weak(mid)
             cand = solve(base - source)
             d = cand - y_next
@@ -443,7 +436,7 @@ def _mn_dofs(sys_: _System, length_class: LengthClass) -> np.ndarray:
         eta = eta_triple(pair)
         ph, dph = phi(eta, x), phi_x(eta, x) * scale
         cols += [sys_.interpolate(part(ph), part(dph))[sys_.free] for part in phi_parts(ph)]
-    return np.array(cols).reshape(-1, len(sys_.free)).T  # (nfree, dim), dim may be 0
+    return np.array(cols).reshape(-1, sys_.nfree).T  # (nfree, dim), dim may be 0
 
 
 @dataclass(frozen=True)
@@ -482,7 +475,7 @@ def _control_map(sys_: _System) -> np.ndarray:
     nt = sys_.grid.nt
     u = np.zeros((nt + 1, 2))
     u[0, 0] = u[1, 1] = 1.0
-    states = _cn_states(sys_, np.zeros((len(sys_.free), 2)), u)
+    states = _cn_states(sys_, np.zeros((sys_.nfree, 2)), u)
     return np.column_stack([states[-1, :, 0], states[:0:-1, :, 1].T])
 
 
@@ -551,7 +544,7 @@ def hum_control(grid: Grid, target, *, tol: float = 1e-6) -> np.ndarray:
     """
     check_positive(tol, "tol")
     sys_ = _system(grid)
-    g_dofs = _initial_dofs(sys_, target)[sys_.free]
+    g_dofs = _initial_dofs(sys_, target)
     r, phi_l2, rt = sys_.l2_map
     g = r @ g_dofs
     vec, sigma, _ = np.linalg.svd(rt)  # descending; vec is square, so it spans the complement too

@@ -317,6 +317,7 @@ def paley_wiener_check(
     u = check_signal(u, "u")
     check_positive(dt, "dt")
     check_positive(T, "T")
+    check_positive(L, "L")
     check_positive(z_max, "z_max")
     check_int(n_z, "n_z", 1)
     t = np.arange(u.size) * dt

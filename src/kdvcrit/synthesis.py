@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import ClassVar
@@ -760,8 +761,8 @@ def fractional_norm(u: np.ndarray, s: float, dt: float) -> SobolevNorm:
     transform, evaluated by zero-padded FFT; s = 0 recovers the Riemann-sum
     L^2 norm exactly (discrete Parseval).
     """
-    if not -2.0 <= s <= 2.0:
-        raise DomainError("s outside the supported band [-2, 2]")
+    if isinstance(s, bool) or not (isinstance(s, numbers.Real) and -2.0 <= s <= 2.0):
+        raise DomainError(f"s must be a real number in the supported band [-2, 2], got {s!r:.40}")
     u = check_signal(u, "u")
     check_positive(dt, "dt")
     n = int(_PAD_FACTOR * 2 ** math.ceil(math.log2(max(u.size, 2))))

@@ -7,4 +7,4 @@ from kdvcrit import pde
 def _release_held_pde_system():
     """Empty pde's held system after each test, so no test reads another's."""
     yield
-    pde._held = None
+    pde._held.cache_clear()

@@ -274,7 +274,7 @@ def hum_control_gram_eigh(grid, target, *, tol: float = 1e-6) -> np.ndarray:
     """
     check_positive(tol, "tol")
     sys_ = pde._System(grid)
-    g_dofs = pde._initial_dofs(sys_, target)[sys_.free]
+    g_dofs = pde._initial_dofs(sys_, target)
     r_chol = cholesky(np.asarray(sys_.Mf.todense()), lower=False)
     phi_l2 = r_chol @ pde._control_map(sys_)
     g = r_chol @ g_dofs

@@ -215,6 +215,8 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
             "unknown --only tag spectrl; valid tags: kernel, numbertheory, pde, spectral, "
             "synthesis, unreachable",
         ),
+        (["verify-all", "--only", ""], None, "empty --only tag in ''"),
+        (["verify-all"], {"only": "spectral,"}, "empty --only tag in 'spectral,'"),
     ],
     ids=["range", "range-inf", "range-span-overflow", "range-no-points", "spectral-L-nan", "spectral-L-inf",
          "config-key", "config-argparse-attr", "config-underscore-key", "config-type",
@@ -223,7 +225,7 @@ _SIGNS = ["verify-signs", "--k", "3", "--l", "2"]
          "control-list", "control-file-no-path", "control-file-missing", "control-file-length",
          "initial-no-pair", "bump-reversed", "bump-empty", "bump-after-T", "bump-stop-inf",
          "bump-between-nodes", "kernel-points", "tsweep", "tsweep-nan", "tsweep-extreme", "n-side", "out-dir-missing",
-         "only-tag"],
+         "only-tag", "only-empty", "config-only-empty-tag"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, cfg, message):
     (tmp_path / "short.csv").write_text("0.0,0.0\n")  # two control samples, where nt + 1 = 7

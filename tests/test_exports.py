@@ -174,8 +174,8 @@ BAD_INPUT = {
     "spectral.paley_wiener_check": (
         spectral.paley_wiener_check,
         {"u": SIGNAL, "dt": 0.1, "T": 1.6, "L": 3.0, "z_max": 5.0, "n_z": 5},
-        {"u": ARRAY + NOT_A_ROW, "dt": POSITIVE + (1e300,), "T": POSITIVE, "L": POSITIVE + (1e300,),
-         "z_max": POSITIVE, "n_z": bad_ints(1)},
+        {"u": ARRAY + NOT_A_ROW, "dt": POSITIVE + (1e300,), "T": POSITIVE,
+         "L": POSITIVE + (1e300,) + NON_NUMERIC, "z_max": POSITIVE, "n_z": bad_ints(1)},
     ),
     "kernel.intB_closed": (
         kernel.intB_closed,
@@ -239,7 +239,9 @@ BAD_INPUT = {
     "synthesis.fractional_norm": (
         synthesis.fractional_norm,
         {"u": SIGNAL, "s": 0.5, "dt": 0.1},
-        {"u": ARRAY + NOT_A_ROW, "s": (math.nan, math.inf, 3.0, -3.0), "dt": POSITIVE + (1e-300, 1e300)},
+        {"u": ARRAY + NOT_A_ROW,
+         "s": (math.nan, math.inf, 3.0, -3.0, True, None, 1j, np.array([0.5, 1.0])) + NON_NUMERIC,
+         "dt": POSITIVE + (1e-300, 1e300)},
     ),
 }
 

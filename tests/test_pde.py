@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_xnorm_positive():
 def test_cn_states_two_columns_match_one_column_runs(nx, n_steps, seed):
     sys_ = pde._System(pde.Grid(L=PAIR.L, nx=nx, T=0.5, nt=n_steps))
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((len(sys_.free), 2))
+    y = rng.standard_normal((sys_.nfree, 2))
     u = rng.standard_normal((n_steps + 1, 2))
     both = pde._cn_states(sys_, y, u)
     for j in range(2):
@@ -160,7 +161,7 @@ def test_cn_states_rest_rule_matches_every_step_forcing(nx, n_steps, shapes, wit
     sys_ = pde._System(pde.Grid(L=PAIR.L, nx=nx, T=0.5, nt=n_steps))
     rng = np.random.default_rng(seed)
     u = np.stack([_resting_control(rng, n_steps, shape) for shape in shapes], axis=-1)
-    y = rng.standard_normal((len(sys_.free), len(shapes)))
+    y = rng.standard_normal((sys_.nfree, len(shapes)))
     if len(shapes) == 1:
         u, y = u[:, 0], y[:, 0]
     step = None
@@ -203,6 +204,26 @@ def test_step_matrix_factored_once_per_grid(monkeypatch):
     assert len(factored) == 3
 
 
+def test_next_grid_evicts_the_held_system():
+    # grid a's system dies once a call on grid b returns and no trajectory holds it
+    g_a, g_b = pde.Grid(L=PAIR.L, nx=16, T=0.2, nt=10), pde.Grid(L=PAIR.L, nx=16, T=0.4, nt=10)
+    traj = pde.solve_linear(g_a, u=np.sin(g_a.t_nodes))
+    held = weakref.ref(traj.system)
+    pde.solve_linear(g_b)
+    assert held() is traj.system  # a trajectory keeps its own system
+    del traj
+    assert held() is None
+    assert pde._system(g_b) is pde._system(pde.Grid(L=PAIR.L, nx=16, T=0.4, nt=10))
+
+
+def test_second_order_first_term_is_solve_linear():
+    g = pde.Grid(L=PAIR.L, nx=16, T=0.2, nt=10)
+    u = np.sin(g.t_nodes)
+    y1, _ = pde.solve_second_order(g, u)
+    lin = pde.solve_linear(g, u=u)
+    assert np.array_equal(y1.dofs, lin.dofs) and y1.xnorm == lin.xnorm
+
+
 def test_shared_system_arrays_are_read_only():
     sys_ = pde._system(pde.Grid(L=PAIR.L, nx=8, T=0.5, nt=10))
     for a in (*sys_.l2_map, sys_.Mc, sys_.Kc):
@@ -218,7 +239,7 @@ def test_float32_grid_does_not_share_the_float64_grids_system():
     assert g32 != g64 and type(g32.T) is type(g32.L) is float
     u = np.sin(g64.t_nodes)
     after_g32 = [pde.solve_linear(g, u=u).dofs for g in (g32, g64)][1]
-    pde._held = None
+    pde._held.cache_clear()
     assert np.array_equal(after_g32, pde.solve_linear(g64, u=u).dofs)
 
 
@@ -227,7 +248,7 @@ def test_float32_grid_does_not_share_the_float64_grids_system():
 def test_banded_step_solve_matches_dense(nx, columns):
     sys_ = pde._System(pde.Grid(L=PAIR.L, nx=nx, T=1.0, nt=100))
     dense = (sys_.Mf + (sys_.grid.dt / 2.0) * sys_.Kf).toarray()
-    rhs = np.random.default_rng(nx).standard_normal((len(sys_.free), *columns))
+    rhs = np.random.default_rng(nx).standard_normal((sys_.nfree, *columns))
     x = sys_.step_solve(rhs)
     ref = np.linalg.solve(dense, rhs)
     assert x.shape == rhs.shape
@@ -349,7 +370,7 @@ def test_gramian_columns_match_solve_linear():
     ):
         sys_ = pde._System(g)
         phi_map = pde._control_map(sys_)
-        assert phi_map.shape == (len(sys_.free), g.nt + 1)
+        assert phi_map.shape == (sys_.nfree, g.nt + 1)
         for i in range(g.nt + 1):
             u = np.zeros(g.nt + 1)
             u[i] = 1.0
@@ -388,8 +409,8 @@ def test_assembly_matches_per_element_reference():
         assert np.array_equal(sys_.K.toarray(), k)
         assert np.array_equal(sys_.S1.toarray(), s1)
         free = sys_.free
-        assert np.array_equal(sys_.Mf.toarray(), m[np.ix_(free, free)])
-        assert np.array_equal(sys_.Kf.toarray(), k[np.ix_(free, free)])
+        assert np.array_equal(sys_.Mf.toarray(), m[free, free])
+        assert np.array_equal(sys_.Kf.toarray(), k[free, free])
         assert np.array_equal(sys_.Mc, m[free, sys_.i_dN])
         assert np.array_equal(sys_.Kc, k[free, sys_.i_dN])
 
